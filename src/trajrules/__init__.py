@@ -45,7 +45,7 @@ from .rules import (
     seed_library,
 )
 from .synth import AV_PROFILE, HDV_PROFILE, BehaviorProfile, GeneratorConfig, generate_dataset
-from .trajectory import TimedPoint, Trajectory, smooth_trajectory, validate_trajectory
+from .trajectory import Trajectory, smooth_trajectory, validate_trajectory
 from .verification import (
     ValSample,
     VerificationResult,
@@ -78,7 +78,6 @@ __all__ = [
     "RuleEvidence",
     "RuleLibrary",
     "TaskPrediction",
-    "TimedPoint",
     "Trajectory",
     "TrajRulesError",
     "UnitMismatchError",

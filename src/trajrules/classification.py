@@ -229,8 +229,7 @@ def predict_lane_change(
     decreasing y is a drift toward the left lane, matching the convention
     used by lane-change event detection.
     """
-    _, ys = traj.xy()
-    sy = ys * traj.unit_scale
+    sy = traj.y * traj.unit_scale
     if len(sy) < 2:
         raise NoApplicableRulesError("trajectory too short to read lateral drift")
     k = min(len(sy) - 1, max(1, round(traj.frame_rate)))

@@ -10,8 +10,10 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import SchemaError
-from .trajectory import LABELS, UNIT_SYSTEMS, TimedPoint, Trajectory
+from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 
 def dump_json(obj: object, path: str | Path) -> None:
@@ -34,7 +36,7 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
         "vehicle_id": traj.vehicle_id,
         "frame_rate": traj.frame_rate,
         "unit_system": traj.unit_system,
-        "points": [[p.t, p.x, p.y] for p in traj.points],
+        "points": list(map(list, zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()))),
     }
     if traj.unit_scale != 1.0:
         doc["unit_scale"] = traj.unit_scale
@@ -43,23 +45,38 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     return doc
 
 
+def _parse_points(raw: object, line: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split [[t, x, y], ...] into int64 frames and float64 coordinates.
+
+    Types are checked column by column: frames must be JSON integers and
+    coordinates JSON numbers; booleans, strings and null are rejected.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("'points' must be a non-empty array", line)
+    if not set(map(type, raw)) <= {list, tuple} or set(map(len, raw)) != {3}:
+        bad = next(e for e in raw if type(e) not in (list, tuple) or len(e) != 3)
+        raise SchemaError(f"each point must be [t, x, y], got {bad!r}", line)
+    t, x, y = zip(*raw)
+    if set(map(type, t)) != {int}:
+        bad = next(v for v in t if type(v) is not int)
+        raise SchemaError(f"frame index must be an integer, got {bad!r}", line)
+    if not set(map(type, x)) | set(map(type, y)) <= {int, float}:
+        bad = next(v for v in x + y if type(v) not in (int, float))
+        raise SchemaError(f"coordinate must be a number, got {bad!r}", line)
+    try:
+        return (np.array(t, dtype=np.int64), np.array(x, dtype=np.float64),
+                np.array(y, dtype=np.float64))
+    except OverflowError as exc:
+        raise SchemaError(f"point out of range: {exc}", line) from exc
+
+
 def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
     if not isinstance(doc, dict):
         raise SchemaError("trajectory record must be a JSON object", line)
     for key in ("vehicle_id", "frame_rate", "points"):
         if key not in doc:
             raise SchemaError(f"trajectory record missing {key!r}", line)
-    raw_points = doc["points"]
-    if not isinstance(raw_points, list) or not raw_points:
-        raise SchemaError("'points' must be a non-empty array", line)
-    points = []
-    for entry in raw_points:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise SchemaError(f"each point must be [t, x, y], got {entry!r}", line)
-        t, x, y = entry
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise SchemaError(f"frame index must be an integer, got {t!r}", line)
-        points.append(TimedPoint(t, float(x), float(y)))
+    t, x, y = _parse_points(doc["points"], line)
     unit_system = doc.get("unit_system", "metric")
     if unit_system not in UNIT_SYSTEMS:
         raise SchemaError(
@@ -68,7 +85,9 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
     try:
         return Trajectory(
             vehicle_id=str(doc["vehicle_id"]),
-            points=points,
+            t=t,
+            x=x,
+            y=y,
             frame_rate=float(doc["frame_rate"]),
             unit_scale=float(doc.get("unit_scale", 1.0)),
             unit_system=unit_system,

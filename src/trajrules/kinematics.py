@@ -105,27 +105,25 @@ def compute_kinematics(traj: Trajectory) -> KinematicSeries:
     samples shorter than the positions, acceleration two shorter than
     velocity, jerk two shorter again (empty when that goes nonpositive).
     """
-    n = len(traj.points)
+    n = len(traj)
     if n < 5:
         raise TooShortError(f"{traj.vehicle_id}: need at least 5 points, got {n}")
-    xs, ys = traj.xy()
-    sx = xs * traj.unit_scale
-    sy = ys * traj.unit_scale
+    sx = traj.x * traj.unit_scale
+    sy = traj.y * traj.unit_scale
     dt2 = 2.0 * traj.dt
     dx = sx[2:] - sx[:-2]
     dy = sy[2:] - sy[:-2]
     velocity = np.sqrt(dx * dx + dy * dy) / dt2
     acceleration = (velocity[2:] - velocity[:-2]) / dt2
     jerk = (acceleration[2:] - acceleration[:-2]) / dt2
-    frames = traj.frames()
     return KinematicSeries(
         velocity=velocity,
         acceleration=acceleration,
         jerk=jerk,
         valid_range={
-            "velocity": _span(frames, 1, len(velocity)),
-            "acceleration": _span(frames, 2, len(acceleration)),
-            "jerk": _span(frames, 3, len(jerk)),
+            "velocity": _span(traj.t, 1, len(velocity)),
+            "acceleration": _span(traj.t, 2, len(acceleration)),
+            "jerk": _span(traj.t, 3, len(jerk)),
         },
         frame_rate=traj.frame_rate,
     )
@@ -150,13 +148,12 @@ def detect_lane_changes(
         raise ValueError(f"window must be at least 2, got {window}")
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    n = len(traj.points)
+    n = len(traj)
     if window > n - 1:
         raise WindowTooLongError(
             f"window of {window} steps needs {window + 1} points, trajectory has {n}"
         )
-    _, ys = traj.xy()
-    sy = ys * traj.unit_scale
+    sy = traj.y * traj.unit_scale
     dy = np.diff(sy)
     csum = np.concatenate(([0.0], np.cumsum(np.abs(dy))))
     roll = csum[window:] - csum[:-window]  # indexed by window start t
@@ -165,7 +162,6 @@ def detect_lane_changes(
     if fired.size == 0:
         return []
 
-    frames = traj.frames()
     events: list[LaneChangeEvent] = []
     group_start = 0
     for i in range(1, len(fired) + 1):
@@ -174,8 +170,8 @@ def detect_lane_changes(
         group = fired[group_start:i]
         rep = int(group[np.argmax(roll[group])])
         events.append(LaneChangeEvent(
-            start_frame=int(frames[rep]),
-            end_frame=int(frames[rep + window - 1]),
+            start_frame=int(traj.t[rep]),
+            end_frame=int(traj.t[rep + window - 1]),
             cumulative_displacement=float(roll[rep]),
             direction="left" if net[rep] < 0 else "right",
         ))
@@ -259,16 +255,3 @@ def extended_atoms(
         if decels:
             out["pre_lane_change_decel"] = float(np.mean(decels))
     return out
-
-
-def filter_stationary(
-    trajectories: list[Trajectory],
-    min_mean_speed: float = 0.5,
-) -> list[Trajectory]:
-    """Drop parked or crawling vehicles (mean speed below the threshold)."""
-    kept = []
-    for traj in trajectories:
-        kin = compute_kinematics(traj)
-        if float(np.mean(kin.velocity)) >= min_mean_speed:
-            kept.append(traj)
-    return kept

@@ -38,7 +38,7 @@ from .kinematics import (
     extended_atoms,
     summarize_features,
 )
-from .trajectory import TimedPoint, Trajectory
+from .trajectory import Trajectory
 
 JITTER_FRACTION = 0.05
 MIN_SPEED = 0.5
@@ -363,12 +363,11 @@ def _realize(
         )
     vx = np.sqrt(vx_sq)
     x = np.concatenate(([0.0], np.cumsum(0.5 * (vx[1:] + vx[:-1]) * dt)))
-    points = [
-        TimedPoint(i, float(x[i]), float(layout.y[i])) for i in range(len(t))
-    ]
     return Trajectory(
         vehicle_id=vehicle_id,
-        points=points,
+        t=np.arange(len(t)),
+        x=x,
+        y=layout.y,
         frame_rate=frame_rate,
         unit_system="metric",
         label=label,

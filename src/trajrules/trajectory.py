@@ -16,6 +16,7 @@ from .errors import (
     DuplicateFrameError,
     NonFiniteError,
     NonPositiveError,
+    SchemaError,
     TooShortError,
 )
 
@@ -26,26 +27,21 @@ LABELS = ("AV", "HDV")
 UNIT_SYSTEMS = ("pixel", "metric")
 
 
-@dataclass(frozen=True)
-class TimedPoint:
-    """One observation: frame index plus native x/y position."""
-
-    t: int
-    x: float
-    y: float
-
-
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
+    """One vehicle's trace as columns: int64 frames t, float64 native x and y."""
+
     vehicle_id: str
-    points: list[TimedPoint]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
     frame_rate: float
     unit_scale: float = 1.0
     unit_system: str = "metric"
     label: str | None = None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
 
     @property
     def dt(self) -> float:
@@ -54,15 +50,7 @@ class Trajectory:
     @property
     def duration(self) -> float:
         """Covered time span in seconds (point count over frame rate)."""
-        return len(self.points) / self.frame_rate
-
-    def frames(self) -> np.ndarray:
-        return np.array([p.t for p in self.points], dtype=np.int64)
-
-    def xy(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.array([p.x for p in self.points], dtype=np.float64)
-        ys = np.array([p.y for p in self.points], dtype=np.float64)
-        return xs, ys
+        return len(self.t) / self.frame_rate
 
 
 def _check_metadata(traj: Trajectory) -> None:
@@ -83,43 +71,53 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
     are filled by linear interpolation; longer gaps split the trajectory and
     the longest contiguous segment (first on ties) is kept.
 
-    Raises NonPositiveError, NonFiniteError, DuplicateFrameError, or
-    TooShortError (fewer than MIN_POINTS points after repair).
+    Raises NonPositiveError, NonFiniteError, SchemaError (negative frame),
+    DuplicateFrameError, or TooShortError (fewer than MIN_POINTS points after
+    repair).
     """
     _check_metadata(traj)
-    pts = sorted(traj.points, key=lambda p: p.t)
-    for p in pts:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise NonFiniteError(f"{traj.vehicle_id}: non-finite position at frame {p.t}")
-        if p.t < 0:
-            raise ValueError(f"{traj.vehicle_id}: negative frame index {p.t}")
-    for a, b in zip(pts, pts[1:]):
-        if a.t == b.t:
-            raise DuplicateFrameError(f"{traj.vehicle_id}: duplicate frame {a.t}")
+    if not len(traj):
+        raise TooShortError(f"{traj.vehicle_id}: 0 points after repair, need {MIN_POINTS}")
+    order = np.argsort(traj.t, kind="stable")
+    t, x, y = traj.t[order], traj.x[order], traj.y[order]
+    finite = np.isfinite(x) & np.isfinite(y)
+    bad = ~finite | (t < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise NonFiniteError(f"{traj.vehicle_id}: non-finite position at frame {t[i]}")
+        raise SchemaError(f"{traj.vehicle_id}: negative frame index {t[i]}")
+    step = np.diff(t)
+    dup = np.flatnonzero(step == 0)
+    if dup.size:
+        raise DuplicateFrameError(f"{traj.vehicle_id}: duplicate frame {t[dup[0]]}")
 
-    segments: list[list[TimedPoint]] = [[pts[0]]] if pts else [[]]
-    for prev, cur in zip(pts, pts[1:]):
-        missing = cur.t - prev.t - 1
-        if missing == 0:
-            segments[-1].append(cur)
-        elif missing <= MAX_GAP_FRAMES:
-            for k in range(1, missing + 1):
-                frac = k / (missing + 1)
-                segments[-1].append(TimedPoint(
-                    t=prev.t + k,
-                    x=prev.x + frac * (cur.x - prev.x),
-                    y=prev.y + frac * (cur.y - prev.y),
-                ))
-            segments[-1].append(cur)
-        else:
-            segments.append([cur])
-
-    best = max(segments, key=len)
-    if len(best) < MIN_POINTS:
+    cuts = np.flatnonzero(step > MAX_GAP_FRAMES + 1) + 1
+    first = np.concatenate(([0], cuts))
+    last = np.concatenate((cuts, [len(t)])) - 1
+    sizes = t[last] - t[first] + 1  # points per segment once its gaps are filled
+    best = int(np.argmax(sizes))
+    if sizes[best] < MIN_POINTS:
         raise TooShortError(
-            f"{traj.vehicle_id}: {len(best)} points after repair, need {MIN_POINTS}"
+            f"{traj.vehicle_id}: {sizes[best]} points after repair, need {MIN_POINTS}"
         )
-    return replace(traj, points=best)
+    seg = slice(first[best], last[best] + 1)
+    st = t[seg]
+    frames = np.arange(st[0], st[-1] + 1)
+    hole = np.ones(len(frames), dtype=bool)
+    hole[st - st[0]] = False
+    missing = frames[hole]
+    prev = np.searchsorted(st, missing) - 1  # observed point before each hole
+    frac = (missing - st[prev]) / (st[prev + 1] - st[prev])
+
+    def fill(v: np.ndarray) -> np.ndarray:
+        # prev + frac * (cur - prev) exactly; np.interp rounds some fills differently
+        out = np.empty(len(frames), dtype=np.float64)
+        out[~hole] = v
+        out[hole] = v[prev] + frac * (v[prev + 1] - v[prev])
+        return out
+
+    return replace(traj, t=frames, x=fill(x[seg]), y=fill(y[seg]))
 
 
 def _filter_axis(z: np.ndarray, dt: float, q: float, r: float) -> np.ndarray:
@@ -173,13 +171,8 @@ def smooth_trajectory(
     """
     if process_noise <= 0 or measurement_noise <= 0:
         raise NonPositiveError("process_noise and measurement_noise must be positive")
-    if len(traj.points) < 2:
-        return replace(traj, points=list(traj.points))
-    xs, ys = traj.xy()
-    fx = _filter_axis(xs, traj.dt, process_noise, measurement_noise)
-    fy = _filter_axis(ys, traj.dt, process_noise, measurement_noise)
-    pts = [
-        TimedPoint(t=p.t, x=float(fx[i]), y=float(fy[i]))
-        for i, p in enumerate(traj.points)
-    ]
-    return replace(traj, points=pts)
+    if len(traj) < 2:
+        return replace(traj)
+    fx = _filter_axis(traj.x, traj.dt, process_noise, measurement_noise)
+    fy = _filter_axis(traj.y, traj.dt, process_noise, measurement_noise)
+    return replace(traj, x=fx, y=fy)

@@ -3,12 +3,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from trajrules.trajectory import TimedPoint, Trajectory
+from trajrules.trajectory import Trajectory
 
 
-def make_trajectory(xs, ys, frame_rate=25.0, vehicle_id="veh", **kwargs):
-    points = [TimedPoint(i, float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
-    return Trajectory(vehicle_id=vehicle_id, points=points, frame_rate=frame_rate, **kwargs)
+def make_trajectory(xs, ys, frame_rate=25.0, vehicle_id="veh", frames=None, **kwargs):
+    """Trajectory over frames 0..n-1, or over the given frames."""
+    t = np.arange(len(xs)) if frames is None else frames
+    return Trajectory(
+        vehicle_id=vehicle_id,
+        t=np.asarray(t, dtype=np.int64),
+        x=np.asarray(xs, dtype=np.float64),
+        y=np.asarray(ys, dtype=np.float64),
+        frame_rate=frame_rate,
+        **kwargs,
+    )
+
+
+def assert_same_trajectory(a, b):
+    """Equal metadata and identical t/x/y columns, dtypes included."""
+    for name in ("vehicle_id", "frame_rate", "unit_scale", "unit_system", "label"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("t", "x", "y"):
+        col_a, col_b = getattr(a, name), getattr(b, name)
+        assert col_a.dtype == col_b.dtype, name
+        assert np.array_equal(col_a, col_b), name
 
 
 def random_walk_trajectory(rng, n=None, frame_rate=None, vehicle_id="veh"):

@@ -86,8 +86,8 @@ def test_f1_recovers_reported_value():
 def naive_kinematics(traj):
     """Plain-Python central differences, scaled coordinates first."""
     scale = traj.unit_scale
-    xs = [p.x * scale for p in traj.points]
-    ys = [p.y * scale for p in traj.points]
+    xs = [x * scale for x in traj.x.tolist()]
+    ys = [y * scale for y in traj.y.tolist()]
     dt2 = 2.0 / traj.frame_rate
     n = len(xs)
     v = [math.hypot(xs[i + 1] - xs[i - 1], ys[i + 1] - ys[i - 1]) / dt2
@@ -474,7 +474,7 @@ def test_kalman_beats_raw_positions():
         noisy_y = true_y + rng.normal(0.0, 2.0, n)
         traj = make_trajectory(noisy_x, noisy_y, frame_rate=25.0)
         smoothed = smooth_trajectory(traj, 1e-2, 4.0)
-        sx, sy = smoothed.xy()
+        sx, sy = smoothed.x, smoothed.y
 
         def rmse(ax, ay):
             return math.sqrt(float(np.mean((ax - true_x) ** 2 + (ay - true_y) ** 2)))

@@ -79,6 +79,17 @@ def test_features_missing_input(tmp_path):
     assert rc == 2
 
 
+def test_features_negative_frame_is_an_input_error(tmp_path, capsys):
+    trajs = tmp_path / "t.jsonl"
+    points = [[t, float(t), 0.0] for t in range(-1, 9)]
+    trajs.write_text(json.dumps({"vehicle_id": "v", "frame_rate": 10.0, "points": points}) + "\n")
+    rc = cli.main([
+        "features", "--input", str(trajs), "--output", str(tmp_path / "f.jsonl"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: v: negative frame index -1\n"
+
+
 def test_discover_with_mock_backend(workdir, tmp_path, capsys):
     out = tmp_path / "lib.json"
     rc = cli.main([

@@ -12,27 +12,21 @@ from trajrules.io import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from trajrules.trajectory import TimedPoint, Trajectory
-
-from helpers import make_trajectory
+from helpers import assert_same_trajectory, make_trajectory
 
 
 def test_trajectory_round_trip(tmp_path):
     trajs = [
         make_trajectory([0, 1, 2, 3, 4], [0, 0, 0, 0, 0], vehicle_id="plain"),
-        Trajectory(
-            vehicle_id="fancy",
-            points=[TimedPoint(i, float(i), 0.5) for i in range(6)],
-            frame_rate=10.0,
-            unit_scale=0.1,
-            unit_system="pixel",
-            label="AV",
-        ),
+        make_trajectory(range(6), [0.5] * 6, frame_rate=10.0, vehicle_id="fancy",
+                        unit_scale=0.1, unit_system="pixel", label="AV"),
     ]
     path = tmp_path / "t.jsonl"
     save_trajectories(trajs, path)
     back = load_trajectories(path)
-    assert back == trajs
+    assert len(back) == len(trajs)
+    for got, want in zip(back, trajs):
+        assert_same_trajectory(got, want)
 
 
 def test_save_omits_default_metadata(tmp_path):
@@ -77,6 +71,10 @@ def test_load_reports_offending_line(tmp_path):
     (lambda d: d.update(points=[[0, 1]]), "must be [t, x, y]"),
     (lambda d: d.update(points=[[0.5, 1.0, 2.0]]), "frame index must be an integer"),
     (lambda d: d.update(points=[[True, 1.0, 2.0]]), "frame index must be an integer"),
+    (lambda d: d.update(points=[[0, "abc", 2.0]]), "coordinate must be a number"),
+    (lambda d: d.update(points=[[0, 1.0, None]]), "coordinate must be a number"),
+    (lambda d: d.update(points=[[0, "3.0", 2.0]]), "coordinate must be a number"),
+    (lambda d: d.update(points=[[0, 1.0, True]]), "coordinate must be a number"),
     (lambda d: d.update(unit_system="imperial"), "unit_system"),
     (lambda d: d.update(label="bus"), "label must be one of"),
     (lambda d: d.update(frame_rate="fast"), "could not convert"),

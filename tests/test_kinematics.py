@@ -10,15 +10,14 @@ from trajrules.kinematics import (
     count_fluctuations,
     detect_lane_changes,
     extended_atoms,
-    filter_stationary,
     summarize_features,
 )
 
 
 def naive_kinematics(traj):
     """Plain-loop central differences, written independently of the package."""
-    xs = [p.x * traj.unit_scale for p in traj.points]
-    ys = [p.y * traj.unit_scale for p in traj.points]
+    xs = [x * traj.unit_scale for x in traj.x.tolist()]
+    ys = [y * traj.unit_scale for y in traj.y.tolist()]
     dt2 = 2.0 / traj.frame_rate
     v = [
         math.sqrt((xs[i + 1] - xs[i - 1]) ** 2 + (ys[i + 1] - ys[i - 1]) ** 2) / dt2
@@ -49,7 +48,7 @@ def test_series_lengths():
         assert len(kin.jerk) == max(0, n - 6)
 
 
-def test_valid_range_frames():
+def test_valid_range_spans():
     traj = make_trajectory(np.arange(10.0), np.zeros(10))
     kin = compute_kinematics(traj)
     assert kin.valid_range["velocity"] == (1, 8)
@@ -233,11 +232,3 @@ def test_pre_lane_change_decel_absent_without_history():
     assert events, "setup should produce one event"
     out = extended_atoms(traj, kin, events)
     assert "pre_lane_change_decel" not in out
-
-
-def test_filter_stationary():
-    moving = make_trajectory(10.0 * np.arange(20.0) * 0.04, np.zeros(20),
-                             vehicle_id="m")
-    parked = make_trajectory(np.full(20, 3.0), np.zeros(20), vehicle_id="p")
-    kept = filter_stationary([moving, parked], min_mean_speed=0.5)
-    assert [t.vehicle_id for t in kept] == ["m"]

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import assert_same_trajectory
 from trajrules.errors import InfeasibleProfileError
 from trajrules.synth import (
     AV_PROFILE,
@@ -31,8 +32,7 @@ def test_dataset_is_deterministic():
     trajs_b, manifest_b = generate_dataset(cfg)
     assert manifest_a == manifest_b
     for ta, tb in zip(trajs_a, trajs_b):
-        assert ta.vehicle_id == tb.vehicle_id
-        assert ta.points == tb.points
+        assert_same_trajectory(ta, tb)
 
 
 def test_population_resizing_keeps_existing_streams():
@@ -48,7 +48,7 @@ def test_trajectory_shape_and_metadata(small_dataset):
     assert len(trajs) == 10
     expected_n = int(SMALL.duration_s * SMALL.frame_rate) + 1
     for traj in trajs:
-        assert len(traj.points) == expected_n
+        assert len(traj) == expected_n
         assert traj.frame_rate == SMALL.frame_rate
         assert traj.unit_system == "metric"
         assert traj.label in ("AV", "HDV")
