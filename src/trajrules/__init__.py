@@ -26,7 +26,6 @@ from .errors import (
 )
 from .kinematics import (
     ATOMS,
-    FeatureVector,
     KinematicSeries,
     LaneChangeEvent,
     compute_kinematics,
@@ -62,7 +61,6 @@ __all__ = [
     "BackendConfig",
     "BackendError",
     "BehaviorProfile",
-    "FeatureVector",
     "GeneratorConfig",
     "HDV_PROFILE",
     "HttpBackend",

@@ -10,12 +10,12 @@ rules with a short-horizon kinematic prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NoApplicableRulesError
-from .kinematics import FeatureVector, KinematicSeries
+from .kinematics import KinematicSeries
 from .rules import MATCHED, NOT_APPLICABLE, Rule, RuleLibrary, evaluate_rule
 from .trajectory import Trajectory
 
@@ -28,8 +28,6 @@ ACCEL_DEADBAND = 0.1
 LATERAL_DEADBAND = 0.05
 
 CONGESTION_SPEED_THRESHOLD = 5.0
-
-FeatureInput = Union[FeatureVector, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ def infer_context(mean_speed: float, congestion_speed_threshold: float = CONGEST
 
 def matching_score(
     library: RuleLibrary,
-    features: FeatureInput,
+    features: Mapping[str, float],
     context: str = "any",
     *,
     feature_units: str | None = None,
@@ -105,7 +103,7 @@ def matching_score(
 
 def identify_vehicle(
     library: RuleLibrary,
-    features: FeatureInput,
+    features: Mapping[str, float],
     context: str = "any",
     *,
     delta: float = DEFAULT_DELTA,
@@ -120,8 +118,6 @@ def identify_vehicle(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta} outside (0, 1)")
-    if vehicle_id is None and isinstance(features, FeatureVector):
-        vehicle_id = features.vehicle_id
     score, evidence = matching_score(
         library, features, context, feature_units=feature_units,
     )
@@ -144,7 +140,7 @@ def identify_vehicle(
 
 def _direction_votes(
     library: RuleLibrary,
-    features: FeatureInput,
+    features: Mapping[str, float],
     context: str,
     task: str,
     directions: Sequence[str],
@@ -187,7 +183,7 @@ def _pick(scores: dict[str, float], directions: Sequence[str], neutral: str) -> 
 
 def predict_speed_change(
     library: RuleLibrary,
-    features: FeatureInput,
+    features: Mapping[str, float],
     kin: KinematicSeries,
     context: str = "any",
     *,
@@ -217,7 +213,7 @@ def predict_speed_change(
 
 def predict_lane_change(
     library: RuleLibrary,
-    features: FeatureInput,
+    features: Mapping[str, float],
     traj: Trajectory,
     context: str = "any",
     *,

@@ -63,15 +63,14 @@ def _extract(traj, cfg: RunConfig):
         t = smooth_trajectory(t, cfg.process_noise, cfg.measurement_noise)
     kin = compute_kinematics(t)
     events = detect_lane_changes(t, window=cfg.lc_window, threshold=cfg.lc_threshold)
-    fv = summarize_features(t, kin, events)
-    feats = fv.atoms()
+    feats = summarize_features(t, kin, events)
     feats.update(extended_atoms(t, kin, events))
-    return t, kin, fv, feats
+    return t, kin, feats
 
 
-def _context_for(fv, cfg: RunConfig) -> str:
+def _context_for(feats: dict[str, float], cfg: RunConfig) -> str:
     if cfg.context == "auto":
-        return infer_context(fv.mean_speed, cfg.congestion_speed_threshold)
+        return infer_context(feats["mean_speed"], cfg.congestion_speed_threshold)
     return cfg.context
 
 
@@ -81,14 +80,14 @@ def cmd_features(args: argparse.Namespace) -> int:
     rows = []
     skipped = 0
     for traj in trajectories:
-        t, _, fv, feats = _extract(traj, cfg)
-        if cfg.min_mean_speed > 0 and fv.mean_speed < cfg.min_mean_speed:
+        t, _, feats = _extract(traj, cfg)
+        if cfg.min_mean_speed > 0 and feats["mean_speed"] < cfg.min_mean_speed:
             skipped += 1
             continue
         row = {
             "vehicle_id": t.vehicle_id,
             "unit_system": t.unit_system,
-            "context": _context_for(fv, cfg),
+            "context": _context_for(feats, cfg),
             "features": feats,
         }
         if t.label is not None:
@@ -256,8 +255,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trajectories = io.load_trajectories(args.input)
     predictions = []
     for traj in trajectories:
-        t, kin, fv, feats = _extract(traj, cfg)
-        context = _context_for(fv, cfg)
+        t, kin, feats = _extract(traj, cfg)
+        context = _context_for(feats, cfg)
         if args.task == "speed":
             pred = predict_speed_change(
                 library, feats, kin, context,
@@ -280,12 +279,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     try:
-        doc = json.loads(open(args.report, encoding="utf-8").read())
+        with open(args.report, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"report is not valid JSON: {exc}") from exc
-    results = doc.get("results")
+    results = doc.get("results") if isinstance(doc, dict) else None
     if not isinstance(results, list):
         raise InputError("report file has no 'results' array")
+    for i, r in enumerate(results):
+        if not isinstance(r, dict):
+            raise InputError(f"report entry {i} is not an object")
+        if "decision" not in r:
+            raise InputError(f"report entry {i} ({r.get('vehicle_id')!r}) has no 'decision'")
+        score = r.get("score")
+        if score is not None and type(score) not in (int, float):
+            raise InputError(f"report entry {i} ({r.get('vehicle_id')!r}): "
+                             f"score must be a number, got {score!r}")
     labeled = [r for r in results if "label" in r]
     if not labeled:
         raise InputError("report carries no ground-truth labels to evaluate against")

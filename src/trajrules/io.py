@@ -7,12 +7,14 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SchemaError
+from .rules import CONTEXTS
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 
@@ -122,8 +124,8 @@ def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> N
 def load_feature_rows(path: str | Path) -> list[dict]:
     """Read a JSONL feature file written by save_feature_rows.
 
-    Each row carries vehicle_id, a features mapping, and optionally label,
-    context, and unit_system.
+    Each row carries vehicle_id, a mapping of finite feature values, and
+    optionally label, context, and unit_system.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -147,6 +149,14 @@ def load_feature_rows(path: str | Path) -> list[dict]:
                     raise SchemaError(
                         f"feature {key!r} must be numeric, got {value!r}", lineno
                     )
+                if not -math.inf < value < math.inf:  # NaN fails both comparisons
+                    raise SchemaError(
+                        f"feature {key!r} must be finite, got {value!r}", lineno
+                    )
+            if doc.get("context", "any") not in CONTEXTS:
+                raise SchemaError(
+                    f"context must be one of {CONTEXTS}, got {doc['context']!r}", lineno
+                )
             _check_label(doc.get("label"), lineno)
             rows.append(doc)
     return rows

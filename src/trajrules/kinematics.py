@@ -1,4 +1,4 @@
-"""Kinematic series, lane-change detection, and per-vehicle feature vectors.
+"""Kinematic series, lane-change detection, and per-vehicle feature atoms.
 
 Speed is the central difference of Euclidean displacement over two frames;
 acceleration and jerk are central differences of the level below. Each
@@ -64,32 +64,6 @@ class LaneChangeEvent:
     end_frame: int
     cumulative_displacement: float
     direction: str  # "left" or "right"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Population statistics of one vehicle's kinematics."""
-
-    mean_speed: float
-    std_speed: float
-    mean_accel: float
-    std_accel: float
-    std_jerk: float
-    lane_change_count: int
-    duration: float
-    unit_system: str
-    vehicle_id: str | None = None
-
-    def atoms(self) -> dict[str, float]:
-        """Feature mapping keyed by atom name, for rule evaluation."""
-        return {
-            "mean_speed": self.mean_speed,
-            "std_speed": self.std_speed,
-            "mean_accel": self.mean_accel,
-            "std_accel": self.std_accel,
-            "std_jerk": self.std_jerk,
-            "lane_change_count": float(self.lane_change_count),
-        }
 
 
 def _span(frames: np.ndarray, offset: int, length: int) -> tuple[int, int] | None:
@@ -183,25 +157,22 @@ def summarize_features(
     traj: Trajectory,
     kin: KinematicSeries,
     events: list[LaneChangeEvent],
-) -> FeatureVector:
-    """Collapse kinematic series into a FeatureVector (population statistics)."""
+) -> dict[str, float]:
+    """Core atoms (population statistics) keyed by atom name, in CORE_ATOMS order."""
     def mean(a: np.ndarray) -> float:
         return float(np.mean(a)) if a.size else 0.0
 
     def std(a: np.ndarray) -> float:
         return float(np.std(a)) if a.size else 0.0
 
-    return FeatureVector(
-        mean_speed=mean(kin.velocity),
-        std_speed=std(kin.velocity),
-        mean_accel=mean(kin.acceleration),
-        std_accel=std(kin.acceleration),
-        std_jerk=std(kin.jerk),
-        lane_change_count=len(events),
-        duration=traj.duration,
-        unit_system=traj.unit_system,
-        vehicle_id=traj.vehicle_id,
-    )
+    return {
+        "mean_speed": mean(kin.velocity),
+        "std_speed": std(kin.velocity),
+        "mean_accel": mean(kin.acceleration),
+        "std_accel": std(kin.acceleration),
+        "std_jerk": std(kin.jerk),
+        "lane_change_count": float(len(events)),
+    }
 
 
 def count_fluctuations(acceleration: np.ndarray, magnitude: float = FLUCTUATION_MAGNITUDE) -> int:

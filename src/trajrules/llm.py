@@ -60,14 +60,10 @@ from .rules import (
 
 log = logging.getLogger(__name__)
 
-PROMPT_KINDS = ("discovery", "verification", "reflection", "identification")
-
 #: Section headers the prompt builders embed; the mock backend routes on them.
 KIND_MARKERS = {
     "discovery": "## Analysis Task",
-    "verification": "## Prediction Task",
     "reflection": "## Reflection Task",
-    "identification": "## Identification Task",
 }
 
 REFINEMENT_ACTIONS = ("adjust_threshold", "add_context", "combine_features", "retire")
@@ -217,15 +213,7 @@ class RefinementSuggestion:
     rationale: str = ""
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    vehicle_id: str
-    label: str
-    score: float | None = None
-    rationale: str = ""
-
-
-_FENCE_RE = re.compile(r"```(?P<tag>rule|refinement|prediction)\s*\n(?P<body>.*?)```", re.DOTALL)
+_FENCE_RE = re.compile(r"```(?P<tag>rule|refinement)\s*\n(?P<body>.*?)```", re.DOTALL)
 
 
 def _parse_fields(body: str) -> dict[str, str]:
@@ -260,11 +248,6 @@ def format_rule_block(rule: Rule) -> str:
         lines.append(f"direction: {rule.direction}")
     lines.append("```")
     return "\n".join(lines)
-
-
-def print_rules(rules: Sequence[Rule]) -> str:
-    """Canonical text form of a rule list; parse_rule_response inverts it."""
-    return "\n\n".join(format_rule_block(r) for r in rules)
 
 
 def _rule_from_block(body: str) -> Rule:
@@ -381,23 +364,3 @@ def parse_refinement_response(text: str) -> list[RefinementSuggestion]:
                 rationale=f"unparseable suggestion: {exc}",
             ))
     return suggestions
-
-
-def parse_prediction_response(text: str) -> list[PredictionRecord]:
-    """Extract per-vehicle predictions (used when a model does the judging)."""
-    records: list[PredictionRecord] = []
-    for match in _FENCE_RE.finditer(text):
-        if match.group("tag") != "prediction":
-            continue
-        try:
-            fields = _parse_fields(match.group("body"))
-            score = float(fields["score"]) if "score" in fields else None
-            records.append(PredictionRecord(
-                vehicle_id=fields["vehicle_id"],
-                label=fields["label"],
-                score=score,
-                rationale=fields.get("rationale", ""),
-            ))
-        except (ValueError, KeyError):
-            continue
-    return records

@@ -1,4 +1,4 @@
-"""Prompt templates for discovery, verification, reflection, and identification.
+"""Prompt templates for rule discovery and rule reflection.
 
 Each builder is a pure function from data to a message list: same inputs,
 same bytes. Sample digests are compact JSON lines; when a prompt would
@@ -55,15 +55,6 @@ rationale: <one sentence>
 ```
 Suggest at most one action per rule."""
 
-_PREDICTION_FORMAT = """\
-Return one fenced block per vehicle:
-```prediction
-vehicle_id: <id>
-label: <AV | HDV>
-score: <0..1, strength of AV evidence>
-rationale: <one sentence>
-```"""
-
 DISCOVERY_ROLE = (
     "You are a senior driving-behavior analyst with a background in "
     "transportation engineering and vehicle dynamics. You study trajectory "
@@ -71,22 +62,10 @@ DISCOVERY_ROLE = (
     "(HDV) and state your findings as precise, testable rules."
 )
 
-VERIFICATION_ROLE = (
-    "You are a driving-behavior analyst who classifies unknown vehicles by "
-    "applying an established library of behavioral rules to their trajectory "
-    "statistics."
-)
-
 REFLECTION_ROLE = (
     "You are a driving-behavior analyst reviewing the performance of one of "
     "your own classification rules. You diagnose why it misjudged specific "
     "vehicles and propose the smallest revision that fixes the failures."
-)
-
-IDENTIFICATION_ROLE = (
-    "You are a driving-behavior analyst with a verified, high-confidence "
-    "library of rules separating automated from human driving. You weigh the "
-    "rules by their confidence when judging unknown vehicles."
 )
 
 
@@ -181,44 +160,6 @@ def build_discovery_prompt(
     return full
 
 
-def build_verification_prompt(
-    rules: Sequence[Rule],
-    samples: Sequence[dict],
-    budget: int = PROMPT_CHAR_BUDGET,
-) -> list[ChatMessage]:
-    """Prompt asking the model to classify validation vehicles with given rules."""
-    if not rules:
-        raise EmptySampleSetError("verification needs at least one rule")
-    if not samples:
-        raise EmptySampleSetError("verification needs at least one sample")
-    lines = _digest_lines(samples)
-    rule_text = "\n\n".join(format_rule_block(r) for r in rules)
-
-    def assemble(kept: list[str], note: str) -> list[ChatMessage]:
-        user = "\n".join([
-            "## Rule Library",
-            rule_text,
-            "",
-            "## Vehicles To Judge",
-            note,
-            *kept,
-            "",
-            KIND_MARKERS["verification"],
-            "Apply the rules to every vehicle and judge whether it is AV or HDV.",
-            "",
-            "## Output Requirements",
-            _PREDICTION_FORMAT,
-        ])
-        return [ChatMessage("system", VERIFICATION_ROLE), ChatMessage("user", user)]
-
-    full = assemble(lines, "")
-    overhead = sum(len(m.content) for m in full) - sum(len(s) + 1 for s in lines)
-    kept, _, dropped, _ = _fit_to_budget(overhead + 120, lines, [], budget)
-    if dropped:
-        return assemble(kept, f"[{dropped} digests omitted to fit the prompt budget]")
-    return full
-
-
 def build_reflection_prompt(
     rule: Rule,
     stats: Mapping[str, float],
@@ -269,51 +210,4 @@ def build_reflection_prompt(
     kept, _, dropped, _ = _fit_to_budget(overhead + 120, lines, [], budget)
     if dropped:
         return assemble(kept, f"[{dropped} failure digests omitted to fit the prompt budget]")
-    return full
-
-
-def build_identification_prompt(
-    rules: Sequence[Rule],
-    samples: Sequence[dict],
-    budget: int = PROMPT_CHAR_BUDGET,
-) -> list[ChatMessage]:
-    """Prompt asking the model to identify unknown vehicles.
-
-    Rules are presented in descending confidence order so the strongest
-    evidence leads.
-    """
-    if not rules:
-        raise EmptySampleSetError("identification needs at least one rule")
-    if not samples:
-        raise EmptySampleSetError("identification needs at least one sample")
-    ordered = sorted(rules, key=lambda r: (-(r.confidence or 0.0), r.id))
-    lines = _digest_lines(samples)
-    rule_lines = []
-    for r in ordered:
-        conf = f"{r.confidence:.3f}" if r.confidence is not None else "unverified"
-        rule_lines.append(f"[confidence {conf}] {format_rule_block(r)}")
-    rule_text = "\n\n".join(rule_lines)
-
-    def assemble(kept: list[str], note: str) -> list[ChatMessage]:
-        user = "\n".join([
-            "## Verified Rule Library (strongest first)",
-            rule_text,
-            "",
-            "## Unknown Vehicles",
-            note,
-            *kept,
-            "",
-            KIND_MARKERS["identification"],
-            "Judge every vehicle, weighing matched rules by their confidence.",
-            "",
-            "## Output Requirements",
-            _PREDICTION_FORMAT,
-        ])
-        return [ChatMessage("system", IDENTIFICATION_ROLE), ChatMessage("user", user)]
-
-    full = assemble(lines, "")
-    overhead = sum(len(m.content) for m in full) - sum(len(s) + 1 for s in lines)
-    kept, _, dropped, _ = _fit_to_budget(overhead + 120, lines, [], budget)
-    if dropped:
-        return assemble(kept, f"[{dropped} digests omitted to fit the prompt budget]")
     return full

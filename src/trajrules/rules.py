@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping
 
 from . import dsl
 from .errors import (
@@ -19,7 +19,6 @@ from .errors import (
     PredicateError,
     UnitMismatchError,
 )
-from .kinematics import FeatureVector
 
 CONTEXTS = ("free_flow", "congested", "any")
 TASKS = ("identification", "speed", "lane_change")
@@ -93,7 +92,7 @@ class Rule:
 
 def evaluate_rule(
     rule: Rule,
-    features: Union[FeatureVector, Mapping[str, float]],
+    features: Mapping[str, float],
     context: str,
     *,
     feature_units: str | None = None,
@@ -106,12 +105,6 @@ def evaluate_rule(
     predicate reads is absent from the features. Raises UnitMismatchError
     when both unit systems are known and differ.
     """
-    if isinstance(features, FeatureVector):
-        if feature_units is None:
-            feature_units = features.unit_system
-        mapping: Mapping[str, float] = features.atoms()
-    else:
-        mapping = features
     if feature_units is not None and library_units is not None and feature_units != library_units:
         raise UnitMismatchError(
             f"features are in {feature_units!r} units, library expects {library_units!r}"
@@ -120,10 +113,10 @@ def evaluate_rule(
         return NOT_APPLICABLE
     needed = dsl.required_atoms(rule.predicate)
     for atom in needed:
-        value = mapping.get(atom)
+        value = features.get(atom)
         if value is None or value != value:  # missing or NaN
             return NOT_APPLICABLE
-    return MATCHED if dsl.evaluate_predicate(rule.predicate, mapping) else NOT_MATCHED
+    return MATCHED if dsl.evaluate_predicate(rule.predicate, features) else NOT_MATCHED
 
 
 @dataclass

@@ -444,8 +444,7 @@ def generate_trajectory(
 def _realized_stats(traj: Trajectory, cfg: GeneratorConfig) -> dict[str, float]:
     kin = compute_kinematics(traj)
     events = detect_lane_changes(traj, window=cfg.lc_window, threshold=cfg.lc_threshold)
-    fv = summarize_features(traj, kin, events)
-    stats = fv.atoms()
+    stats = summarize_features(traj, kin, events)
     stats.update(extended_atoms(traj, kin, events))
     stats["fluctuation_count"] = float(count_fluctuations(kin.acceleration))
     return {k: round(float(v), 6) for k, v in sorted(stats.items())}

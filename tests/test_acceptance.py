@@ -304,10 +304,9 @@ def extract_features(traj, window, threshold):
     t = validate_trajectory(traj)
     kin = compute_kinematics(t)
     events = detect_lane_changes(t, window=window, threshold=threshold)
-    fv = summarize_features(t, kin, events)
-    feats = fv.atoms()
+    feats = summarize_features(t, kin, events)
     feats.update(extended_atoms(t, kin, events))
-    return fv, feats
+    return feats
 
 
 def test_synthetic_end_to_end_identification():
@@ -328,10 +327,10 @@ def test_synthetic_end_to_end_identification():
     lib = seed_library()
     predictions, labels, scores = [], [], []
     for traj in trajectories:
-        fv, feats = extract_features(
+        feats = extract_features(
             traj, manifest["lane_change_window"], manifest["lane_change_threshold"],
         )
-        context = infer_context(fv.mean_speed)
+        context = infer_context(feats["mean_speed"])
         try:
             report = identify_vehicle(lib, feats, context, delta=0.5,
                                       feature_units="metric")

@@ -203,16 +203,27 @@ def test_classify_without_applicable_rules_is_undetermined(workdir, tmp_path):
     assert all("reason" in r for r in report["results"])
 
 
-def test_evaluate_without_labels(workdir, tmp_path):
+@pytest.mark.parametrize("doc,message", [
+    ({"results": [{"vehicle_id": "x", "decision": "AV", "score": 0.9}]},
+     "report carries no ground-truth labels to evaluate against"),
+    ([{"vehicle_id": "x", "decision": "AV", "label": "AV"}],
+     "report file has no 'results' array"),
+    ({"results": ["AV"]}, "report entry 0 is not an object"),
+    ({"results": [{"vehicle_id": "x", "label": "AV"}]},
+     "report entry 0 ('x') has no 'decision'"),
+    ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV", "score": 0.9},
+                  {"vehicle_id": "y", "decision": "HDV", "label": "HDV", "score": "x"}]},
+     "report entry 1 ('y'): score must be a number, got 'x'"),
+], ids=["no_labels", "array", "entry_not_object", "no_decision", "string_score"])
+def test_evaluate_rejects_bad_report(tmp_path, capsys, doc, message):
     report_path = tmp_path / "report.json"
-    report_path.write_text(json.dumps({
-        "results": [{"vehicle_id": "x", "decision": "AV", "score": 0.9}],
-    }))
+    report_path.write_text(json.dumps(doc))
     rc = cli.main([
         "evaluate", "--report", str(report_path),
         "--output", str(tmp_path / "m.json"),
     ])
     assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_needs_labels(workdir, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -113,6 +114,11 @@ def test_feature_rows_round_trip(tmp_path):
     ({"vehicle_id": "a", "features": {"x": "fast"}}, "must be numeric"),
     ({"vehicle_id": "a", "features": {"x": True}}, "must be numeric"),
     ({"vehicle_id": "a", "features": {"x": 1.0}, "label": "bike"}, "label must be"),
+    ({"vehicle_id": "a", "features": {"std_jerk": math.nan}}, "'std_jerk' must be finite"),
+    ({"vehicle_id": "a", "features": {"std_jerk": math.inf}}, "'std_jerk' must be finite"),
+    ({"vehicle_id": "a", "features": {"std_jerk": -math.inf}}, "'std_jerk' must be finite"),
+    ({"vehicle_id": "a", "features": {"x": 1.0}, "context": "highway"}, "context must be one of"),
+    ({"vehicle_id": "a", "features": {"x": 1.0}, "context": None}, "context must be one of"),
 ])
 def test_feature_row_schema_violations(tmp_path, row, fragment):
     path = tmp_path / "f.jsonl"
@@ -120,6 +126,7 @@ def test_feature_row_schema_violations(tmp_path, row, fragment):
     with pytest.raises(SchemaError) as exc_info:
         load_feature_rows(path)
     assert fragment in str(exc_info.value)
+    assert exc_info.value.line == 1
 
 
 def test_feature_rows_non_object_line(tmp_path):

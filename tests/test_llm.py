@@ -15,10 +15,8 @@ from trajrules.llm import (
     MockBackend,
     complete,
     format_rule_block,
-    parse_prediction_response,
     parse_refinement_response,
     parse_rule_response,
-    print_rules,
     prompt_kind,
 )
 from trajrules.rules import ContextConstraint, Rule
@@ -63,7 +61,7 @@ def test_mock_backend_fixture_file(tmp_path):
     backend = MockBackend(fixture_dir=tmp_path)
     assert backend.complete(msg(KIND_MARKERS["reflection"])) == "fixture text"
     with pytest.raises(BackendError):
-        backend.complete(msg(KIND_MARKERS["verification"]))
+        backend.complete(msg(KIND_MARKERS["discovery"]))
 
 
 def test_mock_backend_needs_a_source():
@@ -166,8 +164,7 @@ def test_format_rule_block_round_trip():
         polarity="AV_indicative",
         direction="left_LC",
     )
-    text = print_rules([rule])
-    assert text == format_rule_block(rule)
+    text = format_rule_block(rule)
     parsed, rejected = parse_rule_response(text)
     assert rejected == []
     (back,) = parsed
@@ -231,37 +228,6 @@ def test_parse_refinement_field_error_keeps_rule_id():
     assert sugg.rule_id == "R9"
     assert sugg.action == "retire"
     assert "unparseable suggestion" in sugg.rationale
-
-
-def test_parse_prediction_response():
-    text = """
-```prediction
-vehicle_id: veh_a
-label: AV
-score: 0.91
-rationale: smooth throughout
-```
-
-```prediction
-vehicle_id: veh_b
-label: HDV
-```
-
-```prediction
-vehicle_id: veh_c
-label: AV
-score: not-a-number
-```
-
-```prediction
-label: AV
-score: 0.5
-```
-"""
-    records = parse_prediction_response(text)
-    assert [(r.vehicle_id, r.label) for r in records] == [("veh_a", "AV"), ("veh_b", "HDV")]
-    assert records[0].score == pytest.approx(0.91)
-    assert records[1].score is None
 
 
 class FakeResponse:

@@ -1,17 +1,14 @@
 import pytest
 
-from trajrules import dsl
 from trajrules.errors import EmptySampleSetError
 from trajrules.llm import KIND_MARKERS
 from trajrules.prompts import (
     PROMPT_CHAR_BUDGET,
     build_discovery_prompt,
-    build_identification_prompt,
     build_reflection_prompt,
-    build_verification_prompt,
     digest_sample,
 )
-from trajrules.rules import ContextConstraint, Rule, seed_library
+from trajrules.rules import seed_library
 
 
 def make_digests(prefix, n, label):
@@ -110,21 +107,6 @@ def test_discovery_no_note_when_under_budget():
     assert "omitted" not in user_text(messages)
 
 
-def test_verification_prompt():
-    lib = seed_library()
-    samples = make_digests("veh", 3, None)
-    messages = build_verification_prompt(lib.rules, samples)
-    text = user_text(messages)
-    assert KIND_MARKERS["verification"] in text
-    assert "```rule" in text and "id: R2" in text
-    assert "```prediction" in text
-    assert '"vehicle_id":"veh_0002"' in text
-    with pytest.raises(EmptySampleSetError):
-        build_verification_prompt([], samples)
-    with pytest.raises(EmptySampleSetError):
-        build_verification_prompt(lib.rules, [])
-
-
 def test_reflection_prompt():
     rule = seed_library().get("R2")
     stats = {"confidence": 0.55, "n_applicable": 20, "n_correct": 11}
@@ -144,45 +126,3 @@ def test_reflection_prompt():
     assert "```refinement" in text
     with pytest.raises(EmptySampleSetError):
         build_reflection_prompt(rule, stats, [])
-
-
-def test_identification_prompt_orders_by_confidence_then_id():
-    def rule(rid, conf):
-        return Rule(
-            id=rid, description="d",
-            predicate=dsl.parse_predicate("std_jerk < 0.3"),
-            context=ContextConstraint(frozenset({"any"}), frozenset({"identification"})),
-            category="smoothness", polarity="AV_indicative",
-            state="verified", confidence=conf,
-        )
-
-    rules = [rule("B", 0.8), rule("A", 0.9), rule("C", 0.9)]
-    messages = build_identification_prompt(rules, make_digests("veh", 2, None))
-    text = user_text(messages)
-    assert KIND_MARKERS["identification"] in text
-    i_a = text.index("[confidence 0.900] ```rule\nid: A")
-    i_c = text.index("[confidence 0.900] ```rule\nid: C")
-    i_b = text.index("[confidence 0.800] ```rule\nid: B")
-    assert i_a < i_c < i_b
-
-
-def test_identification_prompt_unverified_confidence():
-    rule = Rule(
-        id="N1", description="d",
-        predicate=dsl.parse_predicate("std_jerk < 0.3"),
-        context=ContextConstraint(frozenset({"any"}), frozenset({"identification"})),
-        category="smoothness", polarity="AV_indicative",
-    )
-    messages = build_identification_prompt([rule], make_digests("veh", 1, None))
-    assert "[confidence unverified]" in user_text(messages)
-
-
-def test_identification_budget_note():
-    rules = [seed_library().get("R2")]
-    samples = make_digests("veh", 60, None)
-    messages = build_identification_prompt(rules, samples, budget=2500)
-    text = user_text(messages)
-    assert sum(len(m.content) for m in messages) <= 2500
-    assert "digests omitted to fit the prompt budget" in text
-    assert '"vehicle_id":"veh_0000"' not in text
-    assert '"vehicle_id":"veh_0059"' in text

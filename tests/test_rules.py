@@ -9,7 +9,6 @@ from trajrules.errors import (
     LibraryValidationError,
     UnitMismatchError,
 )
-from trajrules.kinematics import FeatureVector
 from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
@@ -82,17 +81,6 @@ def test_unit_mismatch_raises():
                          feature_units=None, library_units="metric") == MATCHED
     assert evaluate_rule(rule, {"std_jerk": 0.1}, "any",
                          feature_units="metric", library_units="metric") == MATCHED
-
-
-def test_feature_vector_supplies_units_and_atoms():
-    fv = FeatureVector(
-        mean_speed=10.0, std_speed=1.0, mean_accel=0.0, std_accel=0.2,
-        std_jerk=0.1, lane_change_count=0, duration=60.0, unit_system="pixel",
-    )
-    rule = make_rule()
-    with pytest.raises(UnitMismatchError):
-        evaluate_rule(rule, fv, "any", library_units="metric")
-    assert evaluate_rule(rule, fv, "any", library_units="pixel") == MATCHED
 
 
 def test_context_constraint_allows():
