@@ -16,7 +16,16 @@ import numpy as np
 
 from .errors import NoApplicableRulesError
 from .kinematics import KinematicSeries
-from .rules import MATCHED, NOT_APPLICABLE, Rule, RuleLibrary, evaluate_rule
+from .rules import (
+    MATCHED_CODE,
+    NOT_APPLICABLE,
+    NOT_APPLICABLE_CODE,
+    VERDICTS,
+    FeatureTable,
+    Rule,
+    RuleLibrary,
+    evaluate_rule,  # not called here; perfbench/spans.py patches this name
+)
 from .trajectory import Trajectory
 
 DEFAULT_DELTA = 0.5
@@ -63,6 +72,63 @@ def infer_context(mean_speed: float, congestion_speed_threshold: float = CONGEST
     return "congested" if mean_speed < congestion_speed_threshold else "free_flow"
 
 
+@dataclass(frozen=True)
+class TableScores:
+    """matching_score's sums for every row of a feature table.
+
+    The rules are the library's verified AV-indicative rules in library
+    order; verdicts holds one row per rule and one column per vehicle.
+    """
+
+    rules: list[Rule]
+    verdicts: np.ndarray  # int8 codes, see rules.VERDICTS
+    matched_weight: np.ndarray
+    applicable_weight: np.ndarray
+    n_applicable: np.ndarray
+
+
+def score_table(library: RuleLibrary, table: FeatureTable) -> TableScores:
+    """Weigh every vehicle of a table against the library at once.
+
+    Weights are added rule by rule in library order, one vectorised step per
+    rule, so each vehicle's sums are bit-identical to a per-vehicle loop.
+    Raises UnitMismatchError naming the first vehicle in the wrong units.
+    """
+    rules = library.verified_av_rules()
+    verdicts = table.verdict_matrix(rules, library_units=library.units)
+    matched = np.zeros(len(table))
+    applicable = np.zeros(len(table))
+    n_applicable = np.zeros(len(table), dtype=np.int64)
+    for rule, row in zip(rules, verdicts):
+        weight = rule.confidence or 0.0
+        is_applicable = row != NOT_APPLICABLE_CODE
+        n_applicable += is_applicable
+        applicable += np.where(is_applicable, weight, 0.0)
+        matched += np.where(row == MATCHED_CODE, weight, 0.0)
+    return TableScores(rules, verdicts, matched, applicable, n_applicable)
+
+
+def undetermined_reason(n_applicable: int, applicable_weight: float) -> str | None:
+    """Why no matching score exists for a vehicle, or None when one does."""
+    if n_applicable == 0:
+        return "no verified AV-indicative rule applies to this vehicle"
+    if applicable_weight <= 0.0:
+        return "applicable rules carry zero total confidence weight"
+    return None
+
+
+def decide(score: float, delta: float) -> tuple[str, float]:
+    """Decision for a matching score, and its distance from delta in 0..1.
+
+    The decision is AV when score >= delta. The distance is normalized by
+    the widest possible margin on its side, so 1.0 means maximally far from
+    the boundary.
+    """
+    if score >= delta:
+        return "AV", (score - delta) / (1.0 - delta)
+    return "HDV", (delta - score) / delta
+
+
 def matching_score(
     library: RuleLibrary,
     features: Mapping[str, float],
@@ -75,30 +141,20 @@ def matching_score(
     Only verified AV-indicative rules vote; each contributes its confidence
     as weight. Raises NoApplicableRulesError when nothing applies or the
     applicable rules carry zero total weight, so callers can report the
-    vehicle as undetermined instead of guessing.
+    vehicle as undetermined instead of guessing. This is score_table's
+    one-vehicle case.
     """
-    evidence: list[RuleEvidence] = []
-    matched_weight = 0.0
-    applicable_weight = 0.0
-    n_applicable = 0
-    for rule in library.verified_av_rules():
-        verdict = evaluate_rule(
-            rule, features, context,
-            feature_units=feature_units, library_units=library.units,
-        )
-        weight = rule.confidence or 0.0
-        evidence.append(RuleEvidence(rule.id, rule.description, verdict, weight))
-        if verdict == NOT_APPLICABLE:
-            continue
-        n_applicable += 1
-        applicable_weight += weight
-        if verdict == MATCHED:
-            matched_weight += weight
-    if n_applicable == 0:
-        raise NoApplicableRulesError("no verified AV-indicative rule applies to this vehicle")
-    if applicable_weight <= 0.0:
-        raise NoApplicableRulesError("applicable rules carry zero total confidence weight")
-    return matched_weight / applicable_weight, evidence
+    scores = score_table(library, FeatureTable([features], [context], units=[feature_units]))
+    matched = float(scores.matched_weight[0])
+    applicable = float(scores.applicable_weight[0])
+    reason = undetermined_reason(int(scores.n_applicable[0]), applicable)
+    if reason is not None:
+        raise NoApplicableRulesError(reason)
+    evidence = [
+        RuleEvidence(rule.id, rule.description, VERDICTS[code], rule.confidence or 0.0)
+        for rule, code in zip(scores.rules, scores.verdicts[:, 0].tolist())
+    ]
+    return matched / applicable, evidence
 
 
 def identify_vehicle(
@@ -110,23 +166,13 @@ def identify_vehicle(
     feature_units: str | None = None,
     vehicle_id: str | None = None,
 ) -> MatchReport:
-    """Call one vehicle AV or HDV from its matching score.
-
-    The decision is AV when score >= delta. Report confidence is the score's
-    distance from delta, normalized by the widest possible margin on its
-    side, so 1.0 means maximally far from the boundary.
-    """
+    """Call one vehicle AV or HDV from its matching score (see decide)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta} outside (0, 1)")
     score, evidence = matching_score(
         library, features, context, feature_units=feature_units,
     )
-    if score >= delta:
-        decision = "AV"
-        margin = (score - delta) / (1.0 - delta)
-    else:
-        decision = "HDV"
-        margin = (delta - score) / delta
+    decision, margin = decide(score, delta)
     n_applicable = sum(1 for e in evidence if e.verdict != NOT_APPLICABLE)
     return MatchReport(
         vehicle_id=vehicle_id,
@@ -147,14 +193,12 @@ def _direction_votes(
     feature_units: str | None,
 ) -> dict[str, float]:
     votes = dict.fromkeys(directions, 0.0)
-    for rule in library.verified_rules():
-        if rule.direction not in votes or task not in rule.context.applicable_tasks:
-            continue
-        verdict = evaluate_rule(
-            rule, features, context,
-            feature_units=feature_units, library_units=library.units,
-        )
-        if verdict == MATCHED:
+    rules = [r for r in library.verified_rules()
+             if r.direction in votes and task in r.context.applicable_tasks]
+    table = FeatureTable([features], [context], units=[feature_units])
+    verdicts = table.verdict_matrix(rules, library_units=library.units)
+    for rule, code in zip(rules, verdicts[:, 0].tolist()):
+        if code == MATCHED_CODE:
             votes[rule.direction] += rule.confidence or 0.0
     return votes
 

@@ -9,18 +9,22 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 
 from . import io
-from .classification import identify_vehicle, infer_context, predict_lane_change, predict_speed_change
-from .config import RunConfig, load_config, merge_overrides
-from .errors import (
-    DegenerateLabelsError,
-    InputError,
-    NoApplicableRulesError,
-    TrajRulesError,
+from .classification import (
+    decide,
+    identify_vehicle,  # not called here; perfbench/spans.py patches this name
+    infer_context,
+    predict_lane_change,
+    predict_speed_change,
+    score_table,
+    undetermined_reason,
 )
+from .config import RunConfig, load_config, merge_overrides
+from .errors import DegenerateLabelsError, InputError, TrajRulesError
 from .kinematics import (
     compute_kinematics,
     detect_lane_changes,
@@ -30,12 +34,14 @@ from .kinematics import (
 from .llm import BackendConfig, HttpBackend, MockBackend
 from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc, report_to_dict
 from .prompts import digest_sample
-from .rules import RuleLibrary, load_library, save_library, seed_library
+from .rules import VERDICTS, FeatureTable, RuleLibrary, load_library, save_library, seed_library
 from .synth import GeneratorConfig, generate_dataset
-from .trajectory import smooth_trajectory, validate_trajectory
+from .trajectory import LABELS, smooth_trajectory, validate_trajectory
 from .verification import ValSample, discover_rules, run_verification_loop
 
 log = logging.getLogger(__name__)
+
+DECISIONS = (*LABELS, UNDETERMINED)
 
 
 def _cfg(args: argparse.Namespace) -> RunConfig:
@@ -206,32 +212,33 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
     rows = io.load_feature_rows(args.features)
+    scores = score_table(library, FeatureTable.from_rows(rows))
+    rule_weights = [(r.id, r.confidence or 0.0) for r in scores.rules]
     results = []
     tally = {"AV": 0, "HDV": 0, UNDETERMINED: 0}
-    for row in rows:
-        context = row.get("context", "any")
-        try:
-            rep = identify_vehicle(
-                library, row["features"], context,
-                delta=cfg.delta,
-                feature_units=row.get("unit_system"),
-                vehicle_id=row["vehicle_id"],
-            )
+    for row, verdicts, matched, applicable, n_applicable in zip(
+        rows, scores.verdicts.T.tolist(), scores.matched_weight.tolist(),
+        scores.applicable_weight.tolist(), scores.n_applicable.tolist(),
+    ):
+        reason = undetermined_reason(n_applicable, applicable)
+        if reason is None:
+            score = matched / applicable
+            decision, confidence = decide(score, cfg.delta)
             entry = {
                 "vehicle_id": row["vehicle_id"],
-                "decision": rep.decision,
-                "score": rep.score,
-                "confidence": rep.confidence,
+                "decision": decision,
+                "score": score,
+                "confidence": confidence,
                 "evidence": [
-                    {"rule_id": e.rule_id, "verdict": e.verdict, "weight": e.weight}
-                    for e in rep.evidence
+                    {"rule_id": rule_id, "verdict": VERDICTS[code], "weight": weight}
+                    for (rule_id, weight), code in zip(rule_weights, verdicts)
                 ],
             }
-        except NoApplicableRulesError as exc:
+        else:
             entry = {
                 "vehicle_id": row["vehicle_id"],
                 "decision": UNDETERMINED,
-                "reason": str(exc),
+                "reason": reason,
             }
         if "label" in row:
             entry["label"] = row["label"]
@@ -289,12 +296,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for i, r in enumerate(results):
         if not isinstance(r, dict):
             raise InputError(f"report entry {i} is not an object")
+        where = f"report entry {i} ({r.get('vehicle_id')!r})"
         if "decision" not in r:
-            raise InputError(f"report entry {i} ({r.get('vehicle_id')!r}) has no 'decision'")
+            raise InputError(f"{where} has no 'decision'")
+        if r["decision"] not in DECISIONS:
+            raise InputError(f"{where}: decision must be one of {DECISIONS}, "
+                             f"got {r['decision']!r}")
+        if "label" in r and r["label"] not in LABELS:
+            raise InputError(f"{where}: label must be one of {LABELS}, got {r['label']!r}")
         score = r.get("score")
         if score is not None and type(score) not in (int, float):
-            raise InputError(f"report entry {i} ({r.get('vehicle_id')!r}): "
-                             f"score must be a number, got {score!r}")
+            raise InputError(f"{where}: score must be a number, got {score!r}")
+        if score is not None and not math.isfinite(score):
+            raise InputError(f"{where}: score must be finite, got {score!r}")
     labeled = [r for r in results if "label" in r]
     if not labeled:
         raise InputError("report carries no ground-truth labels to evaluate against")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,10 +20,17 @@ from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 
 def dump_json(obj: object, path: str | Path) -> None:
-    """Canonical JSON file: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Canonical JSON file: sorted keys, two-space indent, trailing newline.
+
+    The bytes are json.dumps(obj, indent=2, sort_keys=True) plus a newline.
+    They are written in batches of encoder chunks, so a large report is
+    never held in memory as one string.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        while batch := list(islice(chunks, 4096)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def _check_label(value: object, line: int) -> str | None:
@@ -125,7 +133,7 @@ def load_feature_rows(path: str | Path) -> list[dict]:
     """Read a JSONL feature file written by save_feature_rows.
 
     Each row carries vehicle_id, a mapping of finite feature values, and
-    optionally label, context, and unit_system.
+    optionally label, context, and unit_system (one of UNIT_SYSTEMS).
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -156,6 +164,11 @@ def load_feature_rows(path: str | Path) -> list[dict]:
             if doc.get("context", "any") not in CONTEXTS:
                 raise SchemaError(
                     f"context must be one of {CONTEXTS}, got {doc['context']!r}", lineno
+                )
+            if "unit_system" in doc and doc["unit_system"] not in UNIT_SYSTEMS:
+                raise SchemaError(
+                    f"unit_system must be one of {UNIT_SYSTEMS}, got {doc['unit_system']!r}",
+                    lineno,
                 )
             _check_label(doc.get("label"), lineno)
             rows.append(doc)

@@ -7,10 +7,13 @@ verdict keeps out-of-scope vehicles out of both sides of every score.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import dsl
 from .errors import (
@@ -30,6 +33,10 @@ DIRECTIONS = ("accelerate", "decelerate", "maintain", "left_LC", "right_LC", "ke
 MATCHED = "matched"
 NOT_MATCHED = "not_matched"
 NOT_APPLICABLE = "not_applicable"
+
+#: int8 verdict codes of the vectorised path; VERDICTS[code] is the verdict
+NOT_APPLICABLE_CODE, NOT_MATCHED_CODE, MATCHED_CODE = 0, 1, 2
+VERDICTS = (NOT_APPLICABLE, NOT_MATCHED, MATCHED)
 
 DEFAULT_THETA = 0.7
 
@@ -117,6 +124,142 @@ def evaluate_rule(
         if value is None or value != value:  # missing or NaN
             return NOT_APPLICABLE
     return MATCHED if dsl.evaluate_predicate(rule.predicate, features) else NOT_MATCHED
+
+
+Mask = Callable[["FeatureTable"], np.ndarray]
+
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+            "=": np.equal}
+_CONTEXT_CODES = {c: i for i, c in enumerate(CONTEXTS)}
+
+
+@dataclass(frozen=True)
+class CompiledPredicate:
+    atoms: frozenset[str]  # the predicate's required atoms
+    test: Mask  # boolean mask over table rows; meaningful where every atom is present
+
+
+@functools.lru_cache(maxsize=1024)
+def compile_predicate(pred: dsl.Predicate) -> CompiledPredicate:
+    """Vectorised form of a predicate, built once per distinct predicate."""
+    return CompiledPredicate(dsl.required_atoms(pred), _compile(pred))
+
+
+def _compile(pred: dsl.Predicate) -> Mask:
+    if isinstance(pred, dsl.Comparison):
+        compare, atom, value = _COMPARE[pred.op], pred.atom, pred.value
+        return lambda table: compare(table.column(atom), value)
+    if isinstance(pred, dsl.RangeTest):
+        atom, lo, hi = pred.atom, pred.lo, pred.hi
+
+        def in_range(table: FeatureTable) -> np.ndarray:
+            x = table.column(atom)
+            return (lo <= x) & (x <= hi)
+        return in_range
+    if isinstance(pred, dsl.Not):
+        child = _compile(pred.child)
+        return lambda table: ~child(table)
+    if isinstance(pred, (dsl.And, dsl.Or)):
+        children = [_compile(c) for c in pred.children]
+        reduce = np.logical_and.reduce if isinstance(pred, dsl.And) else np.logical_or.reduce
+        return lambda table: reduce([child(table) for child in children])
+    raise TypeError(f"not a predicate node: {pred!r}")
+
+
+class FeatureTable:
+    """Feature rows as columns, for evaluating rules over many vehicles at once.
+
+    Each atom becomes one float64 array, NaN where a row lacks it, built on
+    first use. Contexts are int8 indexes into CONTEXTS (len(CONTEXTS) when
+    unknown). A rule's verdict row is computed once per (predicate, allowed
+    contexts) and kept, so an unchanged rule or a duplicate of another costs
+    nothing. Every verdict equals what evaluate_rule returns for that row.
+    """
+
+    def __init__(
+        self,
+        features: Sequence[Mapping[str, float]],
+        contexts: Sequence[str],
+        *,
+        units: Sequence[str | None] | None = None,
+        ids: Sequence[str] | None = None,
+    ):
+        if len(contexts) != len(features):
+            raise ValueError(f"{len(features)} feature rows but {len(contexts)} contexts")
+        self._features = features
+        self.contexts = np.array([_CONTEXT_CODES.get(c, len(CONTEXTS)) for c in contexts],
+                                 dtype=np.int8)
+        self.units = list(units) if units is not None else [None] * len(features)
+        self.ids = ids
+        self._unit_systems = frozenset(self.units)
+        self._columns: dict[str, np.ndarray] = {}
+        self._scopes: dict[frozenset[str], np.ndarray] = {}
+        self._verdicts: dict[tuple, np.ndarray] = {}
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict]) -> "FeatureTable":
+        """Table of feature rows as io.load_feature_rows returns them."""
+        return cls(
+            [row["features"] for row in rows],
+            [row.get("context", "any") for row in rows],
+            units=[row.get("unit_system") for row in rows],
+            ids=[row["vehicle_id"] for row in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.contexts)
+
+    def column(self, atom: str) -> np.ndarray:
+        col = self._columns.get(atom)
+        if col is None:
+            # a missing atom reads None, which float64 stores as NaN
+            col = np.array([f.get(atom) for f in self._features], dtype=np.float64)
+            self._columns[atom] = col
+        return col
+
+    def check_units(self, library_units: str | None) -> None:
+        """Raise UnitMismatchError naming the first row whose known units differ."""
+        if library_units is None or self._unit_systems <= {None, library_units}:
+            return
+        i = next(i for i, u in enumerate(self.units) if u not in (None, library_units))
+        where = f"vehicle {self.ids[i]!r}: " if self.ids is not None else ""
+        raise UnitMismatchError(
+            f"{where}features are in {self.units[i]!r} units, library expects {library_units!r}"
+        )
+
+    def _scope(self, allowed: frozenset[str]) -> np.ndarray:
+        mask = self._scopes.get(allowed)
+        if mask is None:
+            # a row in context "any" is in every scope; an unknown context only in "any"
+            allows = [c in allowed or "any" in allowed or c == "any" for c in CONTEXTS]
+            mask = np.array(allows + ["any" in allowed])[self.contexts]
+            self._scopes[allowed] = mask
+        return mask
+
+    def verdicts(self, rule: Rule, *, library_units: str | None = None) -> np.ndarray:
+        """Read-only int8 verdict codes (see VERDICTS) of one rule for every row."""
+        self.check_units(library_units)
+        key = (rule.predicate, rule.context.allowed_contexts)
+        row = self._verdicts.get(key)
+        if row is None:
+            compiled = compile_predicate(rule.predicate)
+            applicable = self._scope(rule.context.allowed_contexts)
+            for atom in compiled.atoms:
+                applicable = applicable & ~np.isnan(self.column(atom))
+            hit = compiled.test(self)
+            row = np.where(applicable, np.where(hit, MATCHED_CODE, NOT_MATCHED_CODE),
+                           NOT_APPLICABLE_CODE).astype(np.int8)
+            row.flags.writeable = False
+            self._verdicts[key] = row
+        return row
+
+    def verdict_matrix(self, rules: Sequence[Rule], *,
+                       library_units: str | None = None) -> np.ndarray:
+        """int8 verdict codes, one row per rule and one column per table row."""
+        matrix = np.empty((len(rules), len(self)), dtype=np.int8)
+        for i, rule in enumerate(rules):
+            matrix[i] = self.verdicts(rule, library_units=library_units)
+        return matrix
 
 
 @dataclass

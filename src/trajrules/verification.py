@@ -14,6 +14,8 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import EmptyValidationSetError
 from .llm import (
     Backend,
@@ -31,11 +33,15 @@ from .prompts import (
 from . import dsl
 from .rules import (
     MATCHED,
+    MATCHED_CODE,
     NOT_APPLICABLE,
+    NOT_APPLICABLE_CODE,
+    VERDICTS,
     ContextConstraint,
+    FeatureTable,
     Rule,
     RuleLibrary,
-    evaluate_rule,
+    evaluate_rule,  # not called here; perfbench/spans.py patches this name
 )
 
 log = logging.getLogger(__name__)
@@ -54,6 +60,36 @@ class ValSample:
     label: str  # "AV" or "HDV"
     context: str = "any"
     unit_system: str | None = None
+
+
+class ValidationSet(Sequence[ValSample]):
+    """Labeled samples with their feature table, built once and shared.
+
+    compute_confidence and collect_failures accept one in place of a plain
+    sample list; the verification loop builds one per run, so each distinct
+    (predicate, allowed contexts) is evaluated once across all iterations.
+    """
+
+    def __init__(self, samples: Sequence[ValSample]):
+        self.samples = tuple(samples)
+        self.table = FeatureTable(
+            [s.features for s in self.samples],
+            [s.context for s in self.samples],
+            units=[s.unit_system for s in self.samples],
+            ids=[s.vehicle_id for s in self.samples],
+        )
+        self.is_av = np.array([s.label == "AV" for s in self.samples], dtype=bool)
+        self.is_hdv = np.array([s.label == "HDV" for s in self.samples], dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, index):
+        return self.samples[index]
+
+
+def _validation_set(samples: Sequence[ValSample]) -> ValidationSet:
+    return samples if isinstance(samples, ValidationSet) else ValidationSet(samples)
 
 
 @dataclass(frozen=True)
@@ -89,6 +125,17 @@ def implied_label(rule: Rule, verdict: str) -> str | None:
     return "HDV" if hit else "AV"
 
 
+def _judge(
+    rule: Rule, samples: ValidationSet, library_units: str | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's verdict row, where it applies, and where its implied label is right."""
+    verdicts = samples.table.verdicts(rule, library_units=library_units)
+    applicable = verdicts != NOT_APPLICABLE_CODE
+    votes_av = (verdicts == MATCHED_CODE) == (rule.polarity == "AV_indicative")
+    correct = applicable & np.where(votes_av, samples.is_av, samples.is_hdv)
+    return verdicts, applicable, correct
+
+
 def compute_confidence(
     rule: Rule,
     samples: Sequence[ValSample],
@@ -106,19 +153,9 @@ def compute_confidence(
     """
     if not samples:
         raise EmptyValidationSetError("confidence needs at least one labeled sample")
-    n_applicable = 0
-    n_correct = 0
-    for sample in samples:
-        verdict = evaluate_rule(
-            rule, sample.features, sample.context,
-            feature_units=sample.unit_system, library_units=library_units,
-        )
-        judged = implied_label(rule, verdict)
-        if judged is None:
-            continue
-        n_applicable += 1
-        if judged == sample.label:
-            n_correct += 1
+    _, applicable, correct = _judge(rule, _validation_set(samples), library_units)
+    n_applicable = int(np.count_nonzero(applicable))
+    n_correct = int(np.count_nonzero(correct))
     denom = len(samples) if strict_denominator else n_applicable
     confidence = n_correct / denom if denom else 0.0
     return RuleStats(rule.id, n_applicable, n_correct, confidence)
@@ -131,18 +168,13 @@ def collect_failures(
     library_units: str | None = None,
     limit: int = MAX_FAILURES_PER_RULE,
 ) -> list[FailureCase]:
-    """Applicable samples the rule judged wrongly, in input order."""
-    failures: list[FailureCase] = []
-    for sample in samples:
-        verdict = evaluate_rule(
-            rule, sample.features, sample.context,
-            feature_units=sample.unit_system, library_units=library_units,
-        )
-        judged = implied_label(rule, verdict)
-        if judged is not None and judged != sample.label:
-            failures.append(FailureCase(sample, verdict, judged))
-            if len(failures) >= limit:
-                break
+    """Applicable samples the rule judged wrongly, in input order, at most limit."""
+    samples = _validation_set(samples)
+    verdicts, applicable, correct = _judge(rule, samples, library_units)
+    failures = []
+    for i in np.flatnonzero(applicable & ~correct)[:max(limit, 0)].tolist():
+        verdict = VERDICTS[verdicts[i]]
+        failures.append(FailureCase(samples[i], verdict, implied_label(rule, verdict)))
     return failures
 
 
@@ -206,12 +238,14 @@ def run_verification_loop(
     candidates are retired); the iteration budget ran out (same retirement).
     Between iterations every sub-threshold rule gets one reflection round
     and at most one applied suggestion. The library is mutated in place and
-    also returned.
+    also returned. The samples' feature table is built once, and a rule
+    whose predicate and contexts were seen before is not evaluated again.
     """
     if not samples:
         raise EmptyValidationSetError("verification needs at least one labeled sample")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    samples = _validation_set(samples)
 
     stats: dict[str, RuleStats] = {}
     prev_conf: dict[str, float] | None = None

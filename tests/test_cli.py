@@ -214,7 +214,18 @@ def test_classify_without_applicable_rules_is_undetermined(workdir, tmp_path):
     ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV", "score": 0.9},
                   {"vehicle_id": "y", "decision": "HDV", "label": "HDV", "score": "x"}]},
      "report entry 1 ('y'): score must be a number, got 'x'"),
-], ids=["no_labels", "array", "entry_not_object", "no_decision", "string_score"])
+    ({"results": [{"vehicle_id": "x", "decision": "car", "label": "AV"}]},
+     "report entry 0 ('x'): decision must be one of ('AV', 'HDV', 'undetermined'), got 'car'"),
+    ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV"},
+                  {"vehicle_id": "y", "decision": "HDV", "label": "bike"}]},
+     "report entry 1 ('y'): label must be one of ('AV', 'HDV'), got 'bike'"),
+    ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV", "score": float("nan")},
+                  {"vehicle_id": "y", "decision": "HDV", "label": "HDV", "score": 0.1}]},
+     "report entry 0 ('x'): score must be finite, got nan"),
+    ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV", "score": float("inf")}]},
+     "report entry 0 ('x'): score must be finite, got inf"),
+], ids=["no_labels", "array", "entry_not_object", "no_decision", "string_score",
+        "bad_decision", "bad_label", "nan_score", "infinite_score"])
 def test_evaluate_rejects_bad_report(tmp_path, capsys, doc, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(doc))
@@ -224,6 +235,26 @@ def test_evaluate_rejects_bad_report(tmp_path, capsys, doc, message):
     ])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_unit_mismatch_names_first_vehicle(workdir, tmp_path, capsys, command):
+    rows = load_feature_rows(workdir / "f.jsonl")
+    for row in rows[2:]:
+        row["unit_system"] = "pixel"
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    argv = [command, "--features", str(mixed), "--library", str(lib_path),
+            "--output", str(tmp_path / "out.json")]
+    if command == "verify":
+        argv += ["--mock-dir", MOCK_DIR]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: vehicle {rows[2]['vehicle_id']!r}: features are in 'pixel' units, "
+        "library expects 'metric'\n"
+    )
 
 
 def test_verify_needs_labels(workdir, tmp_path):

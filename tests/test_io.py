@@ -119,6 +119,10 @@ def test_feature_rows_round_trip(tmp_path):
     ({"vehicle_id": "a", "features": {"std_jerk": -math.inf}}, "'std_jerk' must be finite"),
     ({"vehicle_id": "a", "features": {"x": 1.0}, "context": "highway"}, "context must be one of"),
     ({"vehicle_id": "a", "features": {"x": 1.0}, "context": None}, "context must be one of"),
+    ({"vehicle_id": "a", "features": {"x": 1.0}, "unit_system": "furlongs"},
+     "unit_system must be one of"),
+    ({"vehicle_id": "a", "features": {"x": 1.0}, "unit_system": None},
+     "unit_system must be one of"),
 ])
 def test_feature_row_schema_violations(tmp_path, row, fragment):
     path = tmp_path / "f.jsonl"
@@ -146,3 +150,19 @@ def test_dump_json_canonical(tmp_path):
     again = tmp_path / "r2.json"
     dump_json({"a": {"y": 3, "z": 2}, "b": 1}, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_dump_json_equals_json_dumps(tmp_path):
+    doc = {
+        "name": "Zürich → München",
+        "emoji": "\U0001f697",
+        "values": [0.1, 1e-300, -2.5, 3, 1e22, float("inf")],
+        "missing": None,
+        "empty_list": [],
+        "empty_dict": {},
+        "nested": {"b": [{"z": True, "a": False}], "a": [[1, [2, {"c": "d"}]]]},
+        "rows": [{"id": f"v{i}", "score": i / 7} for i in range(5000)],
+    }
+    path = tmp_path / "r.json"
+    dump_json(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
