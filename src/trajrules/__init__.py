@@ -44,7 +44,7 @@ from .rules import (
     seed_library,
 )
 from .synth import AV_PROFILE, HDV_PROFILE, BehaviorProfile, GeneratorConfig, generate_dataset
-from .trajectory import Trajectory, smooth_trajectory, validate_trajectory
+from .trajectory import Trajectory, smooth_trajectories, smooth_trajectory, validate_trajectory
 from .verification import (
     ValSample,
     VerificationResult,
@@ -102,6 +102,7 @@ __all__ = [
     "run_verification_loop",
     "save_library",
     "seed_library",
+    "smooth_trajectories",
     "smooth_trajectory",
     "summarize_features",
     "to_dsl",

@@ -36,7 +36,8 @@ from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc, report_to_d
 from .prompts import digest_sample
 from .rules import VERDICTS, FeatureTable, RuleLibrary, load_library, save_library, seed_library
 from .synth import GeneratorConfig, generate_dataset
-from .trajectory import LABELS, smooth_trajectory, validate_trajectory
+from .trajectory import LABELS, Trajectory, smooth_trajectories, validate_trajectory
+from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py patches it
 from .verification import ValSample, discover_rules, run_verification_loop
 
 log = logging.getLogger(__name__)
@@ -62,16 +63,23 @@ def _backend(cfg: RunConfig):
     ))
 
 
-def _extract(traj, cfg: RunConfig):
-    """validate -> smooth -> kinematics -> events -> feature mapping."""
-    t = validate_trajectory(traj)
-    if not cfg.no_smoothing:
-        t = smooth_trajectory(t, cfg.process_noise, cfg.measurement_noise)
+def _load_tracks(path: str, cfg: RunConfig) -> list[Trajectory]:
+    """load -> validate every track -> smooth them all in one batch."""
+    trajectories = io.load_trajectories(path)
+    for i, traj in enumerate(trajectories):
+        trajectories[i] = validate_trajectory(traj)
+    if cfg.no_smoothing:
+        return trajectories
+    return smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
+
+
+def _extract(t: Trajectory, cfg: RunConfig):
+    """kinematics -> events -> feature mapping, for one prepared track."""
     kin = compute_kinematics(t)
     events = detect_lane_changes(t, window=cfg.lc_window, threshold=cfg.lc_threshold)
     feats = summarize_features(t, kin, events)
     feats.update(extended_atoms(t, kin, events))
-    return t, kin, feats
+    return kin, feats
 
 
 def _context_for(feats: dict[str, float], cfg: RunConfig) -> str:
@@ -82,11 +90,10 @@ def _context_for(feats: dict[str, float], cfg: RunConfig) -> str:
 
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
-    trajectories = io.load_trajectories(args.input)
     rows = []
     skipped = 0
-    for traj in trajectories:
-        t, _, feats = _extract(traj, cfg)
+    for t in _load_tracks(args.input, cfg):
+        _, feats = _extract(t, cfg)
         if cfg.min_mean_speed > 0 and feats["mean_speed"] < cfg.min_mean_speed:
             skipped += 1
             continue
@@ -259,10 +266,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
-    trajectories = io.load_trajectories(args.input)
     predictions = []
-    for traj in trajectories:
-        t, kin, feats = _extract(traj, cfg)
+    for t in _load_tracks(args.input, cfg):
+        kin, feats = _extract(t, cfg)
         context = _context_for(feats, cfg)
         if args.task == "speed":
             pred = predict_speed_change(

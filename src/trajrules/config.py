@@ -7,6 +7,7 @@ Unknown keys in a config file are an error rather than a silent no-op.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -51,6 +52,9 @@ class RunConfig:
     frame_rate: float = 25.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if self.context not in ("auto", "any", "free_flow", "congested"):
             raise InputError(f"context must be auto/any/free_flow/congested, got {self.context!r}")
         if not 0.0 < self.delta < 1.0:

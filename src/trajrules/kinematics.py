@@ -125,7 +125,7 @@ def detect_lane_changes(
     n = len(traj)
     if window > n - 1:
         raise WindowTooLongError(
-            f"window of {window} steps needs {window + 1} points, trajectory has {n}"
+            f"{traj.vehicle_id}: window of {window} steps needs {window + 1} points, trajectory has {n}"
         )
     sy = traj.y * traj.unit_scale
     dy = np.diff(sy)

@@ -120,41 +120,66 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
     return replace(traj, t=frames, x=fill(x[seg]), y=fill(y[seg]))
 
 
-def _filter_axis(z: np.ndarray, dt: float, q: float, r: float) -> np.ndarray:
-    """Constant-velocity Kalman filter along one axis; returns position estimates.
-
-    State is [position, velocity], initialized by two-point differencing so
-    exactly linear input passes through unchanged. q scales the white-noise
-    acceleration spectral density; r is the measurement variance.
-    """
-    n = len(z)
-    out = np.empty(n, dtype=np.float64)
-    out[0] = x = float(z[0])
-    v = (float(z[1]) - float(z[0])) / dt
-    # two-point differencing initial covariance
-    p00 = r
-    p01 = r / dt
-    p11 = 2.0 * r / (dt * dt)
-    q00 = q * dt ** 4 / 4.0
-    q01 = q * dt ** 3 / 2.0
-    q11 = q * dt * dt
-    for k in range(1, n):
-        # predict
-        x = x + v * dt
-        p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
+def _gains(n: int, dt: float, q: float, r: float) -> tuple[list[float], list[float]]:
+    """Kalman gains kx[k], kv[k] for steps 1..n-1; the recursion never reads the data."""
+    p00, p01, p11 = r, r / dt, 2.0 * r / (dt * dt)  # two-point differencing covariance
+    q00, q01, q11 = q * dt ** 4 / 4.0, q * dt ** 3 / 2.0, q * dt * dt
+    kx, kv = [0.0], [0.0]
+    for _ in range(1, n):
+        p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00  # predict
         p01 = p01 + dt * p11 + q01
         p11 = p11 + q11
-        # update
-        s = p00 + r
-        kx = p00 / s
-        kv = p01 / s
-        innov = float(z[k]) - x
-        x += kx * innov
-        v += kv * innov
-        p11 = p11 - kv * p01
-        p01 = (1.0 - kx) * p01
-        p00 = (1.0 - kx) * p00
-        out[k] = x
+        s = p00 + r  # update
+        kx.append(p00 / s)
+        kv.append(p01 / s)
+        p11 = p11 - kv[-1] * p01
+        p01 = (1.0 - kx[-1]) * p01
+        p00 = (1.0 - kx[-1]) * p00
+    return kx, kv
+
+
+def smooth_trajectories(
+    trajs: list[Trajectory],
+    process_noise: float = 1e-2,
+    measurement_noise: float = 1.0,
+) -> list[Trajectory]:
+    """Kalman-smooth positions with an independent constant-velocity model per axis.
+
+    State is [position, velocity], initialized by two-point differencing so
+    exactly linear input passes through unchanged. measurement_noise is the
+    position noise variance in native units squared; process_noise trades
+    smoothness against responsiveness. Outputs keep the input order, frames and
+    metadata (tracks under 2 points come back unchanged). Every axis at one frame
+    rate shares one gain sequence and one loop over time, in the scalar filter's
+    order of operations, so a track's result does not depend on its batch.
+    """
+    q, r = process_noise, measurement_noise
+    if not (0 < q < math.inf and 0 < r < math.inf):
+        raise NonPositiveError("process_noise and measurement_noise must be positive and finite")
+    out = [replace(traj) for traj in trajs]
+    groups: dict[float, list[int]] = {}
+    for i, traj in enumerate(trajs):
+        if len(traj) >= 2:
+            groups.setdefault(traj.frame_rate, []).append(i)
+    for frame_rate, members in groups.items():
+        members.sort(key=lambda i: -len(trajs[i]))  # longest first: running axes are a prefix
+        n = np.array([len(trajs[i]) for i in members])
+        dt = 1.0 / frame_rate
+        kx, kv = _gains(n[0], dt, q, r)
+        # one padded row per axis; estimates overwrite measurements, outputs view rows
+        z = np.empty((2 * len(members), n[0]))
+        for row, i in enumerate(members):
+            z[2 * row, :n[row]], z[2 * row + 1, :n[row]] = trajs[i].x, trajs[i].y
+        v = (z[:, 1] - z[:, 0]) / dt
+        running = 2 * np.searchsorted(-n, -np.arange(n[0]))
+        for k, a in enumerate(running.tolist()[1:], start=1):
+            x = z[:a, k - 1] + v[:a] * dt  # predict
+            innov = z[:a, k] - x
+            x += kx[k] * innov
+            v[:a] += kv[k] * innov
+            z[:a, k] = x
+        for row, i in enumerate(members):
+            out[i].x, out[i].y = z[2 * row, :n[row]], z[2 * row + 1, :n[row]]
     return out
 
 
@@ -163,16 +188,5 @@ def smooth_trajectory(
     process_noise: float = 1e-2,
     measurement_noise: float = 1.0,
 ) -> Trajectory:
-    """Kalman-smooth positions with an independent constant-velocity model per axis.
-
-    Output has the same length, frames, and metadata as the input; only x/y
-    change. measurement_noise is the position noise variance in native units
-    squared; process_noise trades smoothness against responsiveness.
-    """
-    if process_noise <= 0 or measurement_noise <= 0:
-        raise NonPositiveError("process_noise and measurement_noise must be positive")
-    if len(traj) < 2:
-        return replace(traj)
-    fx = _filter_axis(traj.x, traj.dt, process_noise, measurement_noise)
-    fy = _filter_axis(traj.y, traj.dt, process_noise, measurement_noise)
-    return replace(traj, x=fx, y=fy)
+    """One-track case of smooth_trajectories."""
+    return smooth_trajectories([traj], process_noise, measurement_noise)[0]

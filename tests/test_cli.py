@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,51 @@ def test_features_negative_frame_is_an_input_error(tmp_path, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err == "error: v: negative frame index -1\n"
+
+
+def write_tracks(path, lengths):
+    """One straight 25 Hz track per length, ids v0, v1, ..."""
+    with open(path, "w") as fh:
+        for i, n in enumerate(lengths):
+            points = [[t, 0.5 * t, 0.0] for t in range(n)]
+            fh.write(json.dumps({"vehicle_id": f"v{i}", "frame_rate": 25.0,
+                                 "points": points}) + "\n")
+
+
+@pytest.mark.parametrize("flags,config,message", [
+    (["--process-noise", "nan"], None, "process_noise must be finite, got nan"),
+    (["--process-noise", "inf"], None, "process_noise must be finite, got inf"),
+    (["--measurement-noise", "nan"], None, "measurement_noise must be finite, got nan"),
+    (["--lc-threshold=-inf"], None, "lc_threshold must be finite, got -inf"),
+    ([], {"process_noise": math.nan}, "process_noise must be finite, got nan"),
+    ([], {"measurement_noise": math.inf}, "measurement_noise must be finite, got inf"),
+], ids=["flag_nan", "flag_inf", "measurement_nan", "threshold_neg_inf",
+        "config_nan", "config_inf"])
+def test_features_rejects_non_finite_settings(tmp_path, capsys, flags, config, message):
+    trajs = tmp_path / "t.jsonl"
+    out = tmp_path / "f.jsonl"
+    write_tracks(trajs, [200])
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", str(tmp_path / "c.json")]
+    rc = cli.main(["features", "--input", str(trajs), "--output", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features", "predict"])
+def test_short_track_error_names_the_vehicle(tmp_path, capsys, command):
+    trajs = tmp_path / "t.jsonl"
+    write_tracks(trajs, [200, 60, 200])
+    library = tmp_path / "lib.json"
+    save_library(seed_library(), library)
+    extra = ["--library", str(library), "--task", "lane_change"] if command == "predict" else []
+    rc = cli.main([command, "--input", str(trajs), "--output", str(tmp_path / "out"), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: v1: window of 120 steps needs 121 points, trajectory has 60\n"
+    )
 
 
 def test_discover_with_mock_backend(workdir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -86,6 +88,17 @@ def test_validation_errors():
         RunConfig(theta=1.5)
     with pytest.raises(InputError):
         RunConfig(max_iterations=0)
+
+
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if isinstance(getattr(RunConfig(), f.name), float)]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_every_float_field_must_be_finite(name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError) as exc:
+            RunConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be finite, got {value!r}"
 
 
 def test_load_validates_after_merge(tmp_path):

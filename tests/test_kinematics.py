@@ -129,9 +129,10 @@ def test_two_separated_lane_changes():
 
 
 def test_lane_change_window_validation():
-    traj = make_trajectory(np.arange(50.0), np.zeros(50))
-    with pytest.raises(WindowTooLongError):
+    traj = make_trajectory(np.arange(50.0), np.zeros(50), vehicle_id="v7")
+    with pytest.raises(WindowTooLongError) as exc:
         detect_lane_changes(traj, window=50, threshold=1.0)
+    assert str(exc.value) == "v7: window of 50 steps needs 51 points, trajectory has 50"
     with pytest.raises(ValueError):
         detect_lane_changes(traj, window=1, threshold=1.0)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from trajrules.trajectory import (
     MAX_GAP_FRAMES,
     MIN_POINTS,
     Trajectory,
+    smooth_trajectories,
     smooth_trajectory,
     validate_trajectory,
 )
@@ -240,3 +241,106 @@ def test_smoothing_keeps_metadata():
     assert out.unit_system == "pixel"
     assert out.unit_scale == 0.1
     assert np.array_equal(out.t, traj.t)
+
+
+def test_smoothing_rejects_bad_noise():
+    traj = make_trajectory(np.arange(10.0), np.zeros(10))
+    for q, r in [(0.0, 1.0), (1e-2, -1.0), (math.nan, 1.0), (1e-2, math.nan),
+                 (math.inf, 1.0), (1e-2, math.inf)]:
+        with pytest.raises(NonPositiveError, match="must be positive and finite"):
+            smooth_trajectories([traj], q, r)
+
+
+def reference_filter_axis(z: np.ndarray, dt: float, q: float, r: float) -> np.ndarray:
+    """Constant-velocity Kalman filter along one axis; returns position estimates.
+
+    State is [position, velocity], initialized by two-point differencing so
+    exactly linear input passes through unchanged. q scales the white-noise
+    acceleration spectral density; r is the measurement variance.
+    """
+    n = len(z)
+    out = np.empty(n, dtype=np.float64)
+    out[0] = x = float(z[0])
+    v = (float(z[1]) - float(z[0])) / dt
+    # two-point differencing initial covariance
+    p00 = r
+    p01 = r / dt
+    p11 = 2.0 * r / (dt * dt)
+    q00 = q * dt ** 4 / 4.0
+    q01 = q * dt ** 3 / 2.0
+    q11 = q * dt * dt
+    for k in range(1, n):
+        # predict
+        x = x + v * dt
+        p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
+        p01 = p01 + dt * p11 + q01
+        p11 = p11 + q11
+        # update
+        s = p00 + r
+        kx = p00 / s
+        kv = p01 / s
+        innov = float(z[k]) - x
+        x += kx * innov
+        v += kv * innov
+        p11 = p11 - kv * p01
+        p01 = (1.0 - kx) * p01
+        p00 = (1.0 - kx) * p00
+        out[k] = x
+    return out
+
+
+def random_fleet(rng):
+    """1-12 noisy random-walk tracks of 2 to several hundred points at mixed frame rates."""
+    fleet = []
+    for j in range(int(rng.integers(1, 13))):
+        n = int(rng.choice([2, 3, int(rng.integers(4, 40)), int(rng.integers(40, 600))]))
+        fleet.append(make_trajectory(
+            rng.normal(0.0, 50.0, n).cumsum(), rng.normal(0.0, 5.0, n).cumsum(),
+            frame_rate=float(rng.choice([10.0, 25.0, 29.97, 30.0])), vehicle_id=f"v{j}",
+        ))
+    return fleet
+
+
+@pytest.mark.parametrize("q,r", [(1e-2, 1.0), (1e-2, 4.0), (0.5, 0.25), (3.0, 1e-3)])
+def test_batched_smoothing_matches_scalar_reference(q, r):
+    rng = np.random.default_rng(int(q * 1000 + r * 7))
+    for _ in range(60):
+        fleet = random_fleet(rng)
+        out = smooth_trajectories(fleet, q, r)
+        assert len(out) == len(fleet)
+        for before, after in zip(fleet, out):
+            for axis in ("x", "y"):
+                expected = reference_filter_axis(getattr(before, axis), before.dt, q, r)
+                got = getattr(after, axis)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, expected), (before.vehicle_id, len(before), axis)
+        # each track's result does not depend on the rest of the batch
+        for before, after in zip(fleet, out):
+            alone = smooth_trajectory(before, q, r)
+            assert np.array_equal(alone.x, after.x) and np.array_equal(alone.y, after.y)
+
+
+def test_batched_smoothing_edge_cases():
+    assert smooth_trajectories([]) == []
+    rng = np.random.default_rng(3)
+    long_a = make_trajectory(rng.normal(size=50).cumsum(), rng.normal(size=50).cumsum(),
+                             vehicle_id="a", label="AV", unit_system="pixel", unit_scale=0.1)
+    empty = make_trajectory([], [], vehicle_id="empty")
+    single = make_trajectory([4.0], [5.0], vehicle_id="single", frame_rate=10.0)
+    long_b = make_trajectory(rng.normal(size=7).cumsum(), rng.normal(size=7).cumsum(),
+                             vehicle_id="b", frame_rate=30.0, label="HDV", frames=np.arange(3, 10))
+    fleet = [long_b, empty, single, long_a]
+    copies = [(t.t.copy(), t.x.copy(), t.y.copy()) for t in fleet]
+    out = smooth_trajectories(fleet)
+    assert [t.vehicle_id for t in out] == ["b", "empty", "single", "a"]
+    for before, after, (t, x, y) in zip(fleet, out, copies):
+        assert after is not before
+        for name in ("vehicle_id", "frame_rate", "unit_scale", "unit_system", "label"):
+            assert getattr(after, name) == getattr(before, name)
+        assert np.array_equal(after.t, t)
+        # inputs are not mutated
+        assert np.array_equal(before.t, t)
+        assert np.array_equal(before.x, x) and np.array_equal(before.y, y)
+    for short, (_, x, y) in zip(out[1:3], copies[1:3]):
+        assert np.array_equal(short.x, x) and np.array_equal(short.y, y)
+    assert not np.array_equal(out[0].x, copies[0][1])
