@@ -51,16 +51,18 @@ def _cfg(args: argparse.Namespace) -> RunConfig:
 
 
 def _backend(cfg: RunConfig):
-    if cfg.mock_dir:
-        return MockBackend(fixture_dir=cfg.mock_dir)
-    return HttpBackend(BackendConfig(
-        endpoint=cfg.endpoint,
-        model=cfg.model,
-        temperature=cfg.temperature,
-        max_output_tokens=cfg.max_output_tokens,
-        timeout_s=cfg.timeout_s,
-        max_retries=cfg.max_retries,
-    ))
+    try:  # checked with --mock-dir too, so a bad setting fails the same way everywhere
+        settings = BackendConfig(
+            endpoint=cfg.endpoint,
+            model=cfg.model,
+            temperature=cfg.temperature,
+            max_output_tokens=cfg.max_output_tokens,
+            timeout_s=cfg.timeout_s,
+            max_retries=cfg.max_retries,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return MockBackend(fixture_dir=cfg.mock_dir) if cfg.mock_dir else HttpBackend(settings)
 
 
 def _load_tracks(path: str, cfg: RunConfig) -> list[Trajectory]:
@@ -147,6 +149,7 @@ def _split_by_label(rows: list[dict]) -> tuple[list[dict], list[dict]]:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
+    backend = _backend(cfg)
     rows = io.load_feature_rows(args.features)
     av, hdv = _split_by_label(rows)
     if args.library_in:
@@ -155,7 +158,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
         library = seed_library(cfg.theta)
     else:
         library = RuleLibrary(theta=cfg.theta)
-    backend = _backend(cfg)
     rules, rejected = discover_rules(backend, av, hdv)
     existing = {r.id for r in library.rules}
     added = 0
@@ -194,11 +196,11 @@ def _val_samples(rows: list[dict]) -> list[ValSample]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
+    backend = _backend(cfg)
     library = load_library(args.library)
     if args.theta is not None:
         library.theta = args.theta
     samples = _val_samples(io.load_feature_rows(args.features))
-    backend = _backend(cfg)
     result = run_verification_loop(
         library, samples, backend,
         max_iterations=cfg.max_iterations,

@@ -30,6 +30,7 @@ a RejectedBlock with the reason.
 """
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
@@ -37,8 +38,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
-
-import requests
 
 from . import dsl
 from .errors import (
@@ -99,10 +98,42 @@ class BackendConfig:
             raise ValueError("max_output_tokens must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not self.timeout_s > 0:
+            raise ValueError("timeout_s must be positive")
+        if not self.retry_backoff_s >= 0:
+            raise ValueError("retry_backoff_s must be >= 0")
+        if not self.endpoint.startswith(("http://", "https://")):
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
 
 
 class Backend(Protocol):
     def complete(self, messages: Sequence[ChatMessage]) -> str: ...
+
+
+def _post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, str]:
+    """POST once; return (status, text) for any status, or raise TimeoutError/OSError.
+
+    urllib is imported here so that a process which never sends a request
+    does not load http.client and ssl.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        try:
+            resp = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            resp = exc  # a 4xx/5xx response; its body is read like any other
+        with resp:
+            return resp.status, resp.read().decode("utf-8", errors="replace")
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, TimeoutError):
+            raise exc.reason from exc
+        raise
+    except http.client.HTTPException as exc:  # malformed or truncated response
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def complete(cfg: BackendConfig, messages: Sequence[ChatMessage]) -> str:
@@ -124,34 +155,38 @@ def complete(cfg: BackendConfig, messages: Sequence[ChatMessage]) -> str:
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_output_tokens,
     }
+    body = json.dumps(payload).encode("utf-8")
     last: BackendError | None = None
     for attempt in range(cfg.max_retries + 1):
         if attempt:
             time.sleep(cfg.retry_backoff_s * 2 ** (attempt - 1))
         try:
-            resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout as exc:
+            status, text = _post(cfg.endpoint, body, headers, cfg.timeout_s)
+        except TimeoutError as exc:
             last = BackendTimeoutError(f"request timed out after {cfg.timeout_s}s")
             log.warning("completion attempt %d timed out: %s", attempt + 1, exc)
             continue
-        except requests.RequestException as exc:
+        except OSError as exc:
             last = BackendError(f"connection failed: {exc}")
             log.warning("completion attempt %d failed: %s", attempt + 1, exc)
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last = BackendError(f"HTTP {resp.status_code}", status=resp.status_code, body=resp.text[:2000])
-            log.warning("completion attempt %d got HTTP %d", attempt + 1, resp.status_code)
+        if status == 429 or status >= 500:
+            last = BackendError(f"HTTP {status}", status=status, body=text[:2000])
+            log.warning("completion attempt %d got HTTP %d", attempt + 1, status)
             continue
-        if resp.status_code != 200:
-            raise BackendError(f"HTTP {resp.status_code}", status=resp.status_code, body=resp.text[:2000])
+        if status != 200:
+            raise BackendError(f"HTTP {status}", status=status, body=text[:2000])
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(text)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed completion response: {exc}", body=resp.text[:2000]) from exc
+            raise BackendError(f"malformed completion response: {exc}", body=text[:2000]) from exc
+        return content
     raise RetriesExhaustedError(
         f"gave up after {cfg.max_retries + 1} attempts: {last}",
         status=getattr(last, "status", None),
-    )
+    ) from last
 
 
 class HttpBackend:

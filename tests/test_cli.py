@@ -182,6 +182,30 @@ def test_discover_without_fixture_fails(workdir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--temperature", "3"], "temperature 3.0 outside [0, 2]"),
+    (["--max-retries", "-1"], "max_retries must be >= 0"),
+    (["--max-output-tokens", "0"], "max_output_tokens must be positive"),
+    (["--timeout-s", "0"], "timeout_s must be positive"),
+    (["--endpoint", "file:///etc/passwd"],
+     "endpoint must be an http:// or https:// URL, got 'file:///etc/passwd'"),
+    (["--timeout-s", "0", "--mock-dir", MOCK_DIR], "timeout_s must be positive"),
+], ids=["temperature", "max_retries", "max_output_tokens", "timeout_s", "endpoint",
+        "with_mock_dir"])
+def test_discover_rejects_bad_backend_settings(workdir, tmp_path, capsys, monkeypatch, flags,
+                                               message):
+    def no_request(*args):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr("trajrules.llm._post", no_request)
+    out = tmp_path / "lib.json"
+    rc = cli.main(["discover", "--features", str(workdir / "f.jsonl"), "--output", str(out),
+                   *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_then_classify_then_evaluate(workdir, tmp_path, capsys):
     lib_path = tmp_path / "seeded.json"
     verified_path = tmp_path / "verified.json"

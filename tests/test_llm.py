@@ -1,9 +1,21 @@
-import requests
+import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import urllib.error
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
 import pytest
 
+import trajrules
 from trajrules import dsl
 from trajrules.errors import (
     BackendError,
+    BackendTimeoutError,
     EmptySampleSetError,
     RetriesExhaustedError,
 )
@@ -13,6 +25,7 @@ from trajrules.llm import (
     HttpBackend,
     KIND_MARKERS,
     MockBackend,
+    _post,
     complete,
     format_rule_block,
     parse_refinement_response,
@@ -41,6 +54,15 @@ def test_backend_config_validation():
         BackendConfig(max_output_tokens=0)
     with pytest.raises(ValueError):
         BackendConfig(max_retries=-1)
+    for timeout in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="timeout_s must be positive"):
+            BackendConfig(timeout_s=timeout)
+    with pytest.raises(ValueError, match="retry_backoff_s must be >= 0"):
+        BackendConfig(retry_backoff_s=-0.1)
+    BackendConfig(retry_backoff_s=0.0)
+    for endpoint in ("file:///etc/passwd", "api.test/v1/chat", ""):
+        with pytest.raises(ValueError, match="endpoint must be an http:// or https:// URL"):
+            BackendConfig(endpoint=endpoint)
 
 
 def test_prompt_kind_routing():
@@ -230,21 +252,9 @@ def test_parse_refinement_field_error_keeps_rule_id():
     assert "unparseable suggestion" in sugg.rationale
 
 
-class FakeResponse:
-    def __init__(self, status_code, content=None, text="", json_data=None):
-        self.status_code = status_code
-        self.text = text
-        if json_data is not None:
-            self._json = json_data
-        elif content is not None:
-            self._json = {"choices": [{"message": {"content": content}}]}
-        else:
-            self._json = None
-
-    def json(self):
-        if self._json is None:
-            raise ValueError("not json")
-        return self._json
+def completion(content):
+    """A chat-completions response body carrying this message content."""
+    return json.dumps({"choices": [{"message": {"content": content}}]})
 
 
 @pytest.fixture
@@ -257,11 +267,12 @@ def no_sleep(monkeypatch):
 def test_complete_success_payload(monkeypatch, no_sleep):
     calls = []
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append((url, json, headers, timeout))
-        return FakeResponse(200, content="hello")
+    def fake_post(url, body, headers, timeout):
+        assert isinstance(body, bytes)
+        calls.append((url, json.loads(body), headers, timeout))
+        return (200, completion("hello"))
 
-    monkeypatch.setattr("trajrules.llm.requests.post", fake_post)
+    monkeypatch.setattr("trajrules.llm._post", fake_post)
     monkeypatch.setenv("TRAJRULES_API_TOKEN", "sk-test")
     cfg = BackendConfig(endpoint="https://api.test/v1/chat", model="m1", temperature=0.2)
     out = HttpBackend(cfg).complete(
@@ -278,6 +289,7 @@ def test_complete_success_payload(monkeypatch, no_sleep):
         {"role": "user", "content": "hi"},
     ]
     assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["Content-Type"] == "application/json"
     assert timeout == cfg.timeout_s
     assert no_sleep == []
 
@@ -285,20 +297,20 @@ def test_complete_success_payload(monkeypatch, no_sleep):
 def test_complete_no_token_no_auth_header(monkeypatch, no_sleep):
     captured = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(url, body, headers, timeout):
         captured.update(headers)
-        return FakeResponse(200, content="x")
+        return (200, completion("x"))
 
-    monkeypatch.setattr("trajrules.llm.requests.post", fake_post)
+    monkeypatch.setattr("trajrules.llm._post", fake_post)
     monkeypatch.delenv("TRAJRULES_API_TOKEN", raising=False)
     complete(BackendConfig(), [ChatMessage("user", "hi")])
     assert "Authorization" not in captured
 
 
 def test_complete_retries_429_then_succeeds(monkeypatch, no_sleep):
-    responses = [FakeResponse(429, text="slow down"), FakeResponse(200, content="ok")]
+    responses = [(429, "slow down"), (200, completion("ok"))]
 
-    monkeypatch.setattr("trajrules.llm.requests.post", lambda *a, **k: responses.pop(0))
+    monkeypatch.setattr("trajrules.llm._post", lambda *a, **k: responses.pop(0))
     out = complete(BackendConfig(retry_backoff_s=0.5), [ChatMessage("user", "hi")])
     assert out == "ok"
     assert no_sleep == [0.5]
@@ -309,9 +321,9 @@ def test_complete_persistent_500_exhausts_retries(monkeypatch, no_sleep):
 
     def fake_post(*a, **k):
         n["calls"] += 1
-        return FakeResponse(500, text="boom")
+        return (500, "boom")
 
-    monkeypatch.setattr("trajrules.llm.requests.post", fake_post)
+    monkeypatch.setattr("trajrules.llm._post", fake_post)
     cfg = BackendConfig(max_retries=2, retry_backoff_s=1.0)
     with pytest.raises(RetriesExhaustedError) as exc_info:
         complete(cfg, [ChatMessage("user", "hi")])
@@ -326,9 +338,9 @@ def test_complete_client_error_fails_fast(monkeypatch, no_sleep):
 
     def fake_post(*a, **k):
         n["calls"] += 1
-        return FakeResponse(400, text="bad request")
+        return (400, "bad request")
 
-    monkeypatch.setattr("trajrules.llm.requests.post", fake_post)
+    monkeypatch.setattr("trajrules.llm._post", fake_post)
     with pytest.raises(BackendError) as exc_info:
         complete(BackendConfig(), [ChatMessage("user", "hi")])
     assert not isinstance(exc_info.value, RetriesExhaustedError)
@@ -338,15 +350,15 @@ def test_complete_client_error_fails_fast(monkeypatch, no_sleep):
 
 def test_complete_timeout_exhausts_retries(monkeypatch, no_sleep):
     def fake_post(*a, **k):
-        raise requests.Timeout("too slow")
+        raise TimeoutError("too slow")
 
-    monkeypatch.setattr("trajrules.llm.requests.post", fake_post)
+    monkeypatch.setattr("trajrules.llm._post", fake_post)
     with pytest.raises(RetriesExhaustedError):
         complete(BackendConfig(max_retries=1), [ChatMessage("user", "hi")])
 
 
 def test_complete_connection_error_retried(monkeypatch, no_sleep):
-    attempts = [requests.ConnectionError("refused"), FakeResponse(200, content="ok")]
+    attempts = [ConnectionRefusedError("refused"), (200, completion("ok"))]
 
     def fake_post(*a, **k):
         item = attempts.pop(0)
@@ -354,19 +366,194 @@ def test_complete_connection_error_retried(monkeypatch, no_sleep):
             raise item
         return item
 
-    monkeypatch.setattr("trajrules.llm.requests.post", fake_post)
+    monkeypatch.setattr("trajrules.llm._post", fake_post)
     assert complete(BackendConfig(), [ChatMessage("user", "hi")]) == "ok"
 
 
 def test_complete_malformed_body(monkeypatch, no_sleep):
     monkeypatch.setattr(
-        "trajrules.llm.requests.post",
-        lambda *a, **k: FakeResponse(200, json_data={"choices": []}),
+        "trajrules.llm._post",
+        lambda *a, **k: (200, json.dumps({"choices": []})),
     )
     with pytest.raises(BackendError):
         complete(BackendConfig(), [ChatMessage("user", "hi")])
 
 
+@pytest.mark.parametrize("content", [None, 42, ["text"], {"text": "x"}],
+                         ids=["null", "number", "list", "object"])
+def test_complete_non_string_content_is_malformed(monkeypatch, no_sleep, content):
+    monkeypatch.setattr("trajrules.llm._post", lambda *a, **k: (200, completion(content)))
+    with pytest.raises(BackendError, match="malformed completion response: content is") as info:
+        complete(BackendConfig(), [ChatMessage("user", "hi")])
+    assert not isinstance(info.value, RetriesExhaustedError)
+    assert no_sleep == []
+
+
 def test_complete_empty_messages():
     with pytest.raises(EmptySampleSetError):
         complete(BackendConfig(), [])
+
+
+# --- the real transport against a loopback server ---
+
+HANG = None  # scripted status meaning: answer nothing until the test ends
+GARBAGE = -1  # scripted status meaning: answer with a line that is not HTTP
+TRUNCATED = -2  # scripted status meaning: a 503 whose body ends short of its length
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, text) of the server's script."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((self.path, self.headers, body))
+        status, text = self.server.script.pop(0)
+        if status is HANG:
+            self.server.release.wait(5)
+            return
+        if status == GARBAGE:
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
+        data = text.encode("utf-8")
+        self.send_response(503 if status == TRUNCATED else status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data) + (100 if status == TRUNCATED else 0)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ScriptedHandler)
+        self.script, self.received, self.release = [], [], threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+
+@pytest.fixture
+def direct(monkeypatch):
+    """No proxy between the client and the loopback interface."""
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def loopback(direct):
+    server = LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+    assert not thread.is_alive()
+
+
+def test_loopback_429_then_200(loopback, no_sleep, monkeypatch):
+    monkeypatch.setenv("TRAJRULES_API_TOKEN", "sk-loop")
+    loopback.script += [(429, "slow down"), (200, completion("ok"))]
+    cfg = BackendConfig(endpoint=loopback.url, model="m1", retry_backoff_s=0.5)
+    assert complete(cfg, [ChatMessage("user", "hi")]) == "ok"
+    assert no_sleep == [0.5]
+    assert len(loopback.received) == 2
+    path, headers, body = loopback.received[-1]
+    assert path == "/v1/chat"
+    assert headers["Authorization"] == "Bearer sk-loop"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {
+        "model": "m1",
+        "messages": [{"role": "user", "content": "hi"}],
+        "temperature": cfg.temperature,
+        "max_tokens": cfg.max_output_tokens,
+    }
+
+
+def test_loopback_400_fails_fast(loopback, no_sleep):
+    loopback.script.append((400, "bad request"))
+    with pytest.raises(BackendError) as info:
+        complete(BackendConfig(endpoint=loopback.url), [ChatMessage("user", "hi")])
+    assert not isinstance(info.value, RetriesExhaustedError)
+    assert info.value.status == 400
+    assert info.value.body == "bad request"
+    assert len(loopback.received) == 1
+    assert no_sleep == []
+
+
+def test_loopback_5xx_exhausts_retries(loopback, no_sleep):
+    loopback.script += [(500, "boom"), (503, "busy")]
+    cfg = BackendConfig(endpoint=loopback.url, max_retries=1, retry_backoff_s=0.25)
+    with pytest.raises(RetriesExhaustedError) as info:
+        complete(cfg, [ChatMessage("user", "hi")])
+    assert info.value.status == 503
+    assert info.value.__cause__.body == "busy"
+    assert len(loopback.received) == 2
+    assert no_sleep == [0.25]
+
+
+def test_loopback_timeout_exhausts_retries(loopback, no_sleep):
+    loopback.script += [(HANG, ""), (HANG, "")]
+    cfg = BackendConfig(endpoint=loopback.url, timeout_s=0.2, max_retries=1, retry_backoff_s=0.1)
+    with pytest.raises(RetriesExhaustedError) as info:
+        complete(cfg, [ChatMessage("user", "hi")])
+    assert isinstance(info.value.__cause__, BackendTimeoutError)
+    assert info.value.status is None
+    assert len(loopback.received) == 2
+    assert no_sleep == [0.1]
+
+
+@pytest.mark.parametrize("broken", [GARBAGE, TRUNCATED], ids=["status_line", "truncated_body"])
+def test_loopback_broken_response_is_retried(loopback, no_sleep, broken):
+    loopback.script += [(broken, "partial"), (200, completion("ok"))]
+    cfg = BackendConfig(endpoint=loopback.url, retry_backoff_s=0.1)
+    assert complete(cfg, [ChatMessage("user", "hi")]) == "ok"
+    assert no_sleep == [0.1]
+
+
+def test_loopback_non_json_body_is_malformed(loopback, no_sleep):
+    loopback.script.append((200, "<html>not json</html>"))
+    with pytest.raises(BackendError, match="malformed completion response") as info:
+        complete(BackendConfig(endpoint=loopback.url), [ChatMessage("user", "hi")])
+    assert not isinstance(info.value, RetriesExhaustedError)
+    assert info.value.body == "<html>not json</html>"
+    assert len(loopback.received) == 1
+
+
+def test_loopback_refused_connection_is_retried(direct, no_sleep):
+    with socket.socket() as sock:  # bound, never listening, then closed: the port refuses
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cfg = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat", max_retries=2,
+                        retry_backoff_s=0.1)
+    with pytest.raises(RetriesExhaustedError, match="connection failed") as info:
+        complete(cfg, [ChatMessage("user", "hi")])
+    assert info.value.status is None
+    assert no_sleep == [0.1, 0.2]
+
+
+def test_post_unwraps_a_connect_timeout(monkeypatch):
+    # urllib wraps a timeout while connecting in URLError; a read timeout arrives bare
+    def connect_times_out(request, timeout):
+        raise urllib.error.URLError(TimeoutError("timed out"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", connect_times_out)
+    with pytest.raises(TimeoutError):
+        _post("http://127.0.0.1:9/v1/chat", b"{}", {}, 0.2)
+
+
+def test_cli_import_loads_no_http_stack():
+    """Only a request loads urllib.request; importing the CLI must not."""
+    src = Path(trajrules.__file__).resolve().parent.parent
+    code = ("import sys, trajrules.cli; print([m for m in "
+            "('requests', 'urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
