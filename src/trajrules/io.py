@@ -10,7 +10,7 @@ import json
 import math
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,20 +107,21 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
         raise SchemaError(str(exc), line) from exc
 
 
-def load_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a JSONL trajectory file; SchemaError names the offending line."""
-    trajectories = []
+def _read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield (line number, decoded value) for each non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
+        for lineno, line in enumerate(fh, start=1):
+            if not (raw := line.strip()):
                 continue
             try:
-                doc = json.loads(raw)
+                yield lineno, json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg}", lineno) from exc
-            trajectories.append(trajectory_from_dict(doc, lineno))
-    return trajectories
+
+
+def load_trajectories(path: str | Path) -> list[Trajectory]:
+    """Read a JSONL trajectory file; SchemaError names the offending line."""
+    return [trajectory_from_dict(doc, lineno) for lineno, doc in _read_jsonl(path)]
 
 
 def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
@@ -136,42 +137,28 @@ def load_feature_rows(path: str | Path) -> list[dict]:
     optionally label, context, and unit_system (one of UNIT_SYSTEMS).
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(doc, dict):
-                raise SchemaError("feature record must be a JSON object", lineno)
-            if "vehicle_id" not in doc:
-                raise SchemaError("feature record missing 'vehicle_id'", lineno)
-            features = doc.get("features")
-            if not isinstance(features, dict):
-                raise SchemaError("feature record missing 'features' mapping", lineno)
-            for key, value in features.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise SchemaError(
-                        f"feature {key!r} must be numeric, got {value!r}", lineno
-                    )
-                if not -math.inf < value < math.inf:  # NaN fails both comparisons
-                    raise SchemaError(
-                        f"feature {key!r} must be finite, got {value!r}", lineno
-                    )
-            if doc.get("context", "any") not in CONTEXTS:
-                raise SchemaError(
-                    f"context must be one of {CONTEXTS}, got {doc['context']!r}", lineno
-                )
-            if "unit_system" in doc and doc["unit_system"] not in UNIT_SYSTEMS:
-                raise SchemaError(
-                    f"unit_system must be one of {UNIT_SYSTEMS}, got {doc['unit_system']!r}",
-                    lineno,
-                )
-            _check_label(doc.get("label"), lineno)
-            rows.append(doc)
+    for lineno, doc in _read_jsonl(path):
+        if not isinstance(doc, dict):
+            raise SchemaError("feature record must be a JSON object", lineno)
+        if "vehicle_id" not in doc:
+            raise SchemaError("feature record missing 'vehicle_id'", lineno)
+        features = doc.get("features")
+        if not isinstance(features, dict):
+            raise SchemaError("feature record missing 'features' mapping", lineno)
+        for key, value in features.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SchemaError(f"feature {key!r} must be numeric, got {value!r}", lineno)
+            if not -math.inf < value < math.inf:  # NaN fails both comparisons
+                raise SchemaError(f"feature {key!r} must be finite, got {value!r}", lineno)
+        if doc.get("context", "any") not in CONTEXTS:
+            raise SchemaError(f"context must be one of {CONTEXTS}, got {doc['context']!r}", lineno)
+        if "unit_system" in doc and doc["unit_system"] not in UNIT_SYSTEMS:
+            raise SchemaError(
+                f"unit_system must be one of {UNIT_SYSTEMS}, got {doc['unit_system']!r}",
+                lineno,
+            )
+        _check_label(doc.get("label"), lineno)
+        rows.append(doc)
     return rows
 
 

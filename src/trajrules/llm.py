@@ -120,12 +120,18 @@ def _post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tup
     import urllib.error
     import urllib.request
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        # urllib would resend the headers, bearer token included, to any host
+        # a 3xx names; declining makes the 3xx an HTTPError like any other
+        def redirect_request(self, *args):
+            return None
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         try:
-            resp = urllib.request.urlopen(request, timeout=timeout)
+            resp = urllib.request.build_opener(NoRedirect).open(request, timeout=timeout)
         except urllib.error.HTTPError as exc:
-            resp = exc  # a 4xx/5xx response; its body is read like any other
+            resp = exc  # a 3xx/4xx/5xx response; its body is read like any other
         with resp:
             return resp.status, resp.read().decode("utf-8", errors="replace")
     except urllib.error.URLError as exc:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import socket
@@ -402,11 +403,15 @@ TRUNCATED = -2  # scripted status meaning: a 503 whose body ends short of its le
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Answers each POST with the next (status, text) of the server's script."""
+    """Answers each request with the next (status, text) of the server's script.
+
+    A 3xx status sends text as its Location. GETs are answered too, so a
+    redirect that urllib follows (as a GET) is seen and recorded.
+    """
 
     def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.received.append((self.path, self.headers, body))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.received.append((self.command, self.path, self.headers, body))
         status, text = self.server.script.pop(0)
         if status is HANG:
             self.server.release.wait(5)
@@ -417,9 +422,13 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         data = text.encode("utf-8")
         self.send_response(503 if status == TRUNCATED else status)
         self.send_header("Content-Type", "application/json")
+        if 300 <= status < 400:
+            self.send_header("Location", text)
         self.send_header("Content-Length", str(len(data) + (100 if status == TRUNCATED else 0)))
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST
 
     def log_message(self, *args):
         pass
@@ -442,8 +451,8 @@ def direct(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
 
 
-@pytest.fixture
-def loopback(direct):
+@contextlib.contextmanager
+def serving():
     server = LoopbackServer()
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -457,6 +466,12 @@ def loopback(direct):
     assert not thread.is_alive()
 
 
+@pytest.fixture
+def loopback(direct):
+    with serving() as server:
+        yield server
+
+
 def test_loopback_429_then_200(loopback, no_sleep, monkeypatch):
     monkeypatch.setenv("TRAJRULES_API_TOKEN", "sk-loop")
     loopback.script += [(429, "slow down"), (200, completion("ok"))]
@@ -464,8 +479,8 @@ def test_loopback_429_then_200(loopback, no_sleep, monkeypatch):
     assert complete(cfg, [ChatMessage("user", "hi")]) == "ok"
     assert no_sleep == [0.5]
     assert len(loopback.received) == 2
-    path, headers, body = loopback.received[-1]
-    assert path == "/v1/chat"
+    method, path, headers, body = loopback.received[-1]
+    assert (method, path) == ("POST", "/v1/chat")
     assert headers["Authorization"] == "Bearer sk-loop"
     assert headers["Content-Type"] == "application/json"
     assert json.loads(body) == {
@@ -526,6 +541,32 @@ def test_loopback_non_json_body_is_malformed(loopback, no_sleep):
     assert len(loopback.received) == 1
 
 
+@pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+def test_loopback_redirect_fails_fast_without_following(loopback, no_sleep, monkeypatch, code):
+    # following would resend the bearer token to whatever host the 3xx names
+    monkeypatch.setenv("TRAJRULES_API_TOKEN", "sk-loop")
+    with serving() as elsewhere:
+        elsewhere.script.append((200, completion("ok")))
+        loopback.script.append((code, elsewhere.url))
+        with pytest.raises(BackendError) as info:
+            complete(BackendConfig(endpoint=loopback.url), [ChatMessage("user", "hi")])
+        assert elsewhere.received == []
+    assert not isinstance(info.value, RetriesExhaustedError)
+    assert info.value.status == code
+    assert info.value.body == elsewhere.url
+    assert len(loopback.received) == 1
+    assert no_sleep == []
+
+
+def test_loopback_redirect_to_ftp_fails_fast(loopback, no_sleep):
+    loopback.script.append((302, "ftp://127.0.0.1:9/v1/chat"))
+    with pytest.raises(BackendError) as info:
+        complete(BackendConfig(endpoint=loopback.url), [ChatMessage("user", "hi")])
+    assert not isinstance(info.value, RetriesExhaustedError)
+    assert info.value.status == 302
+    assert no_sleep == []
+
+
 def test_loopback_refused_connection_is_retried(direct, no_sleep):
     with socket.socket() as sock:  # bound, never listening, then closed: the port refuses
         sock.bind(("127.0.0.1", 0))
@@ -540,10 +581,10 @@ def test_loopback_refused_connection_is_retried(direct, no_sleep):
 
 def test_post_unwraps_a_connect_timeout(monkeypatch):
     # urllib wraps a timeout while connecting in URLError; a read timeout arrives bare
-    def connect_times_out(request, timeout):
+    def connect_times_out(opener, request, timeout):
         raise urllib.error.URLError(TimeoutError("timed out"))
 
-    monkeypatch.setattr(urllib.request, "urlopen", connect_times_out)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", connect_times_out)
     with pytest.raises(TimeoutError):
         _post("http://127.0.0.1:9/v1/chat", b"{}", {}, 0.2)
 
