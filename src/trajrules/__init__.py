@@ -11,9 +11,12 @@ from .classification import (
     TaskPrediction,
     identify_vehicle,
     infer_context,
+    lane_prior,
     matching_score,
     predict_lane_change,
     predict_speed_change,
+    speed_prior,
+    vote_table,
 )
 from .dsl import evaluate_predicate, parse_predicate, required_atoms, to_dsl
 from .errors import (
@@ -93,6 +96,7 @@ __all__ = [
     "generate_dataset",
     "identify_vehicle",
     "infer_context",
+    "lane_prior",
     "load_library",
     "matching_score",
     "parse_predicate",
@@ -104,7 +108,9 @@ __all__ = [
     "seed_library",
     "smooth_trajectories",
     "smooth_trajectory",
+    "speed_prior",
     "summarize_features",
     "to_dsl",
     "validate_trajectory",
+    "vote_table",
 ]

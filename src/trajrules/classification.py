@@ -5,12 +5,13 @@ the matching score is the matched weight over the applicable weight, and a
 vehicle is called AV when the score clears the decision threshold. Every
 report carries the per-rule evidence so a decision can be audited rule by
 rule. Maneuver prediction blends confidence-weighted votes from direction
-rules with a short-horizon kinematic prior.
+rules with a short-horizon kinematic prior. Both read only the verified rules
+tagged with their task.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .trajectory import Trajectory
 DEFAULT_DELTA = 0.5
 SPEED_DIRECTIONS = ("accelerate", "decelerate", "maintain")
 LANE_DIRECTIONS = ("left_LC", "right_LC", "keep_lane")
+TASK_DIRECTIONS = {"speed": SPEED_DIRECTIONS, "lane_change": LANE_DIRECTIONS}
 
 #: trailing-second kinematic prior thresholds
 ACCEL_DEADBAND = 0.1
@@ -76,8 +78,9 @@ def infer_context(mean_speed: float, congestion_speed_threshold: float = CONGEST
 class TableScores:
     """matching_score's sums for every row of a feature table.
 
-    The rules are the library's verified AV-indicative rules in library
-    order; verdicts holds one row per rule and one column per vehicle.
+    The rules are the library's verified AV-indicative identification rules
+    in library order; verdicts holds one row per rule and one column per
+    vehicle.
     """
 
     rules: list[Rule]
@@ -94,7 +97,7 @@ def score_table(library: RuleLibrary, table: FeatureTable) -> TableScores:
     rule, so each vehicle's sums are bit-identical to a per-vehicle loop.
     Raises UnitMismatchError naming the first vehicle in the wrong units.
     """
-    rules = library.verified_av_rules()
+    rules = [r for r in library.verified_rules("identification") if r.polarity == "AV_indicative"]
     verdicts = table.verdict_matrix(rules, library_units=library.units)
     matched = np.zeros(len(table))
     applicable = np.zeros(len(table))
@@ -184,26 +187,56 @@ def identify_vehicle(
     )
 
 
-def _direction_votes(
-    library: RuleLibrary,
-    features: Mapping[str, float],
-    context: str,
-    task: str,
-    directions: Sequence[str],
-    feature_units: str | None,
-) -> dict[str, float]:
-    votes = dict.fromkeys(directions, 0.0)
-    rules = [r for r in library.verified_rules()
-             if r.direction in votes and task in r.context.applicable_tasks]
-    table = FeatureTable([features], [context], units=[feature_units])
+def vote_table(library: RuleLibrary, table: FeatureTable, task: str) -> np.ndarray:
+    """Confidence-weighted direction votes of every vehicle of a table.
+
+    Verified rules tagged with task whose direction belongs to it vote their
+    confidence where matched. Row i sums the votes for TASK_DIRECTIONS[task][i],
+    one column per vehicle; weights are added rule by rule in library order,
+    so each column is bit-identical to a per-vehicle loop.
+    """
+    directions = TASK_DIRECTIONS[task]
+    rules = [r for r in library.verified_rules(task) if r.direction in directions]
     verdicts = table.verdict_matrix(rules, library_units=library.units)
-    for rule, code in zip(rules, verdicts[:, 0].tolist()):
-        if code == MATCHED_CODE:
-            votes[rule.direction] += rule.confidence or 0.0
+    votes = np.zeros((len(directions), len(table)))
+    for rule, row in zip(rules, verdicts):
+        votes[directions.index(rule.direction)] += np.where(
+            row == MATCHED_CODE, rule.confidence or 0.0, 0.0)
     return votes
 
 
-def _blend(votes: dict[str, float], prior: str, directions: Sequence[str]) -> dict[str, float]:
+def speed_prior(kin: KinematicSeries) -> str:
+    """Speed direction of the mean acceleration over the trailing second."""
+    if kin.acceleration.size == 0:
+        raise NoApplicableRulesError("no acceleration samples to predict from")
+    k = max(1, round(kin.frame_rate))
+    recent = float(np.mean(kin.acceleration[-k:]))
+    if recent > ACCEL_DEADBAND:
+        return "accelerate"
+    if recent < -ACCEL_DEADBAND:
+        return "decelerate"
+    return "maintain"
+
+
+def lane_prior(traj: Trajectory) -> str:
+    """Lane direction of the mean lateral velocity over the trailing second.
+
+    Decreasing y is a drift toward the left lane, matching the convention
+    used by lane-change event detection.
+    """
+    sy = traj.y * traj.unit_scale
+    if len(sy) < 2:
+        raise NoApplicableRulesError("trajectory too short to read lateral drift")
+    k = min(len(sy) - 1, max(1, round(traj.frame_rate)))
+    vy = (float(sy[-1]) - float(sy[-1 - k])) / (k * traj.dt)
+    if vy < -LATERAL_DEADBAND:
+        return "left_LC"
+    if vy > LATERAL_DEADBAND:
+        return "right_LC"
+    return "keep_lane"
+
+
+def _blend(votes: Mapping[str, float], prior: str, directions: tuple[str, ...]) -> dict[str, float]:
     """Equal-weight mix of normalized rule votes and a one-hot prior."""
     total = sum(votes.values())
     scores = {}
@@ -214,7 +247,7 @@ def _blend(votes: dict[str, float], prior: str, directions: Sequence[str]) -> di
     return scores
 
 
-def _pick(scores: dict[str, float], directions: Sequence[str], neutral: str) -> str:
+def _pick(scores: dict[str, float], directions: tuple[str, ...], neutral: str) -> str:
     best = max(scores.values())
     # ties resolve to the neutral option first, then listed order
     if scores[neutral] >= best:
@@ -226,62 +259,26 @@ def _pick(scores: dict[str, float], directions: Sequence[str], neutral: str) -> 
 
 
 def predict_speed_change(
-    library: RuleLibrary,
-    features: Mapping[str, float],
-    kin: KinematicSeries,
-    context: str = "any",
-    *,
-    feature_units: str | None = None,
-    vehicle_id: str | None = None,
+    votes: Mapping[str, float], prior: str, vehicle_id: str | None = None,
 ) -> TaskPrediction:
     """Predict accelerate / decelerate / maintain for the next horizon.
 
-    Verified rules tagged with a speed direction vote with their confidence
-    when matched; the vote distribution is averaged with a one-hot prior
-    from the mean acceleration over the trailing second.
+    votes is one vehicle's column of vote_table(..., "speed") keyed by
+    direction; its distribution is averaged with the one-hot speed_prior.
     """
-    if kin.acceleration.size == 0:
-        raise NoApplicableRulesError("no acceleration samples to predict from")
-    k = max(1, round(kin.frame_rate))
-    recent = float(np.mean(kin.acceleration[-k:]))
-    if recent > ACCEL_DEADBAND:
-        prior = "accelerate"
-    elif recent < -ACCEL_DEADBAND:
-        prior = "decelerate"
-    else:
-        prior = "maintain"
-    votes = _direction_votes(library, features, context, "speed", SPEED_DIRECTIONS, feature_units)
     scores = _blend(votes, prior, SPEED_DIRECTIONS)
     return TaskPrediction("speed", _pick(scores, SPEED_DIRECTIONS, "maintain"), scores, vehicle_id)
 
 
 def predict_lane_change(
-    library: RuleLibrary,
-    features: Mapping[str, float],
-    traj: Trajectory,
-    context: str = "any",
-    *,
-    feature_units: str | None = None,
+    votes: Mapping[str, float], prior: str, vehicle_id: str | None = None,
 ) -> TaskPrediction:
-    """Predict left / right / keep-lane from rules plus recent lateral drift.
+    """Predict left / right / keep-lane from rule votes plus recent lateral drift.
 
-    The prior reads the mean lateral velocity over the trailing second:
-    decreasing y is a drift toward the left lane, matching the convention
-    used by lane-change event detection.
+    votes is one vehicle's column of vote_table(..., "lane_change") keyed by
+    direction; its distribution is averaged with the one-hot lane_prior.
     """
-    sy = traj.y * traj.unit_scale
-    if len(sy) < 2:
-        raise NoApplicableRulesError("trajectory too short to read lateral drift")
-    k = min(len(sy) - 1, max(1, round(traj.frame_rate)))
-    vy = (float(sy[-1]) - float(sy[-1 - k])) / (k * traj.dt)
-    if vy < -LATERAL_DEADBAND:
-        prior = "left_LC"
-    elif vy > LATERAL_DEADBAND:
-        prior = "right_LC"
-    else:
-        prior = "keep_lane"
-    votes = _direction_votes(library, features, context, "lane_change", LANE_DIRECTIONS, feature_units)
     scores = _blend(votes, prior, LANE_DIRECTIONS)
     return TaskPrediction(
-        "lane_change", _pick(scores, LANE_DIRECTIONS, "keep_lane"), scores, traj.vehicle_id,
+        "lane_change", _pick(scores, LANE_DIRECTIONS, "keep_lane"), scores, vehicle_id,
     )

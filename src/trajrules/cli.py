@@ -15,13 +15,17 @@ from dataclasses import replace
 
 from . import io
 from .classification import (
+    TASK_DIRECTIONS,
     decide,
     identify_vehicle,  # not called here; perfbench/spans.py patches this name
     infer_context,
+    lane_prior,
     predict_lane_change,
     predict_speed_change,
     score_table,
+    speed_prior,
     undetermined_reason,
+    vote_table,
 )
 from .config import RunConfig, load_config, merge_overrides
 from .errors import DegenerateLabelsError, InputError, TrajRulesError
@@ -268,21 +272,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
-    predictions = []
+    ids, units, contexts, rows, priors = [], [], [], [], []
     for t in _load_tracks(args.input, cfg):
         kin, feats = _extract(t, cfg)
-        context = _context_for(feats, cfg)
-        if args.task == "speed":
-            pred = predict_speed_change(
-                library, feats, kin, context,
-                feature_units=t.unit_system, vehicle_id=t.vehicle_id,
-            )
-        else:
-            pred = predict_lane_change(
-                library, feats, t, context, feature_units=t.unit_system,
-            )
+        ids.append(t.vehicle_id)
+        units.append(t.unit_system)
+        contexts.append(_context_for(feats, cfg))
+        rows.append(feats)
+        priors.append(speed_prior(kin) if args.task == "speed" else lane_prior(t))
+    votes = vote_table(library, FeatureTable(rows, contexts, units=units, ids=ids), args.task)
+    directions = TASK_DIRECTIONS[args.task]
+    predict = predict_speed_change if args.task == "speed" else predict_lane_change
+    predictions = []
+    for vehicle_id, prior, column in zip(ids, priors, votes.T.tolist()):
+        pred = predict(dict(zip(directions, column)), prior, vehicle_id)
         predictions.append({
-            "vehicle_id": t.vehicle_id,
+            "vehicle_id": vehicle_id,
             "direction": pred.direction,
             "scores": dict(pred.scores),
         })

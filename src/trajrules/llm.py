@@ -44,18 +44,11 @@ from .errors import (
     BackendError,
     BackendTimeoutError,
     EmptySampleSetError,
+    LibraryValidationError,
     PredicateError,
     RetriesExhaustedError,
 )
-from .rules import (
-    CATEGORIES,
-    CONTEXTS,
-    DIRECTIONS,
-    POLARITIES,
-    TASKS,
-    ContextConstraint,
-    Rule,
-)
+from .rules import CONTEXTS, ContextConstraint, Rule
 
 log = logging.getLogger(__name__)
 
@@ -298,29 +291,14 @@ def _rule_from_block(body: str) -> Rule:
             raise ValueError(f"missing field {required!r}")
     contexts = _split_list(fields.get("contexts", "any")) or frozenset({"any"})
     tasks = _split_list(fields.get("tasks", "identification")) or frozenset({"identification"})
-    bad_ctx = contexts - set(CONTEXTS)
-    if bad_ctx:
-        raise ValueError(f"unknown contexts {sorted(bad_ctx)}")
-    bad_tasks = tasks - set(TASKS)
-    if bad_tasks:
-        raise ValueError(f"unknown tasks {sorted(bad_tasks)}")
-    category = fields["category"]
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}")
-    polarity = fields.get("polarity", "AV_indicative")
-    if polarity not in POLARITIES:
-        raise ValueError(f"unknown polarity {polarity!r}")
-    direction = fields.get("direction")
-    if direction is not None and direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
     return Rule(
         id=fields["id"],
         description=fields["description"],
         predicate=dsl.parse_predicate(fields["condition"]),
         context=ContextConstraint(contexts, tasks),
-        category=category,
-        polarity=polarity,
-        direction=direction,
+        category=fields["category"],
+        polarity=fields.get("polarity", "AV_indicative"),
+        direction=fields.get("direction"),
         state="candidate",
     )
 
@@ -329,8 +307,8 @@ def parse_rule_response(text: str) -> tuple[list[Rule], list[RejectedBlock]]:
     """Extract rules from a discovery response.
 
     Every ```rule fence is parsed independently; blocks that fail to compile
-    (bad DSL, unknown atom, missing fields) become RejectedBlock entries
-    instead of aborting the batch.
+    (bad DSL, unknown atom, missing fields, values Rule rejects) become
+    RejectedBlock entries instead of aborting the batch.
     """
     rules: list[Rule] = []
     rejected: list[RejectedBlock] = []
@@ -341,7 +319,7 @@ def parse_rule_response(text: str) -> tuple[list[Rule], list[RejectedBlock]]:
         body = match.group("body")
         try:
             rule = _rule_from_block(body)
-        except (ValueError, PredicateError) as exc:
+        except (ValueError, PredicateError, LibraryValidationError) as exc:
             rejected.append(RejectedBlock(text=body.strip(), reason=str(exc)))
             continue
         if rule.id in seen:

@@ -69,22 +69,12 @@ REFLECTION_ROLE = (
 )
 
 
-def digest_sample(
-    vehicle_id: str,
-    features: Mapping[str, float],
-    *,
-    label: str | None = None,
-    duration: float | None = None,
-    n_points: int | None = None,
-) -> dict:
+def digest_sample(vehicle_id: str, features: Mapping[str, float], *,
+                  label: str | None = None) -> dict:
     """Compact, JSON-ready summary of one vehicle for prompt embedding."""
     digest: dict = {"vehicle_id": vehicle_id}
     if label is not None:
         digest["label"] = label
-    if duration is not None:
-        digest["duration_s"] = round(duration, 2)
-    if n_points is not None:
-        digest["n_points"] = n_points
     digest["features"] = {k: round(float(v), 4) for k, v in sorted(features.items())}
     return digest
 

@@ -292,11 +292,10 @@ class RuleLibrary:
                 return rule
         raise KeyError(rule_id)
 
-    def verified_rules(self) -> list[Rule]:
-        return [r for r in self.rules if r.state == "verified"]
-
-    def verified_av_rules(self) -> list[Rule]:
-        return [r for r in self.rules if r.state == "verified" and r.polarity == "AV_indicative"]
+    def verified_rules(self, task: str) -> list[Rule]:
+        """Verified rules whose tasks include task, in library order."""
+        return [r for r in self.rules
+                if r.state == "verified" and task in r.context.applicable_tasks]
 
     def add_rule(self, rule: Rule) -> None:
         if any(r.id == rule.id for r in self.rules):

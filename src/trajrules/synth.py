@@ -42,6 +42,11 @@ from .trajectory import Trajectory
 
 JITTER_FRACTION = 0.05
 MIN_SPEED = 0.5
+LANE_WIDTH = 3.5  # meters
+
+# lane-change detection for the manifest's realized stats
+LC_WINDOW = 120  # frames
+LC_THRESHOLD = 2.0  # meters of cumulative lateral displacement
 
 # jerk ripple calibration
 RIPPLE_NOMINAL_AMP = 0.08
@@ -104,9 +109,6 @@ class GeneratorConfig:
     frame_rate: float = 25.0
     seed: int = 0
     separation: float = 1.0
-    lane_width: float = 3.5
-    lc_window: int = 120      # frames, used for the manifest's realized stats
-    lc_threshold: float = 2.0  # meters of cumulative lateral displacement
 
     def __post_init__(self) -> None:
         if self.n_av < 0 or self.n_hdv < 0:
@@ -176,7 +178,6 @@ def _lateral_path(
     t: np.ndarray,
     lc_starts: list[float],
     directions: list[int],
-    lane_width: float,
     sway_amp: float,
     sway_period: float,
     sway_phase: float,
@@ -187,8 +188,8 @@ def _lateral_path(
     for t0, direction in zip(lc_starts, directions):
         center = t0 + 0.5 * LC_DURATION_S
         arg = k * (t - center)
-        y = y + direction * 0.5 * lane_width * (1.0 + np.tanh(arg))
-        vy = vy + direction * 0.5 * lane_width * k / np.cosh(arg) ** 2
+        y = y + direction * 0.5 * LANE_WIDTH * (1.0 + np.tanh(arg))
+        vy = vy + direction * 0.5 * LANE_WIDTH * k / np.cosh(arg) ** 2
     return y, vy
 
 
@@ -280,8 +281,7 @@ def _pulse_layout(
             accel += _half_sine(t, slots[i] - 0.5 * pulse_width, pulse_width, signs[i] * amp)
 
     sway_phase = rng.uniform(0.0, 2.0 * np.pi)
-    y, vy = _lateral_path(t, lc_starts, directions, cfg.lane_width,
-                          profile.sway_amp, 8.0, sway_phase)
+    y, vy = _lateral_path(t, lc_starts, directions, profile.sway_amp, 8.0, sway_phase)
     return _Layout(accel, y, vy, mask)
 
 
@@ -329,8 +329,7 @@ def _wave_layout(
         mask *= 1.0 - _plateau(t, start - 1.0, end + 1.0, BUMP_RAMP_S)
 
     sway_phase = rng.uniform(0.0, 2.0 * np.pi)
-    y, vy = _lateral_path(t, lc_starts, directions, cfg.lane_width,
-                          profile.sway_amp, 7.0, sway_phase)
+    y, vy = _lateral_path(t, lc_starts, directions, profile.sway_amp, 7.0, sway_phase)
     return _Layout(accel, y, vy, mask)
 
 
@@ -441,9 +440,9 @@ def generate_trajectory(
     )
 
 
-def _realized_stats(traj: Trajectory, cfg: GeneratorConfig) -> dict[str, float]:
+def _realized_stats(traj: Trajectory) -> dict[str, float]:
     kin = compute_kinematics(traj)
-    events = detect_lane_changes(traj, window=cfg.lc_window, threshold=cfg.lc_threshold)
+    events = detect_lane_changes(traj, window=LC_WINDOW, threshold=LC_THRESHOLD)
     stats = summarize_features(traj, kin, events)
     stats.update(extended_atoms(traj, kin, events))
     stats["fluctuation_count"] = float(count_fluctuations(kin.acceleration))
@@ -471,7 +470,7 @@ def generate_dataset(cfg: GeneratorConfig) -> tuple[list[Trajectory], dict]:
             vid = f"{label.lower()}_{i:04d}"
             traj = generate_trajectory(profile, cfg, rng, vid)
             trajectories.append(traj)
-            stats = _realized_stats(traj, cfg)
+            stats = _realized_stats(traj)
             rows.append({"vehicle_id": vid, "label": label, "stats": stats})
             for key, value in stats.items():
                 sums[key] = sums.get(key, 0.0) + value
@@ -487,8 +486,8 @@ def generate_dataset(cfg: GeneratorConfig) -> tuple[list[Trajectory], dict]:
         "n_hdv": cfg.n_hdv,
         "duration_s": cfg.duration_s,
         "frame_rate": cfg.frame_rate,
-        "lane_change_window": cfg.lc_window,
-        "lane_change_threshold": cfg.lc_threshold,
+        "lane_change_window": LC_WINDOW,
+        "lane_change_threshold": LC_THRESHOLD,
         "label_means": label_means,
         "trajectories": rows,
     }

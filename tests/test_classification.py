@@ -3,15 +3,22 @@ import pytest
 
 from trajrules import dsl
 from trajrules.classification import (
+    LANE_DIRECTIONS,
+    SPEED_DIRECTIONS,
+    TASK_DIRECTIONS,
     identify_vehicle,
     infer_context,
+    lane_prior,
     matching_score,
     predict_lane_change,
     predict_speed_change,
+    score_table,
+    speed_prior,
+    vote_table,
 )
 from trajrules.errors import NoApplicableRulesError
 from trajrules.kinematics import KinematicSeries
-from trajrules.rules import NOT_APPLICABLE, ContextConstraint, Rule, RuleLibrary
+from trajrules.rules import NOT_APPLICABLE, ContextConstraint, FeatureTable, Rule, RuleLibrary
 
 from helpers import make_trajectory
 
@@ -70,6 +77,24 @@ def test_matching_score_only_verified_av_rules_vote():
     score, evidence = matching_score(lib, {"std_jerk": 0.2})
     assert score == 1.0
     assert [e.rule_id for e in evidence] == ["A"]
+
+
+def test_av_rule_without_identification_task_does_not_vote():
+    lib = library(
+        make_rule("A", "std_jerk < 0.3", confidence=0.5),
+        make_rule("S", "std_jerk > 0.1", tasks=("speed",), direction="decelerate"),
+        make_rule("L", "std_jerk > 0.1", tasks=("lane_change",), direction="left_LC"),
+    )
+    score, evidence = matching_score(lib, {"std_jerk": 0.5})
+    assert score == 0.0
+    assert [e.rule_id for e in evidence] == ["A"]
+    scores = score_table(lib, FeatureTable([{"std_jerk": 0.5}], ["any"]))
+    assert [r.id for r in scores.rules] == ["A"]
+    assert scores.matched_weight.tolist() == [0.0]
+    assert scores.applicable_weight.tolist() == [0.5]
+    # with only task-scoped rules, nothing is left to identify with
+    with pytest.raises(NoApplicableRulesError):
+        matching_score(library(*lib.rules[1:]), {"std_jerk": 0.5})
 
 
 def test_matching_score_errors():
@@ -244,34 +269,41 @@ def kin_with_accel(accel, frame_rate=25.0):
     )
 
 
+def votes_of(lib, features, task, context="any"):
+    """One vehicle's column of vote_table, keyed by direction."""
+    column = vote_table(lib, FeatureTable([features], [context]), task)[:, 0].tolist()
+    return dict(zip(TASK_DIRECTIONS[task], column))
+
+
+NO_SPEED_VOTES = dict.fromkeys(SPEED_DIRECTIONS, 0.0)
+NO_LANE_VOTES = dict.fromkeys(LANE_DIRECTIONS, 0.0)
+
+
 def test_speed_prior_reads_trailing_second():
-    lib = library()  # no direction rules: prior decides alone
     old = np.full(50, 2.0)  # stale throttle, must be ignored
     recent = np.full(25, 0.0)
-    pred = predict_speed_change(lib, {}, kin_with_accel(np.concatenate([old, recent])))
-    assert pred.direction == "maintain"
-    pred = predict_speed_change(lib, {}, kin_with_accel(np.full(30, 0.5)))
+    assert speed_prior(kin_with_accel(np.concatenate([old, recent]))) == "maintain"
+    assert speed_prior(kin_with_accel(np.full(30, 0.5))) == "accelerate"
+    # no direction rules: the prior decides alone
+    pred = predict_speed_change(NO_SPEED_VOTES, "accelerate")
     assert pred.direction == "accelerate"
     assert pred.scores["accelerate"] == 1.0
-    pred = predict_speed_change(lib, {}, kin_with_accel(np.full(30, -0.5)))
-    assert pred.direction == "decelerate"
+    assert speed_prior(kin_with_accel(np.full(30, -0.5))) == "decelerate"
     # deadband: anything within +-0.1 reads as holding speed
-    pred = predict_speed_change(lib, {}, kin_with_accel(np.full(30, 0.09)))
-    assert pred.direction == "maintain"
-    pred = predict_speed_change(lib, {}, kin_with_accel([0.1]))
-    assert pred.direction == "maintain"  # boundary itself is not a trend
+    assert speed_prior(kin_with_accel(np.full(30, 0.09))) == "maintain"
+    assert speed_prior(kin_with_accel([0.1])) == "maintain"  # boundary itself is not a trend
 
 
 def test_speed_prediction_empty_accel():
     with pytest.raises(NoApplicableRulesError):
-        predict_speed_change(library(), {}, kin_with_accel([]))
+        speed_prior(kin_with_accel([]))
 
 
 def test_speed_votes_blend_with_prior():
     rule = make_rule("S1", "max_decel > 1.0", tasks=("speed",), direction="decelerate")
-    lib = library(rule)
-    kin = kin_with_accel(np.full(30, -0.5))
-    pred = predict_speed_change(lib, {"max_decel": 2.0}, kin)
+    votes = votes_of(library(rule), {"max_decel": 2.0}, "speed")
+    assert votes == {"accelerate": 0.0, "decelerate": 1.0, "maintain": 0.0}
+    pred = predict_speed_change(votes, speed_prior(kin_with_accel(np.full(30, -0.5))))
     # matched vote and prior agree
     assert pred.direction == "decelerate"
     assert pred.scores["decelerate"] == 1.0
@@ -280,9 +312,10 @@ def test_speed_votes_blend_with_prior():
 
 def test_speed_vote_against_prior_ties_resolve_in_listed_order():
     rule = make_rule("S1", "max_decel > 1.0", tasks=("speed",), direction="decelerate")
-    lib = library(rule)
-    kin = kin_with_accel(np.full(30, 0.5))  # prior says accelerate
-    pred = predict_speed_change(lib, {"max_decel": 2.0}, kin)
+    votes = votes_of(library(rule), {"max_decel": 2.0}, "speed")
+    prior = speed_prior(kin_with_accel(np.full(30, 0.5)))
+    assert prior == "accelerate"
+    pred = predict_speed_change(votes, prior)
     assert pred.scores["accelerate"] == 0.5
     assert pred.scores["decelerate"] == 0.5
     # neither is the neutral option; first listed direction wins the tie
@@ -290,16 +323,36 @@ def test_speed_vote_against_prior_ties_resolve_in_listed_order():
 
 
 def test_speed_votes_filtered():
-    kin = kin_with_accel(np.full(30, 0.0))
+    prior = speed_prior(kin_with_accel(np.full(30, 0.0)))
     cases = [
         make_rule("W1", "max_decel > 1.0", tasks=("identification",), direction="decelerate"),
         make_rule("W2", "max_decel > 1.0", tasks=("speed",), direction="decelerate", state="candidate"),
         make_rule("W3", "max_decel > 99.0", tasks=("speed",), direction="decelerate"),
+        make_rule("W4", "max_decel > 1.0", tasks=("speed",), direction="left_LC"),
     ]
     for rule in cases:
-        pred = predict_speed_change(library(rule), {"max_decel": 2.0}, kin)
+        votes = votes_of(library(rule), {"max_decel": 2.0}, "speed")
+        assert votes == NO_SPEED_VOTES, rule.id
+        pred = predict_speed_change(votes, prior)
         assert pred.direction == "maintain", rule.id
         assert pred.scores["decelerate"] == 0.0
+
+
+def test_vote_table_sums_confidence_per_direction_and_vehicle():
+    lib = library(
+        make_rule("A", "max_decel > 1.0", tasks=("speed",), direction="decelerate", confidence=0.25),
+        make_rule("B", "max_decel > 0.5", tasks=("speed",), direction="decelerate", confidence=0.5),
+        make_rule("C", "std_accel < 0.3", tasks=("speed",), direction="maintain", confidence=None,
+                  contexts=("congested",)),
+        make_rule("D", "std_accel < 0.3", tasks=("speed",), direction="maintain", confidence=0.75,
+                  contexts=("free_flow",)),
+    )
+    table = FeatureTable([{"max_decel": 2.0, "std_accel": 0.1}, {"max_decel": 0.7},
+                          {"std_accel": 0.1}], ["congested", "free_flow", "free_flow"])
+    votes = vote_table(lib, table, "speed")
+    assert votes.shape == (len(SPEED_DIRECTIONS), 3)
+    assert votes.tolist() == [[0.0, 0.0, 0.0], [0.75, 0.5, 0.0], [0.0, 0.0, 0.75]]
+    assert vote_table(lib, table, "lane_change").tolist() == [[0.0] * 3] * 3
 
 
 def test_lane_prior_directions():
@@ -308,14 +361,14 @@ def test_lane_prior_directions():
     flat = [0.0] * n
     drift_left = [0.0] * 50 + [-0.2 * (i + 1) / rate for i in range(26)]
     drift_right = [0.0] * 50 + [0.2 * (i + 1) / rate for i in range(26)]
-    lib = library()
-    pred = predict_lane_change(lib, {}, make_trajectory(xs, flat, frame_rate=rate))
+    prior = lane_prior(make_trajectory(xs, flat, frame_rate=rate))
+    assert prior == "keep_lane"
+    pred = predict_lane_change(NO_LANE_VOTES, prior, "veh")
     assert pred.task == "lane_change"
     assert pred.direction == "keep_lane"
-    pred = predict_lane_change(lib, {}, make_trajectory(xs, drift_left, frame_rate=rate))
-    assert pred.direction == "left_LC"
-    pred = predict_lane_change(lib, {}, make_trajectory(xs, drift_right, frame_rate=rate))
-    assert pred.direction == "right_LC"
+    assert pred.vehicle_id == "veh"
+    assert lane_prior(make_trajectory(xs, drift_left, frame_rate=rate)) == "left_LC"
+    assert lane_prior(make_trajectory(xs, drift_right, frame_rate=rate)) == "right_LC"
 
 
 def test_lane_prior_respects_unit_scale():
@@ -324,23 +377,24 @@ def test_lane_prior_respects_unit_scale():
     # 2 px/s drift is 0.2 m/s once scaled by 0.1 m/px
     ys = [0.0] * 50 + [-2.0 * (i + 1) / rate for i in range(26)]
     traj = make_trajectory(xs, ys, frame_rate=rate, unit_scale=0.1, unit_system="pixel")
-    pred = predict_lane_change(library(), {}, traj)
-    assert pred.direction == "left_LC"
+    assert lane_prior(traj) == "left_LC"
 
 
 def test_lane_short_history_uses_what_exists():
     xs = [0.0, 0.4, 0.8, 1.2, 1.6, 2.0]
     ys = [0.0, -0.1, -0.2, -0.3, -0.4, -0.5]
-    pred = predict_lane_change(library(), {}, make_trajectory(xs, ys, frame_rate=25.0))
-    assert pred.direction == "left_LC"
+    assert lane_prior(make_trajectory(xs, ys, frame_rate=25.0)) == "left_LC"
+    with pytest.raises(NoApplicableRulesError):
+        lane_prior(make_trajectory(xs[:1], ys[:1], frame_rate=25.0))
 
 
 def test_lane_vote_tie_resolves_to_neutral():
     rule = make_rule("L1", "lane_change_rate > 0.5", tasks=("lane_change",), direction="left_LC")
     n, rate = 76, 25.0
     xs = [10.0 * i / rate for i in range(n)]
-    traj = make_trajectory(xs, [0.0] * n, frame_rate=rate)
-    pred = predict_lane_change(library(rule), {"lane_change_rate": 1.0}, traj)
+    prior = lane_prior(make_trajectory(xs, [0.0] * n, frame_rate=rate))
+    pred = predict_lane_change(votes_of(library(rule), {"lane_change_rate": 1.0}, "lane_change"),
+                               prior)
     assert pred.scores["left_LC"] == 0.5
     assert pred.scores["keep_lane"] == 0.5
     # the neutral option wins ties even though left_LC is listed first

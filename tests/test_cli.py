@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from trajrules import cli
+from trajrules.dsl import parse_predicate
 from trajrules.io import load_feature_rows, load_trajectories
-from trajrules.rules import load_library, save_library, seed_library
+from trajrules.rules import ContextConstraint, load_library, save_library, seed_library
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -271,6 +273,31 @@ def test_classify_without_applicable_rules_is_undetermined(workdir, tmp_path):
     report = json.loads(report_path.read_text())
     assert all(r["decision"] == "undetermined" for r in report["results"])
     assert all("reason" in r for r in report["results"])
+
+
+def test_classify_ignores_rules_not_tagged_for_identification(workdir, tmp_path):
+    lib = seed_library()
+    for rule in lib.rules:
+        rule.state = "retired"
+    keep = lib.get("R2")
+    keep.state = "verified"
+    # a verified AV-indicative speed rule matching every vehicle must not vote
+    lib.add_rule(replace(keep, id="S1", predicate=parse_predicate("mean_speed > 0"),
+                         context=ContextConstraint(applicable_tasks=frozenset({"speed"})),
+                         direction="maintain", confidence=1.0))
+    lib_path = tmp_path / "tasks.json"
+    save_library(lib, lib_path)
+    report_path = tmp_path / "report.json"
+    rc = cli.main([
+        "classify", "--features", str(workdir / "f.jsonl"),
+        "--library", str(lib_path), "--output", str(report_path),
+    ])
+    assert rc == 0
+    results = json.loads(report_path.read_text())["results"]
+    assert len(results) == 4
+    for r in results:
+        assert [e["rule_id"] for e in r["evidence"]] == ["R2"]
+        assert r["score"] == (1.0 if r["evidence"][0]["verdict"] == "matched" else 0.0)
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -165,6 +165,15 @@ def test_parse_rule_response_duplicate_id():
     assert "duplicate" in rejected[0].reason
 
 
+def test_parse_rule_response_empty_id_is_rejected_not_raised():
+    empty = "```rule\nid:\ndescription: d\ncondition: std_jerk < 1\ncategory: speed\n```"
+    good = "```rule\nid: G\ndescription: d\ncondition: std_jerk < 1\ncategory: speed\n```"
+    rules, rejected = parse_rule_response(empty + "\n" + good)
+    assert [r.id for r in rules] == ["G"]
+    assert len(rejected) == 1
+    assert "rule id must be non-empty" in rejected[0].reason
+
+
 def test_parse_rule_response_bad_block_does_not_abort_batch():
     bad = "```rule\nid: B\ndescription: d\ncondition: nope < 1\ncategory: speed\n```"
     rules, rejected = parse_rule_response(bad + "\n" + RULE_BLOCK)

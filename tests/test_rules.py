@@ -148,8 +148,14 @@ def test_verified_filters():
     lib.add_rule(make_rule(id="ret", state="retired"))
     lib.add_rule(make_rule(id="hdv", state="verified", confidence=0.9,
                            polarity="HDV_indicative"))
-    assert [r.id for r in lib.verified_rules()] == ["ver", "hdv"]
-    assert [r.id for r in lib.verified_av_rules()] == ["ver"]
+    lib.add_rule(make_rule(id="spd", state="verified", confidence=0.9,
+                           context=ContextConstraint(applicable_tasks=frozenset({"speed"}))))
+    lib.add_rule(make_rule(id="both", state="verified", confidence=0.9,
+                           context=ContextConstraint(
+                               applicable_tasks=frozenset({"identification", "lane_change"}))))
+    assert [r.id for r in lib.verified_rules("identification")] == ["ver", "hdv", "both"]
+    assert [r.id for r in lib.verified_rules("speed")] == ["spd"]
+    assert [r.id for r in lib.verified_rules("lane_change")] == ["both"]
 
 
 def test_record_appends_provenance():

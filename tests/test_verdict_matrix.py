@@ -1,22 +1,29 @@
 """The verdict matrix against the per-vehicle loops it replaced.
 
 The reference_* functions below are the loop bodies of matching_score,
-compute_confidence, collect_failures and _direction_votes as they were
-before those functions became reductions over rules.FeatureTable verdicts.
+compute_confidence, collect_failures and the per-vehicle direction votes as
+they were before those became reductions over rules.FeatureTable verdicts.
 They call the scalar evaluate_rule once per (rule, vehicle) and serve as
 the oracle: every score, evidence list, RuleStats, FailureCase list and
 vote dict must come out exactly equal, floats included.
 """
+import json
+
 import numpy as np
 import pytest
 
-from trajrules import dsl
+from trajrules import cli, dsl
 from trajrules.classification import (
+    TASK_DIRECTIONS,
     RuleEvidence,
-    _direction_votes,
+    _blend,
+    _pick,
+    lane_prior,
     matching_score,
     score_table,
+    speed_prior,
     undetermined_reason,
+    vote_table,
 )
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
 from trajrules.rules import (
@@ -30,6 +37,8 @@ from trajrules.rules import (
     Rule,
     RuleLibrary,
     evaluate_rule,
+    load_library,
+    save_library,
 )
 from trajrules.verification import (
     FailureCase,
@@ -49,7 +58,10 @@ def reference_matching_score(library, features, context="any", *, feature_units=
     matched_weight = 0.0
     applicable_weight = 0.0
     n_applicable = 0
-    for rule in library.verified_av_rules():
+    for rule in library.rules:
+        if (rule.state != "verified" or rule.polarity != "AV_indicative"
+                or "identification" not in rule.context.applicable_tasks):
+            continue
         verdict = evaluate_rule(
             rule, features, context,
             feature_units=feature_units, library_units=library.units,
@@ -105,8 +117,9 @@ def reference_collect_failures(rule, samples, *, library_units=None, limit=20):
 
 def reference_direction_votes(library, features, context, task, directions, feature_units):
     votes = dict.fromkeys(directions, 0.0)
-    for rule in library.verified_rules():
-        if rule.direction not in votes or task not in rule.context.applicable_tasks:
+    for rule in library.rules:
+        if (rule.state != "verified" or rule.direction not in votes
+                or task not in rule.context.applicable_tasks):
             continue
         verdict = evaluate_rule(
             rule, features, context,
@@ -228,6 +241,7 @@ def test_reductions_equal_per_vehicle_loops():
 
         # classification: one-vehicle calls and the batch over the whole table
         scores = score_table(library, shared.table)
+        votes = {task: vote_table(library, shared.table, task) for task in TASK_DIRECTIONS}
         for j, s in enumerate(samples):
             expected = outcome(reference_matching_score, library, s.features, s.context,
                                feature_units=s.unit_system)
@@ -243,9 +257,8 @@ def test_reductions_equal_per_vehicle_loops():
                 assert score == expected[0], (trial, j)
                 assert [VERDICTS[c] for c in scores.verdicts[:, j]] == \
                     [e.verdict for e in expected[1]], (trial, j)
-            for task, directions in (("speed", DIRECTIONS[:3]), ("lane_change", DIRECTIONS[3:])):
-                assert _direction_votes(library, s.features, s.context, task, directions,
-                                        s.unit_system) == \
+            for task, directions in TASK_DIRECTIONS.items():
+                assert dict(zip(directions, votes[task][:, j].tolist())) == \
                     reference_direction_votes(library, s.features, s.context, task, directions,
                                               s.unit_system), (trial, j, task)
 
@@ -290,3 +303,103 @@ def test_verdict_rows_are_cached_per_predicate_and_scope():
     assert [VERDICTS[c] for c in row] == ["matched", "not_matched"]
     assert [VERDICTS[c] for c in table.verdicts(congested)] == ["not_applicable", "not_matched"]
     assert not row.flags.writeable
+
+
+# --- predict: one vote table against per-vehicle references -----------------------
+
+PREDICT_RULES = (  # (id, predicate, contexts, tasks, direction, state, polarity, confidence)
+    ("D1", "max_decel > 1.0", ("any",), ("speed",), "decelerate", "verified", "AV", 0.9),
+    ("D2", "std_accel > 0.3", ("congested",), ("speed", "identification"), "decelerate",
+     "verified", "HDV", 0.35),
+    ("A1", "std_jerk < 0.1", ("free_flow",), ("speed",), "accelerate", "verified", "AV", 0.6),
+    ("M1", "std_accel < 0.2", ("any",), ("speed",), "maintain", "verified", "AV", 0.7),
+    ("M2", "mean_speed > 14.5", ("free_flow",), ("speed",), "maintain", "verified", "AV", None),
+    ("L1", "std_accel > 0.3", ("any",), ("lane_change",), "left_LC", "verified", "HDV", 0.8),
+    ("K1", "std_jerk < 0.1", ("free_flow",), ("lane_change", "speed"), "keep_lane",
+     "verified", "AV", 0.55),
+    ("R1", "max_decel IN 0.2..0.28", ("any",), ("lane_change",), "right_LC", "verified", "AV", 0.4),
+    # none of these may vote: wrong task, not verified, another task's direction, no direction
+    ("X1", "max_decel > 0", ("any",), ("identification",), "decelerate", "verified", "AV", 1.0),
+    ("X2", "max_decel > 0", ("any",), ("speed", "lane_change"), "left_LC", "candidate", "AV", 1.0),
+    ("X3", "max_decel > 0", ("any",), ("speed",), "right_LC", "verified", "AV", 1.0),
+    ("X4", "max_decel > 0", ("any",), ("lane_change",), "maintain", "verified", "AV", 1.0),
+    ("X5", "max_decel > 0", ("any",), ("speed", "lane_change"), None, "verified", "AV", 1.0),
+)
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory):
+    """Six synthetic tracks, a congestion threshold that splits them into both
+    contexts, and a library of voting and non-voting direction rules."""
+    root = tmp_path_factory.mktemp("predict")
+    tracks = root / "t.jsonl"
+    assert cli.main(["synth", "--output", str(tracks), "--n-av", "3", "--n-hdv", "3",
+                     "--duration-s", "36", "--seed", "11"]) == 0
+    assert cli.main(["features", "--input", str(tracks), "--output", str(root / "f.jsonl")]) == 0
+    with open(root / "f.jsonl") as fh:
+        speeds = sorted(json.loads(line)["features"]["mean_speed"] for line in fh)
+    threshold = 0.5 * (speeds[2] + speeds[3])
+    rules = [
+        Rule(id=rid, description=f"rule {rid}", predicate=dsl.parse_predicate(text),
+             context=ContextConstraint(frozenset(contexts), frozenset(tasks)),
+             direction=direction, state=state, polarity=f"{polarity}_indicative",
+             confidence=confidence)
+        for rid, text, contexts, tasks, direction, state, polarity, confidence in PREDICT_RULES
+    ]
+    save_library(RuleLibrary(rules=rules), root / "lib.json")
+    return tracks, root / "lib.json", threshold
+
+
+def reference_predict(library, args, task):
+    """cmd_predict's output built one vehicle at a time from the oracle votes."""
+    cfg = cli._cfg(cli.build_parser().parse_args(args))
+    directions = TASK_DIRECTIONS[task]
+    neutral = "maintain" if task == "speed" else "keep_lane"
+    predictions, contexts, all_votes = [], set(), set()
+    for t in cli._load_tracks(args[args.index("--input") + 1], cfg):
+        kin, feats = cli._extract(t, cfg)
+        context = cli._context_for(feats, cfg)
+        votes = reference_direction_votes(library, feats, context, task, directions,
+                                          t.unit_system)
+        prior = speed_prior(kin) if task == "speed" else lane_prior(t)
+        scores = _blend(votes, prior, directions)
+        predictions.append({"vehicle_id": t.vehicle_id,
+                            "direction": _pick(scores, directions, neutral),
+                            "scores": scores})
+        contexts.add(context)
+        all_votes.add(tuple(votes.values()))
+    return {"task": task, "predictions": predictions}, contexts, all_votes
+
+
+@pytest.mark.parametrize("task", ["speed", "lane_change"])
+def test_cmd_predict_equals_per_vehicle_reference(fleet, tmp_path, task):
+    tracks, lib_path, threshold = fleet
+    out = tmp_path / "p.json"
+    args = ["predict", "--input", str(tracks), "--library", str(lib_path), "--output", str(out),
+            "--task", task, "--context", "auto", "--congestion-speed-threshold", str(threshold)]
+    assert cli.main(args) == 0
+    expected, contexts, all_votes = reference_predict(load_library(lib_path), args, task)
+    assert json.loads(out.read_text()) == expected
+    # not vacuous: both contexts occur, and the rules split the fleet's votes
+    assert contexts == {"free_flow", "congested"}
+    assert len(all_votes) > 1
+
+
+def test_cmd_predict_unit_mismatch_names_the_vehicle(tmp_path, capsys):
+    tracks = tmp_path / "t.jsonl"
+    with open(tracks, "w") as fh:
+        for i, unit in enumerate(("metric", "pixel", "pixel")):
+            points = [[t, 0.5 * t, 0.0] for t in range(200)]
+            fh.write(json.dumps({"vehicle_id": f"v{i}", "frame_rate": 25.0, "unit_system": unit,
+                                 "unit_scale": 0.1, "points": points}) + "\n")
+    lib_path = tmp_path / "lib.json"
+    save_library(RuleLibrary(rules=[Rule(
+        id="P1", description="d", predicate=dsl.parse_predicate("std_accel < 9"),
+        context=ContextConstraint(applicable_tasks=frozenset({"lane_change"})),
+        confidence=1.0, state="verified", direction="keep_lane")]), lib_path)
+    rc = cli.main(["predict", "--input", str(tracks), "--library", str(lib_path),
+                   "--output", str(tmp_path / "p.json"), "--task", "lane_change"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: vehicle 'v1': features are in 'pixel' units, library expects 'metric'\n"
+    )
