@@ -49,7 +49,6 @@ from .rules import (
 from .synth import AV_PROFILE, HDV_PROFILE, BehaviorProfile, GeneratorConfig, generate_dataset
 from .trajectory import Trajectory, smooth_trajectories, smooth_trajectory, validate_trajectory
 from .verification import (
-    ValSample,
     VerificationResult,
     compute_confidence,
     discover_rules,
@@ -82,7 +81,6 @@ __all__ = [
     "Trajectory",
     "TrajRulesError",
     "UnitMismatchError",
-    "ValSample",
     "VerificationResult",
     "compute_confidence",
     "compute_kinematics",

@@ -11,7 +11,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import io
 from .classification import (
@@ -36,13 +36,13 @@ from .kinematics import (
     summarize_features,
 )
 from .llm import BackendConfig, HttpBackend, MockBackend
-from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc, report_to_dict
+from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc
 from .prompts import digest_sample
 from .rules import VERDICTS, FeatureTable, RuleLibrary, load_library, save_library, seed_library
 from .synth import GeneratorConfig, generate_dataset
 from .trajectory import LABELS, Trajectory, smooth_trajectories, validate_trajectory
 from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py patches it
-from .verification import ValSample, discover_rules, run_verification_loop
+from .verification import discover_rules, run_verification_loop
 
 log = logging.getLogger(__name__)
 
@@ -179,34 +179,15 @@ def cmd_discover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _val_samples(rows: list[dict]) -> list[ValSample]:
-    samples = []
-    for row in rows:
-        label = row.get("label")
-        if label is None:
-            raise InputError(
-                f"feature row for {row['vehicle_id']!r} has no label; "
-                "verification needs ground truth"
-            )
-        samples.append(ValSample(
-            vehicle_id=row["vehicle_id"],
-            features=row["features"],
-            label=label,
-            context=row.get("context", "any"),
-            unit_system=row.get("unit_system"),
-        ))
-    return samples
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     backend = _backend(cfg)
     library = load_library(args.library)
     if args.theta is not None:
         library.theta = args.theta
-    samples = _val_samples(io.load_feature_rows(args.features))
+    table = FeatureTable.from_rows(io.load_feature_rows(args.features))
     result = run_verification_loop(
-        library, samples, backend,
+        library, table, backend,
         max_iterations=cfg.max_iterations,
         stall_epsilon=cfg.stall_epsilon,
         strict_denominator=cfg.strict_denominator,
@@ -343,7 +324,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         except DegenerateLabelsError:
             auc = None
     report = replace(report, roc_auc=auc)
-    io.dump_json(report_to_dict(report), args.output)
+    io.dump_json(asdict(report), args.output)
     auc_text = f"{auc:.3f}" if auc is not None else "n/a"
     print(f"accuracy {report.accuracy:.3f}, macro F1 {report.macro_f1:.3f}, "
           f"ROC-AUC {auc_text}, {report.n_undetermined} undetermined")

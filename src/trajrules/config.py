@@ -55,6 +55,10 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
+        if self.lc_window < 2:
+            raise InputError(f"lc_window must be at least 2, got {self.lc_window}")
+        if self.lc_threshold <= 0:
+            raise InputError(f"lc_threshold must be positive, got {self.lc_threshold}")
         if self.context not in ("auto", "any", "free_flow", "congested"):
             raise InputError(f"context must be auto/any/free_flow/congested, got {self.context!r}")
         if not 0.0 < self.delta < 1.0:

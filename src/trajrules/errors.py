@@ -98,8 +98,8 @@ class EmptySampleSetError(InputError):
 
 # --- verification ---
 
-class EmptyValidationSetError(InputError):
-    """Verification requires at least one labeled sample."""
+class EmptyValidationTableError(InputError):
+    """Verification requires a table with at least one labeled row."""
 
 
 # --- classification ---

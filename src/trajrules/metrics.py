@@ -40,24 +40,6 @@ class MetricsReport:
     roc_auc: float | None = None
 
 
-def report_to_dict(report: MetricsReport) -> dict:
-    """JSON-ready form of a MetricsReport (stable key order when dumped)."""
-    return {
-        "accuracy": report.accuracy,
-        "per_class": report.per_class,
-        "macro_precision": report.macro_precision,
-        "macro_recall": report.macro_recall,
-        "macro_f1": report.macro_f1,
-        "confusion": {
-            "labels": list(report.confusion.labels),
-            "counts": [list(row) for row in report.confusion.counts],
-        },
-        "n_samples": report.n_samples,
-        "n_undetermined": report.n_undetermined,
-        "roc_auc": report.roc_auc,
-    }
-
-
 def f1_score(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0

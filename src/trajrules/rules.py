@@ -7,7 +7,6 @@ verdict keeps out-of-scope vehicles out of both sides of every score.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from .errors import (
     PredicateError,
     UnitMismatchError,
 )
+from .trajectory import UNIT_SYSTEMS
 
 CONTEXTS = ("free_flow", "congested", "any")
 TASKS = ("identification", "speed", "lane_change")
@@ -39,6 +39,10 @@ NOT_APPLICABLE_CODE, NOT_MATCHED_CODE, MATCHED_CODE = 0, 1, 2
 VERDICTS = (NOT_APPLICABLE, NOT_MATCHED, MATCHED)
 
 DEFAULT_THETA = 0.7
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,14 @@ class Rule:
             raise LibraryValidationError(f"{self.id}: unknown state {self.state!r}")
         if self.direction is not None and self.direction not in DIRECTIONS:
             raise LibraryValidationError(f"{self.id}: unknown direction {self.direction!r}")
+        if self.confidence is not None and not _is_number(self.confidence):
+            raise LibraryValidationError(
+                f"{self.id}: confidence must be a number, got {self.confidence!r}")
         if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
             raise LibraryValidationError(f"{self.id}: confidence {self.confidence} outside [0, 1]")
+        if not isinstance(self.revision, int) or isinstance(self.revision, bool):
+            raise LibraryValidationError(
+                f"{self.id}: revision must be an integer, got {self.revision!r}")
 
     @property
     def predicate_text(self) -> str:
@@ -133,19 +143,8 @@ _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater
 _CONTEXT_CODES = {c: i for i, c in enumerate(CONTEXTS)}
 
 
-@dataclass(frozen=True)
-class CompiledPredicate:
-    atoms: frozenset[str]  # the predicate's required atoms
-    test: Mask  # boolean mask over table rows; meaningful where every atom is present
-
-
-@functools.lru_cache(maxsize=1024)
-def compile_predicate(pred: dsl.Predicate) -> CompiledPredicate:
-    """Vectorised form of a predicate, built once per distinct predicate."""
-    return CompiledPredicate(dsl.required_atoms(pred), _compile(pred))
-
-
 def _compile(pred: dsl.Predicate) -> Mask:
+    """Boolean mask over table rows; meaningful where every required atom is present."""
     if isinstance(pred, dsl.Comparison):
         compare, atom, value = _COMPARE[pred.op], pred.atom, pred.value
         return lambda table: compare(table.column(atom), value)
@@ -170,10 +169,11 @@ class FeatureTable:
     """Feature rows as columns, for evaluating rules over many vehicles at once.
 
     Each atom becomes one float64 array, NaN where a row lacks it, built on
-    first use. Contexts are int8 indexes into CONTEXTS (len(CONTEXTS) when
-    unknown). A rule's verdict row is computed once per (predicate, allowed
-    contexts) and kept, so an unchanged rule or a duplicate of another costs
-    nothing. Every verdict equals what evaluate_rule returns for that row.
+    first use; so does each label's boolean mask. Contexts are int8 indexes
+    into CONTEXTS (len(CONTEXTS) when unknown). A rule's verdict row is
+    computed once per (predicate, allowed contexts) and kept, so an unchanged
+    rule or a duplicate of another costs nothing. Every verdict equals what
+    evaluate_rule returns for that row.
     """
 
     def __init__(
@@ -183,16 +183,19 @@ class FeatureTable:
         *,
         units: Sequence[str | None] | None = None,
         ids: Sequence[str] | None = None,
+        labels: Sequence[str | None] | None = None,
     ):
         if len(contexts) != len(features):
             raise ValueError(f"{len(features)} feature rows but {len(contexts)} contexts")
-        self._features = features
+        self.features = features
         self.contexts = np.array([_CONTEXT_CODES.get(c, len(CONTEXTS)) for c in contexts],
                                  dtype=np.int8)
         self.units = list(units) if units is not None else [None] * len(features)
         self.ids = ids
+        self.labels = list(labels) if labels is not None else [None] * len(features)
         self._unit_systems = frozenset(self.units)
         self._columns: dict[str, np.ndarray] = {}
+        self._label_masks: dict[str, np.ndarray] = {}
         self._scopes: dict[frozenset[str], np.ndarray] = {}
         self._verdicts: dict[tuple, np.ndarray] = {}
 
@@ -204,6 +207,7 @@ class FeatureTable:
             [row.get("context", "any") for row in rows],
             units=[row.get("unit_system") for row in rows],
             ids=[row["vehicle_id"] for row in rows],
+            labels=[row.get("label") for row in rows],
         )
 
     def __len__(self) -> int:
@@ -213,9 +217,17 @@ class FeatureTable:
         col = self._columns.get(atom)
         if col is None:
             # a missing atom reads None, which float64 stores as NaN
-            col = np.array([f.get(atom) for f in self._features], dtype=np.float64)
+            col = np.array([f.get(atom) for f in self.features], dtype=np.float64)
             self._columns[atom] = col
         return col
+
+    def label_mask(self, label: str) -> np.ndarray:
+        """Boolean mask of the rows labeled label."""
+        mask = self._label_masks.get(label)
+        if mask is None:
+            mask = np.array([lab == label for lab in self.labels], dtype=bool)
+            self._label_masks[label] = mask
+        return mask
 
     def check_units(self, library_units: str | None) -> None:
         """Raise UnitMismatchError naming the first row whose known units differ."""
@@ -242,11 +254,10 @@ class FeatureTable:
         key = (rule.predicate, rule.context.allowed_contexts)
         row = self._verdicts.get(key)
         if row is None:
-            compiled = compile_predicate(rule.predicate)
             applicable = self._scope(rule.context.allowed_contexts)
-            for atom in compiled.atoms:
+            for atom in dsl.required_atoms(rule.predicate):
                 applicable = applicable & ~np.isnan(self.column(atom))
-            hit = compiled.test(self)
+            hit = _compile(rule.predicate)(self)
             row = np.where(applicable, np.where(hit, MATCHED_CODE, NOT_MATCHED_CODE),
                            NOT_APPLICABLE_CODE).astype(np.int8)
             row.flags.writeable = False
@@ -278,8 +289,14 @@ class RuleLibrary:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not _is_number(self.theta):
+            raise LibraryValidationError(f"theta must be a number, got {self.theta!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise LibraryValidationError(f"theta {self.theta} outside [0, 1]")
+        self.theta = float(self.theta)
+        if self.units not in UNIT_SYSTEMS:
+            raise LibraryValidationError(
+                f"units must be one of {UNIT_SYSTEMS}, got {self.units!r}")
         seen: set[str] = set()
         for rule in self.rules:
             if rule.id in seen:
@@ -396,11 +413,22 @@ def _rule_to_dict(rule: Rule) -> dict:
     return out
 
 
-def _rule_from_dict(data: dict) -> Rule:
+def _rule_from_dict(data: object, index: int) -> Rule:
+    if not isinstance(data, dict):
+        raise CorruptLibraryError(f"rule entry {index} must be a JSON object, got {data!r}")
+    where = f"rule {data['id']}" if isinstance(data.get("id"), str) else f"rule entry {index}"
+    for key in ("id", "description", "predicate"):
+        if not isinstance(data.get(key, ""), str):
+            raise LibraryValidationError(f"{where}: {key!r} must be a string, got {data[key]!r}")
+    for key in ("contexts", "tasks"):
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise LibraryValidationError(
+                f"{where}: {key!r} must be an array of strings, got {value!r}")
     try:
         rule = Rule(
-            id=str(data["id"]),
-            description=str(data["description"]),
+            id=data["id"],
+            description=data["description"],
             predicate=dsl.parse_predicate(data["predicate"]),
             context=ContextConstraint(
                 frozenset(data.get("contexts", ["any"])),
@@ -411,15 +439,13 @@ def _rule_from_dict(data: dict) -> Rule:
             confidence=data.get("confidence"),
             state=data.get("state", "candidate"),
             direction=data.get("direction"),
-            revision=int(data.get("revision", 0)),
+            revision=data.get("revision", 0),
             extras={k: v for k, v in data.items() if k not in _RULE_FIELDS},
         )
     except KeyError as exc:
         raise CorruptLibraryError(f"rule entry missing field {exc}") from exc
     except PredicateError as exc:
-        raise LibraryValidationError(
-            f"rule {data.get('id', '?')}: bad predicate: {exc}"
-        ) from exc
+        raise LibraryValidationError(f"{where}: bad predicate: {exc}") from exc
     return rule
 
 
@@ -451,13 +477,15 @@ def load_library(path: str | Path) -> RuleLibrary:
         raise CorruptLibraryError("library file must hold a JSON object")
     if "version" not in doc:
         raise CorruptLibraryError("library file missing 'version'")
-    if not isinstance(doc["version"], int):
+    if not isinstance(doc["version"], int) or isinstance(doc["version"], bool):
         raise CorruptLibraryError("library 'version' must be an integer")
     if "rules" not in doc or not isinstance(doc["rules"], list):
         raise CorruptLibraryError("library file missing 'rules' array")
+    if not isinstance(doc.get("provenance", []), list):
+        raise CorruptLibraryError("library 'provenance' must be an array")
     return RuleLibrary(
-        rules=[_rule_from_dict(r) for r in doc["rules"]],
-        theta=float(doc.get("theta", DEFAULT_THETA)),
+        rules=[_rule_from_dict(r, i) for i, r in enumerate(doc["rules"])],
+        theta=doc.get("theta", DEFAULT_THETA),
         version=doc["version"],
         units=doc.get("units", "metric"),
         provenance=list(doc.get("provenance", [])),

@@ -2,7 +2,7 @@
 
 Discovery turns labeled feature digests into candidate rules through a
 backend completion. Verification then measures each rule's empirical
-confidence on a labeled validation set, promotes rules that clear the
+confidence on a labeled validation table, promotes rules that clear the
 library threshold, and sends the rest back to the backend for reflection.
 The loop ends when everything active is verified, when confidences stop
 moving, or when the iteration budget runs out; in the last two cases the
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyValidationSetError
+from .errors import EmptyValidationTableError, InputError
 from .llm import (
     Backend,
     RefinementSuggestion,
@@ -52,47 +52,6 @@ MAX_FAILURES_PER_RULE = 20
 
 
 @dataclass(frozen=True)
-class ValSample:
-    """One labeled vehicle: feature mapping plus ground truth."""
-
-    vehicle_id: str
-    features: Mapping[str, float]
-    label: str  # "AV" or "HDV"
-    context: str = "any"
-    unit_system: str | None = None
-
-
-class ValidationSet(Sequence[ValSample]):
-    """Labeled samples with their feature table, built once and shared.
-
-    compute_confidence and collect_failures accept one in place of a plain
-    sample list; the verification loop builds one per run, so each distinct
-    (predicate, allowed contexts) is evaluated once across all iterations.
-    """
-
-    def __init__(self, samples: Sequence[ValSample]):
-        self.samples = tuple(samples)
-        self.table = FeatureTable(
-            [s.features for s in self.samples],
-            [s.context for s in self.samples],
-            units=[s.unit_system for s in self.samples],
-            ids=[s.vehicle_id for s in self.samples],
-        )
-        self.is_av = np.array([s.label == "AV" for s in self.samples], dtype=bool)
-        self.is_hdv = np.array([s.label == "HDV" for s in self.samples], dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __getitem__(self, index):
-        return self.samples[index]
-
-
-def _validation_set(samples: Sequence[ValSample]) -> ValidationSet:
-    return samples if isinstance(samples, ValidationSet) else ValidationSet(samples)
-
-
-@dataclass(frozen=True)
 class RuleStats:
     rule_id: str
     n_applicable: int
@@ -102,7 +61,9 @@ class RuleStats:
 
 @dataclass(frozen=True)
 class FailureCase:
-    sample: ValSample
+    vehicle_id: str | None  # None when the table has no ids
+    features: Mapping[str, float]
+    label: str  # ground truth
     verdict: str
     judged: str  # label the rule's verdict implied
 
@@ -125,56 +86,76 @@ def implied_label(rule: Rule, verdict: str) -> str | None:
     return "HDV" if hit else "AV"
 
 
+def _av_mask(table: FeatureTable) -> np.ndarray:
+    """Rows labeled AV, once every row is known to be labeled AV or HDV.
+
+    Raises EmptyValidationTableError for an empty table, and InputError
+    naming the first row labeled neither AV nor HDV.
+    """
+    if len(table) == 0:
+        raise EmptyValidationTableError("verification needs at least one labeled sample")
+    is_av = table.label_mask("AV")
+    labeled = is_av | table.label_mask("HDV")
+    if not labeled.all():
+        i = int(np.argmin(labeled))
+        row = f"feature row for {table.ids[i]!r}" if table.ids is not None else f"feature row {i}"
+        label = table.labels[i]
+        if label is None:
+            raise InputError(f"{row} has no label; verification needs ground truth")
+        raise InputError(f"{row} has label {label!r}; verification needs AV or HDV")
+    return is_av
+
+
 def _judge(
-    rule: Rule, samples: ValidationSet, library_units: str | None,
+    rule: Rule, table: FeatureTable, library_units: str | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rule's verdict row, where it applies, and where its implied label is right."""
-    verdicts = samples.table.verdicts(rule, library_units=library_units)
+    is_av = _av_mask(table)
+    verdicts = table.verdicts(rule, library_units=library_units)
     applicable = verdicts != NOT_APPLICABLE_CODE
     votes_av = (verdicts == MATCHED_CODE) == (rule.polarity == "AV_indicative")
-    correct = applicable & np.where(votes_av, samples.is_av, samples.is_hdv)
-    return verdicts, applicable, correct
+    return verdicts, applicable, applicable & (votes_av == is_av)
 
 
 def compute_confidence(
     rule: Rule,
-    samples: Sequence[ValSample],
+    table: FeatureTable,
     *,
     library_units: str | None = None,
     strict_denominator: bool = False,
 ) -> RuleStats:
-    """Fraction of validation samples the rule judges correctly.
+    """Fraction of the labeled table's rows the rule judges correctly.
 
     A matched rule votes for its polarity's label, a non-match votes for
-    the opposite label, and not-applicable samples stay out of both counts.
-    With strict_denominator the divisor is the whole sample set, so poor
+    the opposite label, and not-applicable rows stay out of both counts.
+    With strict_denominator the divisor is the whole table, so poor
     coverage drags confidence down instead of being ignored. Zero applicable
-    samples yield confidence 0 either way.
+    rows yield confidence 0 either way. Every row must be labeled AV or HDV.
     """
-    if not samples:
-        raise EmptyValidationSetError("confidence needs at least one labeled sample")
-    _, applicable, correct = _judge(rule, _validation_set(samples), library_units)
+    _, applicable, correct = _judge(rule, table, library_units)
     n_applicable = int(np.count_nonzero(applicable))
     n_correct = int(np.count_nonzero(correct))
-    denom = len(samples) if strict_denominator else n_applicable
+    denom = len(table) if strict_denominator else n_applicable
     confidence = n_correct / denom if denom else 0.0
     return RuleStats(rule.id, n_applicable, n_correct, confidence)
 
 
 def collect_failures(
     rule: Rule,
-    samples: Sequence[ValSample],
+    table: FeatureTable,
     *,
     library_units: str | None = None,
     limit: int = MAX_FAILURES_PER_RULE,
 ) -> list[FailureCase]:
-    """Applicable samples the rule judged wrongly, in input order, at most limit."""
-    samples = _validation_set(samples)
-    verdicts, applicable, correct = _judge(rule, samples, library_units)
+    """Applicable rows the rule judged wrongly, in table order, at most limit."""
+    verdicts, applicable, correct = _judge(rule, table, library_units)
     failures = []
     for i in np.flatnonzero(applicable & ~correct)[:max(limit, 0)].tolist():
         verdict = VERDICTS[verdicts[i]]
-        failures.append(FailureCase(samples[i], verdict, implied_label(rule, verdict)))
+        failures.append(FailureCase(
+            table.ids[i] if table.ids is not None else None, table.features[i],
+            table.labels[i], verdict, implied_label(rule, verdict),
+        ))
     return failures
 
 
@@ -200,7 +181,7 @@ def apply_suggestion(rule: Rule, suggestion: RefinementSuggestion) -> Rule:
 def _failure_digests(failures: Sequence[FailureCase]) -> list[dict]:
     digests = []
     for f in failures:
-        d = digest_sample(f.sample.vehicle_id, f.sample.features, label=f.sample.label)
+        d = digest_sample(f.vehicle_id, f.features, label=f.label)
         d["rule_verdict"] = f.verdict
         d["rule_judged"] = f.judged
         digests.append(d)
@@ -221,7 +202,7 @@ def discover_rules(
 
 def run_verification_loop(
     library: RuleLibrary,
-    samples: Sequence[ValSample],
+    table: FeatureTable,
     backend: Backend,
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
@@ -238,14 +219,13 @@ def run_verification_loop(
     candidates are retired); the iteration budget ran out (same retirement).
     Between iterations every sub-threshold rule gets one reflection round
     and at most one applied suggestion. The library is mutated in place and
-    also returned. The samples' feature table is built once, and a rule
-    whose predicate and contexts were seen before is not evaluated again.
+    also returned. Every row of the table must be labeled AV or HDV; that is
+    checked before the first iteration. A rule whose predicate and contexts
+    the table has seen before is not evaluated again.
     """
-    if not samples:
-        raise EmptyValidationSetError("verification needs at least one labeled sample")
+    _av_mask(table)
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    samples = _validation_set(samples)
 
     stats: dict[str, RuleStats] = {}
     prev_conf: dict[str, float] | None = None
@@ -258,7 +238,7 @@ def run_verification_loop(
         conf: dict[str, float] = {}
         for rule in active:
             st = compute_confidence(
-                rule, samples,
+                rule, table,
                 library_units=library.units, strict_denominator=strict_denominator,
             )
             stats[rule.id] = st
@@ -296,7 +276,7 @@ def run_verification_loop(
         prev_conf = conf
 
         for rule in candidates:
-            failures = collect_failures(rule, samples, library_units=library.units)
+            failures = collect_failures(rule, table, library_units=library.units)
             if not failures:
                 # sub-threshold without failures can only mean strict
                 # denominator + thin coverage; reflection has nothing to chew on

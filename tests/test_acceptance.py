@@ -29,6 +29,7 @@ from trajrules.rules import (
     NOT_APPLICABLE,
     NOT_MATCHED,
     ContextConstraint,
+    FeatureTable,
     Rule,
     RuleLibrary,
     evaluate_rule,
@@ -36,7 +37,7 @@ from trajrules.rules import (
 )
 from trajrules.synth import GeneratorConfig, generate_dataset
 from trajrules.trajectory import smooth_trajectory, validate_trajectory
-from trajrules.verification import ValSample, compute_confidence, run_verification_loop
+from trajrules.verification import compute_confidence, run_verification_loop
 
 from helpers import make_trajectory
 
@@ -222,11 +223,11 @@ def test_matching_score_equals_brute_force():
 
 # ---------------------------------------------------------------- criterion 4
 
-def naive_confidence(rule, samples, strict):
+def naive_confidence(rule, rows, strict):
     n_applicable = n_correct = 0
-    for s in samples:
-        verdict = evaluate_rule(rule, s.features, s.context,
-                                feature_units=s.unit_system)
+    for row in rows:
+        verdict = evaluate_rule(rule, row["features"], row["context"],
+                                feature_units=row.get("unit_system"))
         if verdict == NOT_APPLICABLE:
             continue
         av_side = rule.polarity == "AV_indicative"
@@ -235,13 +236,13 @@ def naive_confidence(rule, samples, strict):
         else:
             judged = "HDV" if av_side else "AV"
         n_applicable += 1
-        n_correct += int(judged == s.label)
-    denom = len(samples) if strict else n_applicable
+        n_correct += int(judged == row["label"])
+    denom = len(rows) if strict else n_applicable
     return n_correct / denom if denom else 0.0
 
 
-def random_samples(rng, count):
-    samples = []
+def random_rows(rng, count):
+    rows = []
     for i in range(count):
         feats = {}
         for atom in ORACLE_ATOMS:
@@ -249,13 +250,13 @@ def random_samples(rng, count):
             if roll < 0.15:
                 continue
             feats[atom] = float("nan") if roll < 0.25 else round(float(rng.uniform(0, 5)), 3)
-        samples.append(ValSample(
-            vehicle_id=f"v{i}",
-            features=feats,
-            label="AV" if rng.random() < 0.5 else "HDV",
-            context=("any", "free_flow", "congested")[rng.integers(3)],
-        ))
-    return samples
+        rows.append({
+            "vehicle_id": f"v{i}",
+            "features": feats,
+            "label": "AV" if rng.random() < 0.5 else "HDV",
+            "context": ("any", "free_flow", "congested")[rng.integers(3)],
+        })
+    return rows
 
 
 def test_confidence_matches_recounts_and_loop_respects_theta():
@@ -270,10 +271,11 @@ def test_confidence_matches_recounts_and_loop_respects_theta():
             polarity="AV_indicative" if rng.random() < 0.7 else "HDV_indicative",
             contexts=(("any",), ("free_flow",), ("congested",))[rng.integers(3)],
         )
-        samples = random_samples(rng, int(rng.integers(1, 25)))
+        rows = random_rows(rng, int(rng.integers(1, 25)))
         for strict in (False, True):
-            got = compute_confidence(rule, samples, strict_denominator=strict)
-            assert got.confidence == naive_confidence(rule, samples, strict), trial
+            got = compute_confidence(rule, FeatureTable.from_rows(rows),
+                                     strict_denominator=strict)
+            assert got.confidence == naive_confidence(rule, rows, strict), trial
     # the loop itself: whatever happens, no sub-threshold rule survives
     for round_ in range(5):
         rules = []
@@ -285,9 +287,9 @@ def test_confidence_matches_recounts_and_loop_respects_theta():
                 polarity="AV_indicative" if rng.random() < 0.7 else "HDV_indicative",
             ))
         lib = RuleLibrary(rules=rules, theta=0.7)
-        samples = random_samples(rng, 30)
         result = run_verification_loop(
-            lib, samples, MockBackend(responses={"reflection": "nothing to say"}),
+            lib, FeatureTable.from_rows(random_rows(rng, 30)),
+            MockBackend(responses={"reflection": "nothing to say"}),
             max_iterations=5,
         )
         assert result.reason in ("all_verified", "stalled", "max_iterations")
@@ -349,11 +351,11 @@ def test_synthetic_end_to_end_identification():
 
 # ---------------------------------------------------------------- criterion 6
 
-LOOP_SAMPLES = [
-    ValSample("av1", {"std_jerk": 0.2, "std_accel": 0.2}, "AV"),
-    ValSample("av2", {"std_jerk": 0.25, "std_accel": 0.25}, "AV"),
-    ValSample("hdv1", {"std_jerk": 0.5, "std_accel": 0.5}, "HDV"),
-    ValSample("hdv2", {"std_jerk": 0.6, "std_accel": 0.6}, "HDV"),
+LOOP_ROWS = [
+    {"vehicle_id": "av1", "features": {"std_jerk": 0.2, "std_accel": 0.2}, "label": "AV"},
+    {"vehicle_id": "av2", "features": {"std_jerk": 0.25, "std_accel": 0.25}, "label": "AV"},
+    {"vehicle_id": "hdv1", "features": {"std_jerk": 0.5, "std_accel": 0.5}, "label": "HDV"},
+    {"vehicle_id": "hdv2", "features": {"std_jerk": 0.6, "std_accel": 0.6}, "label": "HDV"},
 ]
 
 
@@ -365,7 +367,8 @@ def test_refinement_loop_promotes_and_retires():
                              make_rule("B", "std_accel < 0.1", state="candidate", confidence=None)],
                       theta=0.7)
     backend = ScriptedBackend([refinement("B", "std_accel < 0.3")])
-    result = run_verification_loop(lib, LOOP_SAMPLES, backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable.from_rows(LOOP_ROWS), backend,
+                                   max_iterations=5)
     assert result.reason == "all_verified"
     assert result.iterations <= 2
     assert lib.get("B").state == "verified"
@@ -376,7 +379,8 @@ def test_refinement_loop_promotes_and_retires():
     lib = RuleLibrary(rules=[make_rule("B", "std_accel < 0.1", state="candidate", confidence=None)],
                       theta=0.7)
     backend = ScriptedBackend([refinement("B", "std_accel < 0.1")])
-    result = run_verification_loop(lib, LOOP_SAMPLES, backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable.from_rows(LOOP_ROWS), backend,
+                                   max_iterations=5)
     assert result.reason == "stalled"
     assert result.iterations <= 5
     assert lib.get("B").state == "retired"
@@ -387,7 +391,8 @@ def test_refinement_loop_promotes_and_retires():
                       theta=0.9)
     backend = ScriptedBackend([refinement("B", "std_accel < 0.22"),
                                refinement("B", "std_accel < 0.1")])
-    result = run_verification_loop(lib, LOOP_SAMPLES, backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable.from_rows(LOOP_ROWS), backend,
+                                   max_iterations=5)
     assert result.reason == "max_iterations"
     assert result.iterations == 5
     assert lib.get("B").state == "retired"

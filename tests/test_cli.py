@@ -109,8 +109,11 @@ def write_tracks(path, lengths):
     (["--lc-threshold=-inf"], None, "lc_threshold must be finite, got -inf"),
     ([], {"process_noise": math.nan}, "process_noise must be finite, got nan"),
     ([], {"measurement_noise": math.inf}, "measurement_noise must be finite, got inf"),
+    (["--lc-window", "1"], None, "lc_window must be at least 2, got 1"),
+    (["--lc-threshold", "0"], None, "lc_threshold must be positive, got 0.0"),
+    (["--lc-threshold=-3"], None, "lc_threshold must be positive, got -3.0"),
 ], ids=["flag_nan", "flag_inf", "measurement_nan", "threshold_neg_inf",
-        "config_nan", "config_inf"])
+        "config_nan", "config_inf", "lc_window_1", "lc_threshold_0", "lc_threshold_neg"])
 def test_features_rejects_non_finite_settings(tmp_path, capsys, flags, config, message):
     trajs = tmp_path / "t.jsonl"
     out = tmp_path / "f.jsonl"
@@ -354,19 +357,26 @@ def test_unit_mismatch_names_first_vehicle(workdir, tmp_path, capsys, command):
     )
 
 
-def test_verify_needs_labels(workdir, tmp_path):
+def test_verify_needs_labels(workdir, tmp_path, capsys):
     rows = load_feature_rows(workdir / "f.jsonl")
     for row in rows:
         row.pop("label")
     unlabeled = tmp_path / "u.jsonl"
     unlabeled.write_text("".join(json.dumps(r) + "\n" for r in rows))
     lib_path = tmp_path / "lib.json"
-    save_library(seed_library(), lib_path)
-    rc = cli.main([
-        "verify", "--features", str(unlabeled), "--library", str(lib_path),
-        "--output", str(tmp_path / "v.json"), "--mock-dir", MOCK_DIR,
-    ])
-    assert rc == 2
+    library = seed_library()
+    for state in ("verified", "retired"):  # with every rule retired no rule is scored
+        for rule in library.rules:
+            rule.state = state
+        save_library(library, lib_path)
+        rc = cli.main([
+            "verify", "--features", str(unlabeled), "--library", str(lib_path),
+            "--output", str(tmp_path / "v.json"), "--mock-dir", MOCK_DIR,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: feature row for {rows[0]['vehicle_id']!r} has no label; "
+            "verification needs ground truth\n")
 
 
 def test_corrupt_library_is_an_input_error(workdir, tmp_path):
@@ -377,6 +387,25 @@ def test_corrupt_library_is_an_input_error(workdir, tmp_path):
         "--library", str(bad), "--output", str(tmp_path / "r.json"),
     ])
     assert rc == 2
+
+
+def test_library_without_units_is_an_input_error(workdir, tmp_path, capsys):
+    # a null units used to switch the unit check off and classify pixel rows
+    pixel = tmp_path / "pixel.jsonl"
+    pixel.write_text("".join(json.dumps({**row, "unit_system": "pixel"}) + "\n"
+                             for row in load_feature_rows(workdir / "f.jsonl")))
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    doc = json.loads(lib_path.read_text())
+    doc["units"] = None
+    lib_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    rc = cli.main(["classify", "--features", str(pixel),
+                   "--library", str(lib_path), "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: units must be one of ('pixel', 'metric'), got None\n")
+    assert not out.exists()
 
 
 def test_flag_overrides_config_file(workdir, tmp_path):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from trajrules.metrics import (
     compute_metrics,
     compute_roc_auc,
     f1_score,
-    report_to_dict,
 )
 
 
@@ -80,9 +82,10 @@ def test_f1_zero_division():
     assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
 
 
-def test_report_to_dict_shape():
+def test_report_json_shape():
+    # the JSON that evaluate writes for a report
     report = compute_metrics(["AV", "HDV"], ["AV", "HDV"])
-    doc = report_to_dict(report)
+    doc = json.loads(json.dumps(asdict(report)))
     assert doc["accuracy"] == 1.0
     assert doc["confusion"]["labels"] == ["AV", "HDV"]
     assert doc["roc_auc"] is None

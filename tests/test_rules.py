@@ -6,6 +6,7 @@ import pytest
 from trajrules.dsl import parse_predicate
 from trajrules.errors import (
     CorruptLibraryError,
+    InputError,
     LibraryValidationError,
     UnitMismatchError,
 )
@@ -213,6 +214,24 @@ def test_corrupt_library_rejected(tmp_path):
         load_library(path)
 
 
+MALFORMED = [  # (library keys, keys of its one rule, error message)
+    ({"theta": None}, {}, "theta must be a number, got None"),
+    ({"theta": "abc"}, {}, "theta must be a number, got 'abc'"),
+    ({"units": None}, {}, "units must be one of ('pixel', 'metric'), got None"),
+    ({"units": "feet"}, {}, "units must be one of ('pixel', 'metric'), got 'feet'"),
+    ({"provenance": 5}, {}, "library 'provenance' must be an array"),
+    ({"rules": [5]}, {}, "rule entry 0 must be a JSON object, got 5"),
+    ({}, {"revision": "x"}, "X: revision must be an integer, got 'x'"),
+    ({}, {"confidence": "0.8"}, "X: confidence must be a number, got '0.8'"),
+    ({"version": True}, {}, "library 'version' must be an integer"),
+    ({}, {"id": None}, "rule entry 0: 'id' must be a string, got None"),
+    ({}, {"description": None}, "rule X: 'description' must be a string, got None"),
+    ({}, {"predicate": 5}, "rule X: 'predicate' must be a string, got 5"),
+    ({}, {"contexts": 5}, "rule X: 'contexts' must be an array of strings, got 5"),
+    ({}, {"tasks": [["speed"]]}, "rule X: 'tasks' must be an array of strings, got [['speed']]"),
+]
+
+
 def test_invalid_library_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, "theta": 0.7, "units": "metric"}))
@@ -238,6 +257,14 @@ def test_invalid_library_rejected(tmp_path):
     ))
     with pytest.raises(LibraryValidationError):
         load_library(path)
+
+    rule["predicate"] = "std_jerk < 0.3"
+    for library, bad, message in MALFORMED:
+        path.write_text(json.dumps({"version": 1, "theta": 0.7, "units": "metric",
+                                    "rules": [{**rule, **bad}], **library}))
+        with pytest.raises(InputError) as info:
+            load_library(path)
+        assert str(info.value) == message
 
 
 def test_library_theta_validation():

@@ -43,8 +43,6 @@ from trajrules.rules import (
 from trajrules.verification import (
     FailureCase,
     RuleStats,
-    ValidationSet,
-    ValSample,
     collect_failures,
     compute_confidence,
     implied_label,
@@ -81,35 +79,36 @@ def reference_matching_score(library, features, context="any", *, feature_units=
     return matched_weight / applicable_weight, evidence
 
 
-def reference_compute_confidence(rule, samples, *, library_units=None, strict_denominator=False):
+def reference_compute_confidence(rule, rows, *, library_units=None, strict_denominator=False):
     n_applicable = 0
     n_correct = 0
-    for sample in samples:
+    for row in rows:
         verdict = evaluate_rule(
-            rule, sample.features, sample.context,
-            feature_units=sample.unit_system, library_units=library_units,
+            rule, row["features"], row["context"],
+            feature_units=row["unit_system"], library_units=library_units,
         )
         judged = implied_label(rule, verdict)
         if judged is None:
             continue
         n_applicable += 1
-        if judged == sample.label:
+        if judged == row["label"]:
             n_correct += 1
-    denom = len(samples) if strict_denominator else n_applicable
+    denom = len(rows) if strict_denominator else n_applicable
     confidence = n_correct / denom if denom else 0.0
     return RuleStats(rule.id, n_applicable, n_correct, confidence)
 
 
-def reference_collect_failures(rule, samples, *, library_units=None, limit=20):
+def reference_collect_failures(rule, rows, *, library_units=None, limit=20):
     failures = []
-    for sample in samples:
+    for row in rows:
         verdict = evaluate_rule(
-            rule, sample.features, sample.context,
-            feature_units=sample.unit_system, library_units=library_units,
+            rule, row["features"], row["context"],
+            feature_units=row["unit_system"], library_units=library_units,
         )
         judged = implied_label(rule, verdict)
-        if judged is not None and judged != sample.label:
-            failures.append(FailureCase(sample, verdict, judged))
+        if judged is not None and judged != row["label"]:
+            failures.append(FailureCase(row["vehicle_id"], row["features"], row["label"],
+                                        verdict, judged))
             if len(failures) >= limit:
                 break
     return failures
@@ -192,15 +191,16 @@ def random_features(rng):
     return feats
 
 
-def random_samples(rng, count):
+def random_rows(rng, count):
+    """Labeled feature rows, as io.load_feature_rows returns them."""
     return [
-        ValSample(
-            vehicle_id=f"v{i}",
-            features=random_features(rng),
-            label="AV" if rng.random() < 0.4 else "HDV",
-            context=CONTEXTS[rng.integers(len(CONTEXTS))],
-            unit_system=(None, "metric")[rng.integers(2)],
-        )
+        {
+            "vehicle_id": f"v{i}",
+            "features": random_features(rng),
+            "label": "AV" if rng.random() < 0.4 else "HDV",
+            "context": CONTEXTS[rng.integers(len(CONTEXTS))],
+            "unit_system": (None, "metric")[rng.integers(2)],
+        }
         for i in range(count)
     ]
 
@@ -220,15 +220,16 @@ def test_verdict_matrix_matches_evaluate_rule():
     rng = np.random.default_rng(2024)
     for trial in range(200):
         rules = [random_rule(rng, f"R{j}") for j in range(int(rng.integers(1, 8)))]
-        samples = random_samples(rng, int(rng.integers(1, 15)))
-        table = ValidationSet(samples).table
+        rows = random_rows(rng, int(rng.integers(1, 15)))
+        table = FeatureTable.from_rows(rows)
         matrix = table.verdict_matrix(rules, library_units="metric")
-        assert matrix.shape == (len(rules), len(samples))
+        assert matrix.shape == (len(rules), len(rows))
         for i, rule in enumerate(rules):
-            for j, s in enumerate(samples):
-                expected = evaluate_rule(rule, s.features, s.context,
-                                         feature_units=s.unit_system, library_units="metric")
-                assert VERDICTS[matrix[i, j]] == expected, (trial, rule, s)
+            for j, row in enumerate(rows):
+                expected = evaluate_rule(rule, row["features"], row["context"],
+                                         feature_units=row["unit_system"],
+                                         library_units="metric")
+                assert VERDICTS[matrix[i, j]] == expected, (trial, rule, row)
 
 
 def test_reductions_equal_per_vehicle_loops():
@@ -236,17 +237,17 @@ def test_reductions_equal_per_vehicle_loops():
     for trial in range(200):
         rules = [random_rule(rng, f"R{j}") for j in range(int(rng.integers(1, 10)))]
         library = RuleLibrary(rules=rules)
-        samples = random_samples(rng, int(rng.integers(1, 30)))
-        shared = ValidationSet(samples)
+        rows = random_rows(rng, int(rng.integers(1, 30)))
+        shared = FeatureTable.from_rows(rows)
 
         # classification: one-vehicle calls and the batch over the whole table
-        scores = score_table(library, shared.table)
-        votes = {task: vote_table(library, shared.table, task) for task in TASK_DIRECTIONS}
-        for j, s in enumerate(samples):
-            expected = outcome(reference_matching_score, library, s.features, s.context,
-                               feature_units=s.unit_system)
-            got = outcome(matching_score, library, s.features, s.context,
-                          feature_units=s.unit_system)
+        scores = score_table(library, shared)
+        votes = {task: vote_table(library, shared, task) for task in TASK_DIRECTIONS}
+        for j, row in enumerate(rows):
+            features, context, units = row["features"], row["context"], row["unit_system"]
+            expected = outcome(reference_matching_score, library, features, context,
+                               feature_units=units)
+            got = outcome(matching_score, library, features, context, feature_units=units)
             assert got == expected, (trial, j)
             reason = undetermined_reason(int(scores.n_applicable[j]),
                                          float(scores.applicable_weight[j]))
@@ -259,21 +260,21 @@ def test_reductions_equal_per_vehicle_loops():
                     [e.verdict for e in expected[1]], (trial, j)
             for task, directions in TASK_DIRECTIONS.items():
                 assert dict(zip(directions, votes[task][:, j].tolist())) == \
-                    reference_direction_votes(library, s.features, s.context, task, directions,
-                                              s.unit_system), (trial, j, task)
+                    reference_direction_votes(library, features, context, task, directions,
+                                              units), (trial, j, task)
 
-        # verification: plain sample lists and one shared ValidationSet
+        # verification: a fresh table per call and the one shared with classification
         for rule in rules:
             for strict in (False, True):
                 expected = reference_compute_confidence(
-                    rule, samples, library_units="metric", strict_denominator=strict)
-                for given in (samples, shared):
+                    rule, rows, library_units="metric", strict_denominator=strict)
+                for given in (FeatureTable.from_rows(rows), shared):
                     assert compute_confidence(rule, given, library_units="metric",
                                               strict_denominator=strict) == expected, trial
             for limit in (1, 3, 20):
-                expected = reference_collect_failures(rule, samples, library_units="metric",
+                expected = reference_collect_failures(rule, rows, library_units="metric",
                                                       limit=limit)
-                for given in (samples, shared):
+                for given in (FeatureTable.from_rows(rows), shared):
                     assert collect_failures(rule, given, library_units="metric",
                                             limit=limit) == expected, trial
 
@@ -281,12 +282,13 @@ def test_reductions_equal_per_vehicle_loops():
 def test_unit_mismatch_raises_like_the_loops():
     rule = Rule(id="R1", description="d", predicate=dsl.parse_predicate("std_jerk < 0.3"),
                 confidence=0.9, state="verified")
-    samples = [ValSample("a", {"std_jerk": 0.1}, "AV", unit_system="metric"),
-               ValSample("b", {"std_jerk": 0.1}, "AV", unit_system="pixel")]
+    rows = [{"vehicle_id": vid, "features": {"std_jerk": 0.1}, "label": "AV",
+             "context": "any", "unit_system": unit}
+            for vid, unit in (("a", "metric"), ("b", "pixel"))]
     with pytest.raises(UnitMismatchError):
-        reference_compute_confidence(rule, samples, library_units="metric")
+        reference_compute_confidence(rule, rows, library_units="metric")
     with pytest.raises(UnitMismatchError, match="^vehicle 'b': features are in 'pixel' units"):
-        compute_confidence(rule, samples, library_units="metric")
+        compute_confidence(rule, FeatureTable.from_rows(rows), library_units="metric")
     with pytest.raises(UnitMismatchError, match="^features are in 'pixel' units"):
         matching_score(RuleLibrary(rules=[rule]), {"std_jerk": 0.1}, feature_units="pixel")
 

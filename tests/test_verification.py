@@ -3,11 +3,18 @@ import itertools
 import pytest
 
 from trajrules import dsl
-from trajrules.errors import EmptyValidationSetError
+from trajrules.errors import EmptyValidationTableError, InputError
 from trajrules.llm import MockBackend, RefinementSuggestion
-from trajrules.rules import MATCHED, NOT_APPLICABLE, NOT_MATCHED, ContextConstraint, Rule, RuleLibrary
+from trajrules.rules import (
+    MATCHED,
+    NOT_APPLICABLE,
+    NOT_MATCHED,
+    ContextConstraint,
+    FeatureTable,
+    Rule,
+    RuleLibrary,
+)
 from trajrules.verification import (
-    ValSample,
     apply_suggestion,
     collect_failures,
     compute_confidence,
@@ -33,7 +40,12 @@ def make_rule(rid="R1", text="std_jerk < 0.3", polarity="AV_indicative",
 
 
 def sample(vid, label, **features):
-    return ValSample(vehicle_id=vid, features=features, label=label)
+    """One labeled feature row, as io.load_feature_rows returns it."""
+    return {"vehicle_id": vid, "label": label, "features": features}
+
+
+def table(rows):
+    return FeatureTable.from_rows(rows)
 
 
 FOUR = [
@@ -57,7 +69,7 @@ def test_implied_label_matrix():
 def test_compute_confidence_exact_fraction():
     # av1 matched (correct), av2 miss (wrong), hdv1 miss (correct),
     # hdv2 matched (wrong) -> 2/4
-    st = compute_confidence(make_rule(), FOUR)
+    st = compute_confidence(make_rule(), table(FOUR))
     assert st.n_applicable == 4
     assert st.n_correct == 2
     assert st.confidence == pytest.approx(0.5)
@@ -65,20 +77,20 @@ def test_compute_confidence_exact_fraction():
 
 def test_compute_confidence_excludes_not_applicable():
     samples = FOUR + [sample("na1", "AV", std_accel=0.2)]  # std_jerk missing
-    st = compute_confidence(make_rule(), samples)
+    st = compute_confidence(make_rule(), table(samples))
     assert st.n_applicable == 4
     assert st.confidence == pytest.approx(0.5)
 
 
 def test_compute_confidence_strict_denominator():
     samples = FOUR + [sample("na1", "AV", std_accel=0.2)]
-    st = compute_confidence(make_rule(), samples, strict_denominator=True)
+    st = compute_confidence(make_rule(), table(samples), strict_denominator=True)
     assert st.n_applicable == 4
     assert st.confidence == pytest.approx(2 / 5)
 
 
 def test_compute_confidence_zero_applicable():
-    st = compute_confidence(make_rule(text="lane_change_angle < 10"), FOUR)
+    st = compute_confidence(make_rule(text="lane_change_angle < 10"), table(FOUR))
     assert st.n_applicable == 0
     assert st.confidence == 0.0
 
@@ -86,30 +98,31 @@ def test_compute_confidence_zero_applicable():
 def test_compute_confidence_context_scoping():
     rule = make_rule(contexts=("free_flow",))
     samples = [
-        ValSample("a", {"std_jerk": 0.2}, "AV", context="free_flow"),
-        ValSample("b", {"std_jerk": 0.2}, "AV", context="congested"),
+        {**sample("a", "AV", std_jerk=0.2), "context": "free_flow"},
+        {**sample("b", "AV", std_jerk=0.2), "context": "congested"},
     ]
-    st = compute_confidence(rule, samples)
+    st = compute_confidence(rule, table(samples))
     assert st.n_applicable == 1 and st.n_correct == 1
 
 
 def test_compute_confidence_hdv_polarity():
     rule = make_rule(text="std_accel > 0.4", polarity="HDV_indicative")
-    st = compute_confidence(rule, FOUR)
+    st = compute_confidence(rule, table(FOUR))
     assert st.confidence == 1.0
 
 
 def test_compute_confidence_empty_samples():
-    with pytest.raises(EmptyValidationSetError):
-        compute_confidence(make_rule(), [])
+    with pytest.raises(EmptyValidationTableError):
+        compute_confidence(make_rule(), table([]))
 
 
 def test_collect_failures_order_and_limit():
     wrong = [sample(f"w{i}", "AV", std_jerk=0.9) for i in range(5)]
     right = [sample("ok", "AV", std_jerk=0.1)]
-    failures = collect_failures(make_rule(), right + wrong, limit=3)
-    assert [f.sample.vehicle_id for f in failures] == ["w0", "w1", "w2"]
+    failures = collect_failures(make_rule(), table(right + wrong), limit=3)
+    assert [f.vehicle_id for f in failures] == ["w0", "w1", "w2"]
     assert all(f.verdict == NOT_MATCHED and f.judged == "HDV" for f in failures)
+    assert all(f.label == "AV" and f.features == {"std_jerk": 0.9} for f in failures)
 
 
 def test_apply_suggestion_retire_keeps_revision():
@@ -200,7 +213,7 @@ def test_loop_converges_with_helpful_backend():
         sample("hdv2", "HDV", std_jerk=0.6, std_accel=0.6),
     ]
     backend = ScriptedBackend([refinement("B", "std_accel < 0.3")])
-    result = run_verification_loop(lib, samples, backend, max_iterations=5)
+    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
     assert result.reason == "all_verified"
     assert result.iterations == 2
     assert backend.calls == 1
@@ -226,7 +239,7 @@ def test_loop_retires_zero_coverage_rules():
         sample("hdv1", "HDV", std_jerk=0.5),
     ]
     backend = ScriptedBackend(["no fences here"])
-    result = run_verification_loop(lib, samples, backend)
+    result = run_verification_loop(lib, table(samples), backend)
     assert result.reason == "all_verified"
     assert result.iterations == 1
     assert backend.calls == 0
@@ -245,7 +258,7 @@ def test_loop_stalls_on_noop_refinement():
     ]
     # the backend keeps suggesting the threshold the rule already has
     backend = ScriptedBackend([refinement("B", "std_accel < 0.1")])
-    result = run_verification_loop(lib, samples, backend, max_iterations=5)
+    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
     assert result.reason == "stalled"
     assert result.iterations == 2
     b = lib.get("B")
@@ -271,7 +284,7 @@ def test_loop_oscillation_hits_iteration_budget():
         refinement("B", "std_accel < 0.22"),
         refinement("B", "std_accel < 0.1"),
     ])
-    result = run_verification_loop(lib, samples, backend, max_iterations=3)
+    result = run_verification_loop(lib, table(samples), backend, max_iterations=3)
     assert result.reason == "max_iterations"
     assert result.iterations == 3
     assert backend.calls == 2
@@ -286,7 +299,7 @@ def test_loop_all_verified_at_entry():
         sample("hdv1", "HDV", std_jerk=0.5),
     ]
     backend = ScriptedBackend(["unused"])
-    result = run_verification_loop(lib, samples, backend)
+    result = run_verification_loop(lib, table(samples), backend)
     assert result.reason == "all_verified"
     assert result.iterations == 1
     assert backend.calls == 0
@@ -302,7 +315,7 @@ def test_loop_skips_rule_without_suggestion_then_stalls():
     ]
     # reflection answers about some other rule entirely
     backend = ScriptedBackend([refinement("OTHER", "std_accel < 0.3")])
-    result = run_verification_loop(lib, samples, backend, max_iterations=5)
+    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
     assert result.reason == "stalled"
     assert result.iterations == 2
     assert backend.calls == 1
@@ -320,7 +333,7 @@ def test_loop_retires_candidates_without_failures():
         sample("na2", "HDV", std_accel=0.5),
     ]
     backend = ScriptedBackend(["unused"])
-    result = run_verification_loop(lib, samples, backend, strict_denominator=True)
+    result = run_verification_loop(lib, table(samples), backend, strict_denominator=True)
     assert backend.calls == 0
     assert lib.get("T").state == "retired"
     entry = next(p for p in lib.provenance if p["rule_id"] == "T")
@@ -332,7 +345,29 @@ def test_loop_retires_candidates_without_failures():
 def test_loop_input_validation():
     lib = RuleLibrary(rules=[make_rule()])
     backend = ScriptedBackend(["x"])
-    with pytest.raises(EmptyValidationSetError):
-        run_verification_loop(lib, [], backend)
+    with pytest.raises(EmptyValidationTableError):
+        run_verification_loop(lib, table([]), backend)
     with pytest.raises(ValueError):
-        run_verification_loop(lib, FOUR, backend, max_iterations=0)
+        run_verification_loop(lib, table(FOUR), backend, max_iterations=0)
+
+
+@pytest.mark.parametrize("label,message", [
+    (None, "feature row for 'x' has no label; verification needs ground truth"),
+    ("car", "feature row for 'x' has label 'car'; verification needs AV or HDV"),
+], ids=["missing", "unknown"])
+def test_every_row_needs_an_av_or_hdv_label(label, message):
+    rows = [*FOUR, sample("x", label, std_jerk=0.2)]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        compute_confidence(make_rule(), table(rows))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        collect_failures(make_rule(), table(rows))
+    # checked before the first iteration, so it fails with no rule to score too
+    lib = RuleLibrary(rules=[make_rule(state="retired")])
+    backend = ScriptedBackend(["unused"])
+    with pytest.raises(InputError, match=f"^{message}$"):
+        run_verification_loop(lib, table(rows), backend)
+    # a table without ids names the row by its index
+    unnamed = FeatureTable([r["features"] for r in rows], ["any"] * len(rows),
+                           labels=[r["label"] for r in rows])
+    with pytest.raises(InputError, match="^feature row 4 "):
+        compute_confidence(make_rule(), unnamed)
