@@ -208,25 +208,30 @@ def cmd_classify(args: argparse.Namespace) -> int:
     rows = io.load_feature_rows(args.features)
     scores = score_table(library, FeatureTable.from_rows(rows))
     rule_weights = [(r.id, r.confidence or 0.0) for r in scores.rules]
+    # vehicles with the same verdicts share one evidence list, which
+    # io.dump_json then encodes once per distinct list
+    evidence_for: dict[tuple[int, ...], list[dict]] = {}
     results = []
     tally = {"AV": 0, "HDV": 0, UNDETERMINED: 0}
     for row, verdicts, matched, applicable, n_applicable in zip(
-        rows, scores.verdicts.T.tolist(), scores.matched_weight.tolist(),
+        rows, map(tuple, scores.verdicts.T.tolist()), scores.matched_weight.tolist(),
         scores.applicable_weight.tolist(), scores.n_applicable.tolist(),
     ):
         reason = undetermined_reason(n_applicable, applicable)
         if reason is None:
             score = matched / applicable
             decision, confidence = decide(score, cfg.delta)
+            if verdicts not in evidence_for:
+                evidence_for[verdicts] = [
+                    {"rule_id": rule_id, "verdict": VERDICTS[code], "weight": weight}
+                    for (rule_id, weight), code in zip(rule_weights, verdicts)
+                ]
             entry = {
                 "vehicle_id": row["vehicle_id"],
                 "decision": decision,
                 "score": score,
                 "confidence": confidence,
-                "evidence": [
-                    {"rule_id": rule_id, "verdict": VERDICTS[code], "weight": weight}
-                    for (rule_id, weight), code in zip(rule_weights, verdicts)
-                ],
+                "evidence": evidence_for[verdicts],
             }
         else:
             entry = {

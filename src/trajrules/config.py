@@ -65,6 +65,8 @@ class RunConfig:
             raise InputError(f"delta {self.delta} outside (0, 1)")
         if not 0.0 <= self.theta <= 1.0:
             raise InputError(f"theta {self.theta} outside [0, 1]")
+        if self.stall_epsilon < 0:
+            raise InputError(f"stall_epsilon must be at least 0, got {self.stall_epsilon}")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be at least 1")
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -19,18 +18,69 @@ from .rules import CONTEXTS
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 
+# Encodes a container that holds no other container, one item per line at
+# one indent step; dump_json adds the bracket newlines and the depth.
+_FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
+_CONTAINERS = (dict, list, tuple)
+_BATCH = 4096  # pieces joined per write
+
+
 def dump_json(obj: object, path: str | Path) -> None:
     """Canonical JSON file: sorted keys, two-space indent, trailing newline.
 
-    The bytes are json.dumps(obj, indent=2, sort_keys=True) plus a newline.
-    They are written in batches of encoder chunks, so a large report is
+    The bytes are json.dumps(obj, indent=2, sort_keys=True) plus a newline,
+    made without the pure-Python encoder that indent selects: each container
+    that holds no other container is one call of the C encoder. Its text is
+    kept by identity for this call, so an object shared across the document
+    is encoded once. The pieces are written in batches, so a large report is
     never held in memory as one string.
     """
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        while batch := list(islice(chunks, 4096)):
-            fh.write("".join(batch))
-        fh.write("\n")
+        parts: list[str] = []
+        _write_value(obj, 0, parts, {}, fh)
+        parts.append("\n")
+        fh.write("".join(parts))
+
+
+def _key_text(key: object) -> str:
+    if isinstance(key, str):
+        return _FLAT_ENCODER.encode(key)
+    # int, float, bool and None keys become strings as json converts them
+    # ({1: 0} -> {"1": 0}); anything else raises json's TypeError
+    return _FLAT_ENCODER.encode({key: None})[1:-len(": null}")]
+
+
+def _write_value(obj: object, depth: int, parts: list[str],
+                 memo: dict[tuple[int, int], str], fh: TextIO) -> None:
+    """Append obj's indented text at depth to parts; write parts out in batches."""
+    if not isinstance(obj, _CONTAINERS):
+        parts.append(_FLAT_ENCODER.encode(obj))
+        return
+    text = memo.get((id(obj), depth))
+    if text is not None:
+        parts.append(text)
+        return
+    is_dict = isinstance(obj, dict)
+    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+        text = _FLAT_ENCODER.encode(obj)
+        if obj:
+            # ensure_ascii escapes newlines inside strings, so every raw
+            # newline is a line break and can take the depth's indent
+            text = f"{text[0]}\n  {text[1:-1]}\n{text[-1]}".replace("\n", "\n" + "  " * depth)
+        memo[id(obj), depth] = text
+        parts.append(text)
+        return
+    opening, closing = "{}" if is_dict else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    sep = opening + pad
+    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
+        parts.append(sep + _key_text(key) + ": " if is_dict else sep)
+        _write_value(value, depth + 1, parts, memo, fh)
+        sep = "," + pad
+    parts.append("\n" + "  " * depth + closing)
+    if len(parts) >= _BATCH:
+        fh.write("".join(parts))
+        parts.clear()
 
 
 def _check_label(value: object, line: int) -> str | None:
@@ -119,9 +169,25 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
                 raise SchemaError(f"invalid JSON: {exc.msg}", lineno) from exc
 
 
+def _check_new_id(first_line: dict[str, int], vehicle_id: str, line: int) -> None:
+    """Record the line of vehicle_id; SchemaError if an earlier line has it."""
+    first = first_line.setdefault(vehicle_id, line)
+    if first != line:
+        raise SchemaError(f"vehicle_id {vehicle_id!r} repeats the one on line {first}", line)
+
+
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a JSONL trajectory file; SchemaError names the offending line."""
-    return [trajectory_from_dict(doc, lineno) for lineno, doc in _read_jsonl(path)]
+    """Read a JSONL trajectory file; SchemaError names the offending line.
+
+    Vehicle ids must be unique within the file.
+    """
+    trajectories = []
+    first_line: dict[str, int] = {}
+    for lineno, doc in _read_jsonl(path):
+        traj = trajectory_from_dict(doc, lineno)
+        _check_new_id(first_line, traj.vehicle_id, lineno)
+        trajectories.append(traj)
+    return trajectories
 
 
 def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
@@ -133,15 +199,20 @@ def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> N
 def load_feature_rows(path: str | Path) -> list[dict]:
     """Read a JSONL feature file written by save_feature_rows.
 
-    Each row carries vehicle_id, a mapping of finite feature values, and
-    optionally label, context, and unit_system (one of UNIT_SYSTEMS).
+    Each row carries vehicle_id (a string, unique within the file), a
+    mapping of finite feature values, and optionally label, context, and
+    unit_system (one of UNIT_SYSTEMS).
     """
     rows = []
+    first_line: dict[str, int] = {}
     for lineno, doc in _read_jsonl(path):
         if not isinstance(doc, dict):
             raise SchemaError("feature record must be a JSON object", lineno)
         if "vehicle_id" not in doc:
             raise SchemaError("feature record missing 'vehicle_id'", lineno)
+        if not isinstance(doc["vehicle_id"], str):
+            raise SchemaError(f"vehicle_id must be a string, got {doc['vehicle_id']!r}", lineno)
+        _check_new_id(first_line, doc["vehicle_id"], lineno)
         features = doc.get("features")
         if not isinstance(features, dict):
             raise SchemaError("feature record missing 'features' mapping", lineno)

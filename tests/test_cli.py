@@ -379,6 +379,44 @@ def test_verify_needs_labels(workdir, tmp_path, capsys):
             "verification needs ground truth\n")
 
 
+def test_verify_rejects_negative_stall_epsilon(workdir, tmp_path, capsys):
+    # a negative epsilon could never take the stall exit
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    out = tmp_path / "v.json"
+    rc = cli.main(["verify", "--features", str(workdir / "f.jsonl"), "--library", str(lib_path),
+                   "--output", str(out), "--mock-dir", MOCK_DIR, "--stall-epsilon", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: stall_epsilon must be at least 0, got -1.0\n"
+    assert not out.exists()
+
+
+def test_repeated_vehicle_id_is_an_input_error(workdir, tmp_path, capsys):
+    rows = load_feature_rows(workdir / "f.jsonl")
+    doubled = tmp_path / "f.jsonl"
+    doubled.write_text("".join(json.dumps(r) + "\n" for r in [*rows, rows[1]]))
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    out = tmp_path / "r.json"
+    rc = cli.main(["classify", "--features", str(doubled), "--library", str(lib_path),
+                   "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: line {len(rows) + 1}: vehicle_id {rows[1]['vehicle_id']!r} "
+        "repeats the one on line 2\n")
+    assert not out.exists()
+
+    tracks = (workdir / "t.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "t.jsonl").write_text("".join([*tracks, tracks[0]]))
+    rc = cli.main(["features", "--input", str(tmp_path / "t.jsonl"),
+                   "--output", str(tmp_path / "f2.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: line {len(tracks) + 1}: vehicle_id {rows[0]['vehicle_id']!r} "
+        "repeats the one on line 1\n")
+    assert not (tmp_path / "f2.jsonl").exists()
+
+
 def test_corrupt_library_is_an_input_error(workdir, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

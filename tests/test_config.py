@@ -88,6 +88,9 @@ def test_validation_errors():
         RunConfig(theta=1.5)
     with pytest.raises(InputError):
         RunConfig(max_iterations=0)
+    with pytest.raises(InputError, match="^stall_epsilon must be at least 0, got -0.5$"):
+        RunConfig(stall_epsilon=-0.5)
+    assert RunConfig(stall_epsilon=0.0).stall_epsilon == 0.0
 
 
 FLOAT_FIELDS = [f.name for f in fields(RunConfig) if isinstance(getattr(RunConfig(), f.name), float)]

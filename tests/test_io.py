@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from trajrules.errors import SchemaError
@@ -49,8 +50,10 @@ def test_save_is_deterministic(tmp_path):
 
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "t.jsonl"
-    doc = json.dumps(trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5)))
-    path.write_text(f"\n{doc}\n\n{doc}\n")
+    a, b = (json.dumps(trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5,
+                                                          vehicle_id=vid)))
+            for vid in ("a", "b"))
+    path.write_text(f"\n{a}\n\n{b}\n")
     assert len(load_trajectories(path)) == 2
 
 
@@ -109,6 +112,8 @@ def test_feature_rows_round_trip(tmp_path):
 
 @pytest.mark.parametrize("row,fragment", [
     ({"features": {"x": 1.0}}, "missing 'vehicle_id'"),
+    ({"vehicle_id": 5, "features": {"x": 1.0}}, "vehicle_id must be a string, got 5"),
+    ({"vehicle_id": None, "features": {"x": 1.0}}, "vehicle_id must be a string, got None"),
     ({"vehicle_id": "a"}, "missing 'features'"),
     ({"vehicle_id": "a", "features": [1, 2]}, "missing 'features' mapping"),
     ({"vehicle_id": "a", "features": {"x": "fast"}}, "must be numeric"),
@@ -131,6 +136,26 @@ def test_feature_row_schema_violations(tmp_path, row, fragment):
         load_feature_rows(path)
     assert fragment in str(exc_info.value)
     assert exc_info.value.line == 1
+
+
+def test_repeated_vehicle_id_names_the_first_line(tmp_path):
+    rows = [{"vehicle_id": vid, "features": {"x": 1.0}, "label": label}
+            for vid, label in (("a", "AV"), ("b", "HDV"), ("a", "HDV"))]
+    path = tmp_path / "f.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(SchemaError) as exc_info:
+        load_feature_rows(path)
+    assert str(exc_info.value) == "line 3: vehicle_id 'a' repeats the one on line 1"
+
+    # track ids are compared as loaded, so 7 and "7" are the same vehicle
+    docs = [trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5, vehicle_id="7")),
+            trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [1] * 5, vehicle_id="8"))]
+    docs.append({**docs[0], "vehicle_id": 7})
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n\n".join(json.dumps(doc) for doc in docs) + "\n")
+    with pytest.raises(SchemaError) as exc_info:
+        load_trajectories(path)
+    assert str(exc_info.value) == "line 5: vehicle_id '7' repeats the one on line 1"
 
 
 def test_feature_rows_non_object_line(tmp_path):
@@ -166,3 +191,81 @@ def test_dump_json_equals_json_dumps(tmp_path):
     path = tmp_path / "r.json"
     dump_json(doc, path)
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# --- dump_json against json.dumps(indent=2, sort_keys=True) ---------------------
+
+STRINGS = ("", "a", "Zürich → München", "\U0001f697", 'say "hi"', "back\\slash", "line\nbreak",
+           "tab\tnul\x00unit\x1f", "\u2028", "[1,\n  2]")
+SCALARS = (*STRINGS, 0, -7, 3, 10**30, -(10**40), 0.1, -2.5, 1e-300, 1e22, math.nan, math.inf,
+           -math.inf, True, False, None, np.float64(0.1), np.float64(-1e300))
+# keys of one dict must sort against each other, as sort_keys requires
+KEY_FAMILIES = (STRINGS, (0, 1, -3, 10**20, 0.5, -0.25, math.nan, math.inf, -math.inf, True,
+                          False), (None,))
+
+
+def random_document(rng, depth, shared):
+    """Nested dicts, lists and tuples; some objects recur at several depths."""
+    roll = rng.random()
+    if depth >= 5 or roll < 0.3:
+        return SCALARS[rng.integers(len(SCALARS))]
+    if roll < 0.4 and shared:
+        return shared[rng.integers(len(shared))]
+    n = int(rng.integers(0, 5))
+    kind = rng.integers(3)
+    if kind == 0:
+        keys = KEY_FAMILIES[rng.integers(len(KEY_FAMILIES))]
+        obj = {keys[rng.integers(len(keys))]: random_document(rng, depth + 1, shared)
+               for _ in range(n)}
+    else:
+        items = [random_document(rng, depth + 1, shared) for _ in range(n)]
+        obj = items if kind == 1 else tuple(items)
+    if rng.random() < 0.3:
+        shared.append(obj)
+    return obj
+
+
+def oracle_bytes(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_dump_json_equals_json_dumps_on_random_documents(tmp_path):
+    rng = np.random.default_rng(909)
+    path = tmp_path / "r.json"
+    for trial in range(400):
+        shared = []
+        doc = random_document(rng, 0, shared)
+        dump_json(doc, path)
+        assert path.read_bytes() == oracle_bytes(doc), trial
+    # one object at several depths, flat and nested, and non-string keys at each level
+    flat = {1: "x", 2.5: math.nan, False: None}
+    nested = {0: [flat], math.inf: (flat, [flat, {}]), -1: {"a": []}}
+    doc = [flat, {"k": nested, "l": [[flat]], "m": {None: nested}}, nested, ()]
+    dump_json(doc, path)
+    assert path.read_bytes() == oracle_bytes(doc)
+
+
+def nest(value, depth):
+    """value inside depth levels of alternating dicts and lists."""
+    for level in range(depth):
+        value = [1, value] if level % 2 else {"a": 1, "b": value, "c": [2]}
+    return value
+
+
+UNSERIALIZABLE = {
+    **{f"{name}_depth{depth}": nest(bad, depth)
+       for name, bad in (("set", {1, 2}), ("int64", np.int64(3)), ("bool_", np.bool_(True)))
+       for depth in range(4)},
+    "tuple_key": {(1, 2): 3},
+    "nested_tuple_key": {"a": {(1, 2): [3]}},
+    "mixed_keys": {"a": [{"b": 1, 2: [3]}]},
+}
+
+
+@pytest.mark.parametrize("doc", UNSERIALIZABLE.values(), ids=UNSERIALIZABLE.keys())
+def test_dump_json_raises_type_error_like_json_dumps(tmp_path, doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        dump_json(doc, tmp_path / "r.json")
+    assert str(got.value) == str(expected.value)

@@ -18,6 +18,7 @@ from trajrules.classification import (
     RuleEvidence,
     _blend,
     _pick,
+    decide,
     lane_prior,
     matching_score,
     score_table,
@@ -26,6 +27,7 @@ from trajrules.classification import (
     vote_table,
 )
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
+from trajrules.metrics import UNDETERMINED
 from trajrules.rules import (
     DIRECTIONS,
     MATCHED,
@@ -371,6 +373,71 @@ def reference_predict(library, args, task):
         contexts.add(context)
         all_votes.add(tuple(votes.values()))
     return {"task": task, "predictions": predictions}, contexts, all_votes
+
+
+def reference_report(library, rows, delta):
+    """cmd_classify's report built one vehicle at a time from the oracle scores,
+    each determined vehicle with an evidence list of its own."""
+    results = []
+    for row in rows:
+        entry = {"vehicle_id": row["vehicle_id"]}
+        try:
+            score, evidence = reference_matching_score(
+                library, row["features"], row.get("context", "any"),
+                feature_units=row.get("unit_system"))
+        except NoApplicableRulesError as exc:
+            entry.update(decision=UNDETERMINED, reason=str(exc))
+        else:
+            decision, confidence = decide(score, delta)
+            entry.update(decision=decision, score=score, confidence=confidence, evidence=[
+                {"rule_id": e.rule_id, "verdict": e.verdict, "weight": e.weight}
+                for e in evidence])
+        if "label" in row:
+            entry["label"] = row["label"]
+        results.append(entry)
+    return {"delta": delta, "library_version": library.version, "theta": library.theta,
+            "results": results}
+
+
+def printable_rule(rng, rid):
+    """A random rule whose predicate a library file can hold."""
+    while True:
+        rule = random_rule(rng, rid)
+        try:
+            dsl.to_dsl(rule.predicate)
+        except ValueError:  # a nesting the DSL cannot print
+            continue
+        return rule
+
+
+def test_cmd_classify_report_bytes_equal_per_vehicle_reference(tmp_path):
+    rng = np.random.default_rng(3031)
+    rows_path, lib_path, out = tmp_path / "f.jsonl", tmp_path / "lib.json", tmp_path / "r.json"
+    seen = {"undetermined": 0, "determined": 0, "unlabeled": 0, "shared": 0}
+    for trial in range(40):
+        rules = [printable_rule(rng, f"R{j}") for j in range(int(rng.integers(1, 10)))]
+        save_library(RuleLibrary(rules=rules, theta=float(rng.random())), lib_path)
+        rows = random_rows(rng, int(rng.integers(1, 60)))
+        for row in rows:  # what a feature file can hold: no NaN, no null units
+            row["features"] = {k: v for k, v in row["features"].items() if v == v}
+            if row["unit_system"] is None:
+                del row["unit_system"]
+            if rng.random() < 0.3:
+                del row["label"]
+        rows_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        delta = float(rng.uniform(0.05, 0.95))
+        assert cli.main(["classify", "--features", str(rows_path), "--library", str(lib_path),
+                         "--output", str(out), "--delta", repr(delta)]) == 0
+        expected = reference_report(load_library(lib_path), rows, delta)
+        assert out.read_bytes() == \
+            (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode("utf-8"), trial
+        columns = [json.dumps(r["evidence"]) for r in expected["results"] if "evidence" in r]
+        seen["determined"] += len(columns)
+        seen["undetermined"] += len(rows) - len(columns)
+        seen["unlabeled"] += sum("label" not in row for row in rows)
+        seen["shared"] += len(columns) - len(set(columns))
+    # not vacuous: both kinds of entry, rows without labels, and repeated evidence lists
+    assert min(seen.values()) > 20, seen
 
 
 @pytest.mark.parametrize("task", ["speed", "lane_change"])
