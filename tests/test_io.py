@@ -112,8 +112,6 @@ def test_feature_rows_round_trip(tmp_path):
 
 @pytest.mark.parametrize("row,fragment", [
     ({"features": {"x": 1.0}}, "missing 'vehicle_id'"),
-    ({"vehicle_id": 5, "features": {"x": 1.0}}, "vehicle_id must be a string, got 5"),
-    ({"vehicle_id": None, "features": {"x": 1.0}}, "vehicle_id must be a string, got None"),
     ({"vehicle_id": "a"}, "missing 'features'"),
     ({"vehicle_id": "a", "features": [1, 2]}, "missing 'features' mapping"),
     ({"vehicle_id": "a", "features": {"x": "fast"}}, "must be numeric"),
@@ -128,6 +126,8 @@ def test_feature_rows_round_trip(tmp_path):
      "unit_system must be one of"),
     ({"vehicle_id": "a", "features": {"x": 1.0}, "unit_system": None},
      "unit_system must be one of"),
+    ({"vehicle_id": 5, "features": {"x": 1.0}}, "vehicle_id must be a string, got 5"),
+    ({"vehicle_id": None, "features": {"x": 1.0}}, "vehicle_id must be a string, got None"),
 ])
 def test_feature_row_schema_violations(tmp_path, row, fragment):
     path = tmp_path / "f.jsonl"
