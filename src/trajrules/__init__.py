@@ -36,16 +36,10 @@ from .kinematics import (
     extended_atoms,
     summarize_features,
 )
+from .io import load_library, save_library
 from .llm import BackendConfig, HttpBackend, MockBackend
 from .metrics import MetricsReport, compute_metrics, compute_roc_auc
-from .rules import (
-    Rule,
-    RuleLibrary,
-    evaluate_rule,
-    load_library,
-    save_library,
-    seed_library,
-)
+from .rules import Rule, RuleLibrary, evaluate_rule, seed_library
 from .synth import AV_PROFILE, HDV_PROFILE, BehaviorProfile, GeneratorConfig, generate_dataset
 from .trajectory import Trajectory, smooth_trajectories, smooth_trajectory, validate_trajectory
 from .verification import (

@@ -7,9 +7,7 @@ of shell steps. Exit codes: 0 success, 2 bad input or configuration,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
-import math
 import sys
 from dataclasses import asdict, replace
 
@@ -29,6 +27,7 @@ from .classification import (
 )
 from .config import RunConfig, load_config, merge_overrides
 from .errors import DegenerateLabelsError, InputError, TrajRulesError
+from .io import load_library, save_library  # bare name: perfbench/spans.py patches load_library
 from .kinematics import (
     compute_kinematics,
     detect_lane_changes,
@@ -38,15 +37,13 @@ from .kinematics import (
 from .llm import BackendConfig, HttpBackend, MockBackend
 from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc
 from .prompts import digest_sample
-from .rules import VERDICTS, FeatureTable, RuleLibrary, load_library, save_library, seed_library
+from .rules import VERDICTS, FeatureTable, RuleLibrary, seed_library
 from .synth import GeneratorConfig, generate_dataset
-from .trajectory import LABELS, Trajectory, smooth_trajectories, validate_trajectory
+from .trajectory import Trajectory, smooth_trajectories, validate_trajectory
 from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py patches it
 from .verification import discover_rules, run_verification_loop
 
 log = logging.getLogger(__name__)
-
-DECISIONS = (*LABELS, UNDETERMINED)
 
 
 def _cfg(args: argparse.Namespace) -> RunConfig:
@@ -239,7 +236,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "decision": UNDETERMINED,
                 "reason": reason,
             }
-        if "label" in row:
+        if row.get("label") is not None:
             entry["label"] = row["label"]
         tally[entry["decision"]] += 1
         results.append(entry)
@@ -284,30 +281,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report is not valid JSON: {exc}") from exc
-    results = doc.get("results") if isinstance(doc, dict) else None
-    if not isinstance(results, list):
-        raise InputError("report file has no 'results' array")
-    for i, r in enumerate(results):
-        if not isinstance(r, dict):
-            raise InputError(f"report entry {i} is not an object")
-        where = f"report entry {i} ({r.get('vehicle_id')!r})"
-        if "decision" not in r:
-            raise InputError(f"{where} has no 'decision'")
-        if r["decision"] not in DECISIONS:
-            raise InputError(f"{where}: decision must be one of {DECISIONS}, "
-                             f"got {r['decision']!r}")
-        if "label" in r and r["label"] not in LABELS:
-            raise InputError(f"{where}: label must be one of {LABELS}, got {r['label']!r}")
-        score = r.get("score")
-        if score is not None and type(score) not in (int, float):
-            raise InputError(f"{where}: score must be a number, got {score!r}")
-        if score is not None and not math.isfinite(score):
-            raise InputError(f"{where}: score must be finite, got {score!r}")
+    results = io.load_report(args.report)
     labeled = [r for r in results if "label" in r]
     if not labeled:
         raise InputError("report carries no ground-truth labels to evaluate against")
@@ -359,8 +333,6 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
                         help="lane-change window length in frames")
     parser.add_argument("--lc-threshold", type=float,
                         help="cumulative lateral displacement threshold")
-    parser.add_argument("--min-mean-speed", type=float,
-                        help="drop vehicles slower than this (0 keeps all)")
     parser.add_argument("--context", choices=("auto", "any", "free_flow", "congested"))
     parser.add_argument("--congestion-speed-threshold", type=float)
 
@@ -376,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract feature rows from trajectories")
     p.add_argument("--input", required=True, help="trajectory JSONL file")
     p.add_argument("--output", required=True, help="feature JSONL file to write")
+    p.add_argument("--min-mean-speed", type=float,
+                   help="drop vehicles slower than this (0 keeps all)")
     _add_extraction_flags(p)
     _add_config(p)
     p.set_defaults(func=cmd_features)

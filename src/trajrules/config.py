@@ -6,13 +6,13 @@ Unknown keys in a config file are an error rather than a silent no-op.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import InputError
+from .io import load_json_object
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,7 @@ def _coerce(name: str, value: Any, default: Any) -> Any:
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file. Unknown keys and wrong types raise InputError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("config file must hold a JSON object")
+    doc = load_json_object(path, "config file", InputError)
     defaults = RunConfig()
     known = {f.name: getattr(defaults, f.name) for f in fields(RunConfig)}
     patch = {}

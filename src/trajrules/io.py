@@ -1,21 +1,32 @@
-"""File formats: trajectories and feature rows as JSONL, reports as JSON.
+"""File formats: trajectories and feature rows as JSONL; rule libraries,
+reports and config files as JSON.
 
-One JSON object per line keeps large datasets streamable and diffs small.
-All writers sort keys and skip timestamps, so identical inputs produce
-byte-identical files.
+Every file the pipeline reads or writes is opened here. One JSON object per
+line keeps large datasets streamable and diffs small. All writers sort keys
+and skip timestamps, so identical inputs produce byte-identical files.
 """
 from __future__ import annotations
 
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import SchemaError
-from .rules import CONTEXTS
+from . import dsl
+from .errors import (
+    CorruptLibraryError,
+    InputError,
+    LibraryValidationError,
+    PredicateError,
+    SchemaError,
+)
+from .metrics import UNDETERMINED
+from .rules import CONTEXTS, DEFAULT_THETA, ContextConstraint, Rule, RuleLibrary
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
+
+DECISIONS = (*LABELS, UNDETERMINED)
 
 
 # Encodes a container that holds no other container, one item per line at
@@ -31,9 +42,10 @@ def dump_json(obj: object, path: str | Path) -> None:
     The bytes are json.dumps(obj, indent=2, sort_keys=True) plus a newline,
     made without the pure-Python encoder that indent selects: each container
     that holds no other container is one call of the C encoder. Its text is
-    kept by identity for this call, so an object shared across the document
-    is encoded once. The pieces are written in batches, so a large report is
-    never held in memory as one string.
+    kept by identity until the next batch of pieces is written, so an object
+    shared across a stretch of the document is encoded once there. Batches
+    are written between the items of any container, so neither a large
+    report nor the text of its flat items is ever held in memory whole.
     """
     with open(path, "w", encoding="utf-8") as fh:
         parts: list[str] = []
@@ -76,11 +88,12 @@ def _write_value(obj: object, depth: int, parts: list[str],
     for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
         parts.append(sep + _key_text(key) + ": " if is_dict else sep)
         _write_value(value, depth + 1, parts, memo, fh)
+        if len(parts) >= _BATCH:
+            fh.write("".join(parts))
+            parts.clear()
+            memo.clear()
         sep = "," + pad
     parts.append("\n" + "  " * depth + closing)
-    if len(parts) >= _BATCH:
-        fh.write("".join(parts))
-        parts.clear()
 
 
 def _check_label(value: object, line: int) -> str | None:
@@ -136,6 +149,9 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
     for key in ("vehicle_id", "frame_rate", "points"):
         if key not in doc:
             raise SchemaError(f"trajectory record missing {key!r}", line)
+    vehicle_id = doc["vehicle_id"]
+    if not isinstance(vehicle_id, (str, int)) or isinstance(vehicle_id, bool):
+        raise SchemaError(f"vehicle_id must be a string or an integer, got {vehicle_id!r}", line)
     t, x, y = _parse_points(doc["points"], line)
     unit_system = doc.get("unit_system", "metric")
     if unit_system not in UNIT_SYSTEMS:
@@ -144,7 +160,7 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
         )
     try:
         return Trajectory(
-            vehicle_id=str(doc["vehicle_id"]),
+            vehicle_id=str(vehicle_id),
             t=t,
             x=x,
             y=y,
@@ -190,10 +206,15 @@ def load_trajectories(path: str | Path) -> list[Trajectory]:
     return trajectories
 
 
-def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
+def _write_jsonl(docs: Iterable[dict], path: str | Path) -> None:
+    """One canonical JSON object per line, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(trajectory_to_dict(traj), sort_keys=True) + "\n")
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
+    _write_jsonl(map(trajectory_to_dict, trajectories), path)
 
 
 def load_feature_rows(path: str | Path) -> list[dict]:
@@ -233,7 +254,143 @@ def load_feature_rows(path: str | Path) -> list[dict]:
     return rows
 
 
-def save_feature_rows(rows: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+def save_feature_rows(rows: Iterable[dict], path: str | Path) -> None:
+    _write_jsonl(rows, path)
+
+
+def load_json_object(path: str | Path, name: str, error: type[InputError]) -> dict:
+    """Decode a file that holds one JSON object; error's message names the file as name."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {name}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{name} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{name} must hold a JSON object")
+    return doc
+
+
+def load_report(path: str | Path) -> list[dict]:
+    """The entries of a classify report; InputError names the first malformed one."""
+    results = load_json_object(path, "report file", InputError).get("results")
+    if not isinstance(results, list):
+        raise InputError("report file has no 'results' array")
+    for i, r in enumerate(results):
+        if not isinstance(r, dict):
+            raise InputError(f"report entry {i} is not an object")
+        where = f"report entry {i} ({r.get('vehicle_id')!r})"
+        if "decision" not in r:
+            raise InputError(f"{where} has no 'decision'")
+        if r["decision"] not in DECISIONS:
+            raise InputError(f"{where}: decision must be one of {DECISIONS}, "
+                             f"got {r['decision']!r}")
+        if "label" in r and r["label"] not in LABELS:
+            raise InputError(f"{where}: label must be one of {LABELS}, got {r['label']!r}")
+        score = r.get("score")
+        if score is not None and type(score) not in (int, float):
+            raise InputError(f"{where}: score must be a number, got {score!r}")
+        if score is not None and not math.isfinite(score):
+            raise InputError(f"{where}: score must be finite, got {score!r}")
+    return results
+
+
+_RULE_FIELDS = (
+    "id", "description", "predicate", "contexts", "tasks", "category",
+    "polarity", "confidence", "state", "direction", "revision",
+)
+_LIBRARY_FIELDS = ("version", "theta", "units", "rules", "provenance")
+
+
+def _rule_to_dict(rule: Rule) -> dict:
+    out = {
+        "id": rule.id,
+        "description": rule.description,
+        "predicate": rule.predicate_text,
+        "contexts": sorted(rule.context.allowed_contexts),
+        "tasks": sorted(rule.context.applicable_tasks),
+        "category": rule.category,
+        "polarity": rule.polarity,
+        "confidence": rule.confidence,
+        "state": rule.state,
+        "direction": rule.direction,
+        "revision": rule.revision,
+    }
+    out.update(rule.extras)
+    return out
+
+
+def _rule_from_dict(data: object, index: int) -> Rule:
+    if not isinstance(data, dict):
+        raise CorruptLibraryError(f"rule entry {index} must be a JSON object, got {data!r}")
+    where = f"rule {data['id']}" if isinstance(data.get("id"), str) else f"rule entry {index}"
+    for key in ("id", "description", "predicate"):
+        if not isinstance(data.get(key, ""), str):
+            raise LibraryValidationError(f"{where}: {key!r} must be a string, got {data[key]!r}")
+    for key in ("contexts", "tasks"):
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise LibraryValidationError(
+                f"{where}: {key!r} must be an array of strings, got {value!r}")
+    try:
+        rule = Rule(
+            id=data["id"],
+            description=data["description"],
+            predicate=dsl.parse_predicate(data["predicate"]),
+            context=ContextConstraint(
+                frozenset(data.get("contexts", ["any"])),
+                frozenset(data.get("tasks", ["identification"])),
+            ),
+            category=data.get("category", "smoothness"),
+            polarity=data.get("polarity", "AV_indicative"),
+            confidence=data.get("confidence"),
+            state=data.get("state", "candidate"),
+            direction=data.get("direction"),
+            revision=data.get("revision", 0),
+            extras={k: v for k, v in data.items() if k not in _RULE_FIELDS},
+        )
+    except KeyError as exc:
+        raise CorruptLibraryError(f"rule entry missing field {exc}") from exc
+    except PredicateError as exc:
+        raise LibraryValidationError(f"{where}: bad predicate: {exc}") from exc
+    return rule
+
+
+def save_library(library: RuleLibrary, path: str | Path) -> None:
+    """Write the library as JSON. Output bytes are deterministic."""
+    doc = {
+        "version": library.version,
+        "theta": library.theta,
+        "units": library.units,
+        "rules": [_rule_to_dict(r) for r in library.rules],
+        "provenance": library.provenance,
+    }
+    doc.update(library.extras)
+    dump_json(doc, path)
+
+
+def load_library(path: str | Path) -> RuleLibrary:
+    """Load a library written by save_library.
+
+    Unknown fields on the library or on individual rules are preserved and
+    written back on save. Raises CorruptLibraryError for unreadable files or
+    missing required fields, LibraryValidationError for invariant violations.
+    """
+    doc = load_json_object(path, "library file", CorruptLibraryError)
+    if "version" not in doc:
+        raise CorruptLibraryError("library file missing 'version'")
+    if not isinstance(doc["version"], int) or isinstance(doc["version"], bool):
+        raise CorruptLibraryError("library 'version' must be an integer")
+    if "rules" not in doc or not isinstance(doc["rules"], list):
+        raise CorruptLibraryError("library file missing 'rules' array")
+    if not isinstance(doc.get("provenance", []), list):
+        raise CorruptLibraryError("library 'provenance' must be an array")
+    return RuleLibrary(
+        rules=[_rule_from_dict(r, i) for i, r in enumerate(doc["rules"])],
+        theta=doc.get("theta", DEFAULT_THETA),
+        version=doc["version"],
+        units=doc.get("units", "metric"),
+        provenance=list(doc.get("provenance", [])),
+        extras={k: v for k, v in doc.items() if k not in _LIBRARY_FIELDS},
+    )

@@ -2,8 +2,8 @@
 
 Speed is the central difference of Euclidean displacement over two frames;
 acceleration and jerk are central differences of the level below. Each
-derivative level therefore loses one sample at both ends, and valid_range
-records the frame span each series actually covers.
+derivative level therefore loses one sample at both ends: on a validated
+track, velocity covers frames t[1:-1], acceleration t[2:-2] and jerk t[3:-3].
 """
 from __future__ import annotations
 
@@ -45,16 +45,11 @@ PRE_LC_WINDOW_S = 2.0
 
 @dataclass(frozen=True, eq=False)
 class KinematicSeries:
-    """Velocity/acceleration/jerk samples plus the frame span of each series.
-
-    valid_range maps series name to (first_frame, last_frame), or to None
-    when the trajectory is too short for that derivative level.
-    """
+    """Velocity/acceleration/jerk samples of one trajectory."""
 
     velocity: np.ndarray
     acceleration: np.ndarray
     jerk: np.ndarray
-    valid_range: dict[str, tuple[int, int] | None]
     frame_rate: float
 
 
@@ -64,12 +59,6 @@ class LaneChangeEvent:
     end_frame: int
     cumulative_displacement: float
     direction: str  # "left" or "right"
-
-
-def _span(frames: np.ndarray, offset: int, length: int) -> tuple[int, int] | None:
-    if length <= 0:
-        return None
-    return int(frames[offset]), int(frames[offset + length - 1])
 
 
 def compute_kinematics(traj: Trajectory) -> KinematicSeries:
@@ -94,11 +83,6 @@ def compute_kinematics(traj: Trajectory) -> KinematicSeries:
         velocity=velocity,
         acceleration=acceleration,
         jerk=jerk,
-        valid_range={
-            "velocity": _span(traj.t, 1, len(velocity)),
-            "acceleration": _span(traj.t, 2, len(acceleration)),
-            "jerk": _span(traj.t, 3, len(jerk)),
-        },
         frame_rate=traj.frame_rate,
     )
 
@@ -211,9 +195,8 @@ def extended_atoms(
         out["speed_fluctuation_rate"] = count_fluctuations(accel) / duration_min
     out["lane_change_rate"] = len(events) / duration_min
 
-    span = kin.valid_range["acceleration"]
-    if events and span is not None:
-        first_frame = span[0]
+    if events:
+        first_frame = int(traj.t[2])  # frame of accel[0]
         window = PRE_LC_WINDOW_S * traj.frame_rate
         min_samples = max(3, int(traj.frame_rate))
         decels = []

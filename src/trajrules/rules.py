@@ -7,20 +7,13 @@ verdict keeps out-of-scope vehicles out of both sides of every score.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import dsl
-from .errors import (
-    CorruptLibraryError,
-    LibraryValidationError,
-    PredicateError,
-    UnitMismatchError,
-)
+from .errors import LibraryValidationError, UnitMismatchError
 from .trajectory import UNIT_SYSTEMS
 
 CONTEXTS = ("free_flow", "congested", "any")
@@ -386,108 +379,3 @@ def seed_library(theta: float = DEFAULT_THETA) -> RuleLibrary:
              "std_jerk < 0.5", "smoothness"),
     ]
     return RuleLibrary(rules=rules, theta=theta)
-
-
-_RULE_FIELDS = (
-    "id", "description", "predicate", "contexts", "tasks", "category",
-    "polarity", "confidence", "state", "direction", "revision",
-)
-_LIBRARY_FIELDS = ("version", "theta", "units", "rules", "provenance")
-
-
-def _rule_to_dict(rule: Rule) -> dict:
-    out = {
-        "id": rule.id,
-        "description": rule.description,
-        "predicate": rule.predicate_text,
-        "contexts": sorted(rule.context.allowed_contexts),
-        "tasks": sorted(rule.context.applicable_tasks),
-        "category": rule.category,
-        "polarity": rule.polarity,
-        "confidence": rule.confidence,
-        "state": rule.state,
-        "direction": rule.direction,
-        "revision": rule.revision,
-    }
-    out.update(rule.extras)
-    return out
-
-
-def _rule_from_dict(data: object, index: int) -> Rule:
-    if not isinstance(data, dict):
-        raise CorruptLibraryError(f"rule entry {index} must be a JSON object, got {data!r}")
-    where = f"rule {data['id']}" if isinstance(data.get("id"), str) else f"rule entry {index}"
-    for key in ("id", "description", "predicate"):
-        if not isinstance(data.get(key, ""), str):
-            raise LibraryValidationError(f"{where}: {key!r} must be a string, got {data[key]!r}")
-    for key in ("contexts", "tasks"):
-        value = data.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise LibraryValidationError(
-                f"{where}: {key!r} must be an array of strings, got {value!r}")
-    try:
-        rule = Rule(
-            id=data["id"],
-            description=data["description"],
-            predicate=dsl.parse_predicate(data["predicate"]),
-            context=ContextConstraint(
-                frozenset(data.get("contexts", ["any"])),
-                frozenset(data.get("tasks", ["identification"])),
-            ),
-            category=data.get("category", "smoothness"),
-            polarity=data.get("polarity", "AV_indicative"),
-            confidence=data.get("confidence"),
-            state=data.get("state", "candidate"),
-            direction=data.get("direction"),
-            revision=data.get("revision", 0),
-            extras={k: v for k, v in data.items() if k not in _RULE_FIELDS},
-        )
-    except KeyError as exc:
-        raise CorruptLibraryError(f"rule entry missing field {exc}") from exc
-    except PredicateError as exc:
-        raise LibraryValidationError(f"{where}: bad predicate: {exc}") from exc
-    return rule
-
-
-def save_library(library: RuleLibrary, path: str | Path) -> None:
-    """Write the library as JSON. Output bytes are deterministic."""
-    doc = {
-        "version": library.version,
-        "theta": library.theta,
-        "units": library.units,
-        "rules": [_rule_to_dict(r) for r in library.rules],
-        "provenance": library.provenance,
-    }
-    doc.update(library.extras)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_library(path: str | Path) -> RuleLibrary:
-    """Load a library written by save_library.
-
-    Unknown fields on the library or on individual rules are preserved and
-    written back on save. Raises CorruptLibraryError for unreadable files or
-    missing required fields, LibraryValidationError for invariant violations.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptLibraryError(f"cannot read library: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CorruptLibraryError("library file must hold a JSON object")
-    if "version" not in doc:
-        raise CorruptLibraryError("library file missing 'version'")
-    if not isinstance(doc["version"], int) or isinstance(doc["version"], bool):
-        raise CorruptLibraryError("library 'version' must be an integer")
-    if "rules" not in doc or not isinstance(doc["rules"], list):
-        raise CorruptLibraryError("library file missing 'rules' array")
-    if not isinstance(doc.get("provenance", []), list):
-        raise CorruptLibraryError("library 'provenance' must be an array")
-    return RuleLibrary(
-        rules=[_rule_from_dict(r, i) for i, r in enumerate(doc["rules"])],
-        theta=doc.get("theta", DEFAULT_THETA),
-        version=doc["version"],
-        units=doc.get("units", "metric"),
-        provenance=list(doc.get("provenance", [])),
-        extras={k: v for k, v in doc.items() if k not in _LIBRARY_FIELDS},
-    )

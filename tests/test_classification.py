@@ -264,7 +264,6 @@ def kin_with_accel(accel, frame_rate=25.0):
         velocity=np.zeros(accel.size + 2),
         acceleration=accel,
         jerk=np.zeros(max(0, accel.size - 2)),
-        valid_range={"velocity": None, "acceleration": None, "jerk": None},
         frame_rate=frame_rate,
     )
 

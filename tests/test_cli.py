@@ -7,8 +7,8 @@ import pytest
 
 from trajrules import cli
 from trajrules.dsl import parse_predicate
-from trajrules.io import load_feature_rows, load_trajectories
-from trajrules.rules import ContextConstraint, load_library, save_library, seed_library
+from trajrules.io import load_feature_rows, load_library, load_trajectories, save_library
+from trajrules.rules import ContextConstraint, seed_library
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -307,7 +307,7 @@ def test_classify_ignores_rules_not_tagged_for_identification(workdir, tmp_path)
     ({"results": [{"vehicle_id": "x", "decision": "AV", "score": 0.9}]},
      "report carries no ground-truth labels to evaluate against"),
     ([{"vehicle_id": "x", "decision": "AV", "label": "AV"}],
-     "report file has no 'results' array"),
+     "report file must hold a JSON object"),
     ({"results": ["AV"]}, "report entry 0 is not an object"),
     ({"results": [{"vehicle_id": "x", "label": "AV"}]},
      "report entry 0 ('x') has no 'decision'"),
@@ -503,3 +503,59 @@ def test_predict_both_tasks(workdir, tmp_path, capsys):
         for pred in doc["predictions"]:
             assert pred["direction"] in valid
             assert set(pred["scores"]) == valid
+
+
+def test_null_label_is_no_label_through_classify_and_evaluate(workdir, tmp_path):
+    rows = load_feature_rows(workdir / "f.jsonl")
+    rows[0]["label"] = None
+    feats = tmp_path / "f.jsonl"
+    feats.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    report = tmp_path / "r.json"
+    assert cli.main(["classify", "--features", str(feats), "--library", str(lib_path),
+                     "--output", str(report)]) == 0
+    results = json.loads(report.read_text())["results"]
+    assert "label" not in results[0]
+    assert all("label" in r for r in results[1:])
+    metrics = tmp_path / "m.json"
+    assert cli.main(["evaluate", "--report", str(report), "--output", str(metrics)]) == 0
+    assert json.loads(metrics.read_text())["n_samples"] == len(rows) - 1
+
+
+def test_predict_has_no_min_mean_speed_flag(workdir, tmp_path, capsys):
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["predict", "--input", str(workdir / "t.jsonl"), "--library", str(lib_path),
+                  "--output", str(tmp_path / "p.json"), "--task", "speed",
+                  "--min-mean-speed", "1"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --min-mean-speed 1" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    ("classify", "--library", "library file"),
+    ("classify", "--config", "config file"),
+    ("evaluate", "--report", "report file"),
+])
+def test_json_file_reads_fail_the_same_way(workdir, tmp_path, capsys, command, flag, name):
+    lib_path = tmp_path / "lib.json"
+    save_library(seed_library(), lib_path)
+    inputs = {"classify": ["--features", str(workdir / "f.jsonl"), "--library", str(lib_path)],
+              "evaluate": ["--report", str(tmp_path / "r.json")]}[command]
+    args = [command, *inputs, "--output", str(tmp_path / "out.json")]
+    bad = tmp_path / "bad.json"
+    for content, message in ((b"[]", f"{name} must hold a JSON object"),
+                             (b"{broken", f"{name} is not valid JSON: "),
+                             (b'{"a": "\xe9"}', f"{name} is not valid JSON: 'utf-8' codec"),
+                             (None, f"cannot read {name}: ")):
+        if content is None:
+            bad.unlink()
+        else:
+            bad.write_bytes(content)
+        rc = cli.main([*args, flag, str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out.json").exists()

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trajrules import io
 from trajrules.errors import SchemaError
 from trajrules.io import (
     dump_json,
@@ -82,6 +84,13 @@ def test_load_reports_offending_line(tmp_path):
     (lambda d: d.update(unit_system="imperial"), "unit_system"),
     (lambda d: d.update(label="bus"), "label must be one of"),
     (lambda d: d.update(frame_rate="fast"), "could not convert"),
+    (lambda d: d.update(vehicle_id=None), "vehicle_id must be a string or an integer, got None"),
+    (lambda d: d.update(vehicle_id=True), "vehicle_id must be a string or an integer, got True"),
+    (lambda d: d.update(vehicle_id=7.0), "vehicle_id must be a string or an integer, got 7.0"),
+    (lambda d: d.update(vehicle_id=[1, 2]),
+     "vehicle_id must be a string or an integer, got [1, 2]"),
+    (lambda d: d.update(vehicle_id={"id": 1}),
+     "vehicle_id must be a string or an integer, got {'id': 1}"),
 ])
 def test_trajectory_schema_violations(tmp_path, mutate, fragment):
     doc = trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5))
@@ -243,6 +252,32 @@ def test_dump_json_equals_json_dumps_on_random_documents(tmp_path):
     doc = [flat, {"k": nested, "l": [[flat]], "m": {None: nested}}, nested, ()]
     dump_json(doc, path)
     assert path.read_bytes() == oracle_bytes(doc)
+
+
+def test_dump_json_with_tiny_batches_equals_json_dumps(tmp_path, monkeypatch):
+    # a write, and the memo reset with it, after nearly every piece
+    monkeypatch.setattr(io, "_BATCH", 2)
+    rng = np.random.default_rng(910)
+    path = tmp_path / "r.json"
+    for trial in range(200):
+        doc = random_document(rng, 0, [])
+        dump_json(doc, path)
+        assert path.read_bytes() == oracle_bytes(doc), trial
+
+
+def test_dump_json_memory_stays_below_file_size(tmp_path):
+    # a long list of unique flat items is written as it goes, not held whole
+    doc = {"results": [{"vehicle_id": f"v{i}", "decision": "AV", "score": i / 7}
+                       for i in range(20_000)]}
+    path = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        dump_json(doc, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == oracle_bytes(doc)
+    assert peak < path.stat().st_size
 
 
 def nest(value, depth):

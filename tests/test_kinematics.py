@@ -50,14 +50,15 @@ def test_series_lengths():
 
 
 def test_valid_range_spans():
+    # each series covers frames t[k:-k] at derivative level k
     traj = make_trajectory(np.arange(10.0), np.zeros(10))
     kin = compute_kinematics(traj)
-    assert kin.valid_range["velocity"] == (1, 8)
-    assert kin.valid_range["acceleration"] == (2, 7)
-    assert kin.valid_range["jerk"] == (3, 6)
+    assert len(kin.velocity) == len(traj.t[1:-1]) == 8
+    assert len(kin.acceleration) == len(traj.t[2:-2]) == 6
+    assert len(kin.jerk) == len(traj.t[3:-3]) == 4
 
     short = make_trajectory(np.arange(6.0), np.zeros(6))
-    assert compute_kinematics(short).valid_range["jerk"] is None
+    assert len(compute_kinematics(short).jerk) == 0
 
 
 def test_too_short_for_kinematics():

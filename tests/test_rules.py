@@ -10,6 +10,7 @@ from trajrules.errors import (
     LibraryValidationError,
     UnitMismatchError,
 )
+from trajrules.io import load_library, save_library
 from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
@@ -18,8 +19,6 @@ from trajrules.rules import (
     Rule,
     RuleLibrary,
     evaluate_rule,
-    load_library,
-    save_library,
     seed_library,
 )
 

@@ -27,6 +27,7 @@ from trajrules.classification import (
     vote_table,
 )
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
+from trajrules.io import load_library, save_library
 from trajrules.metrics import UNDETERMINED
 from trajrules.rules import (
     DIRECTIONS,
@@ -39,8 +40,6 @@ from trajrules.rules import (
     Rule,
     RuleLibrary,
     evaluate_rule,
-    load_library,
-    save_library,
 )
 from trajrules.verification import (
     FailureCase,
