@@ -6,13 +6,10 @@ predicates against labeled data with an LLM-assisted refine loop, and applies
 the surviving rules to classification and short-horizon maneuver prediction.
 """
 from .classification import (
-    MatchReport,
-    RuleEvidence,
     TaskPrediction,
     identify_vehicle,
     infer_context,
     lane_prior,
-    matching_score,
     predict_lane_change,
     predict_speed_change,
     speed_prior,
@@ -63,13 +60,11 @@ __all__ = [
     "InputError",
     "KinematicSeries",
     "LaneChangeEvent",
-    "MatchReport",
     "MetricsReport",
     "MockBackend",
     "NoApplicableRulesError",
     "PredicateSyntaxError",
     "Rule",
-    "RuleEvidence",
     "RuleLibrary",
     "TaskPrediction",
     "Trajectory",
@@ -90,7 +85,6 @@ __all__ = [
     "infer_context",
     "lane_prior",
     "load_library",
-    "matching_score",
     "parse_predicate",
     "predict_lane_change",
     "predict_speed_change",

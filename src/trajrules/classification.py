@@ -1,12 +1,12 @@
 """Rule-based identification and maneuver prediction.
 
 Identification weighs every verified AV-indicative rule by its confidence:
-the matching score is the matched weight over the applicable weight, and a
-vehicle is called AV when the score clears the decision threshold. Every
-report carries the per-rule evidence so a decision can be audited rule by
-rule. Maneuver prediction blends confidence-weighted votes from direction
-rules with a short-horizon kinematic prior. Both read only the verified rules
-tagged with their task.
+score_table sums each vehicle's applicable and matched weight, and
+identify_vehicle calls a vehicle AV when its matching score (matched over
+applicable weight) clears the decision threshold. The verdicts behind the
+sums are the per-rule evidence. Maneuver prediction blends confidence-weighted
+votes from direction rules with a short-horizon kinematic prior. Both read
+only the verified rules tagged with their task.
 """
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from .errors import NoApplicableRulesError
 from .kinematics import KinematicSeries
 from .rules import (
     MATCHED_CODE,
-    NOT_APPLICABLE,
     NOT_APPLICABLE_CODE,
-    VERDICTS,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -29,7 +27,6 @@ from .rules import (
 )
 from .trajectory import Trajectory
 
-DEFAULT_DELTA = 0.5
 SPEED_DIRECTIONS = ("accelerate", "decelerate", "maintain")
 LANE_DIRECTIONS = ("left_LC", "right_LC", "keep_lane")
 TASK_DIRECTIONS = {"speed": SPEED_DIRECTIONS, "lane_change": LANE_DIRECTIONS}
@@ -39,26 +36,6 @@ ACCEL_DEADBAND = 0.1
 LATERAL_DEADBAND = 0.05
 
 CONGESTION_SPEED_THRESHOLD = 5.0
-
-
-@dataclass(frozen=True)
-class RuleEvidence:
-    rule_id: str
-    description: str
-    verdict: str
-    weight: float
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """One identification decision with its full audit trail."""
-
-    vehicle_id: str | None
-    score: float
-    decision: str  # "AV" or "HDV"
-    confidence: float  # distance from the decision boundary, 0..1
-    evidence: tuple[RuleEvidence, ...]
-    n_applicable: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +53,7 @@ def infer_context(mean_speed: float, congestion_speed_threshold: float = CONGEST
 
 @dataclass(frozen=True)
 class TableScores:
-    """matching_score's sums for every row of a feature table.
+    """The matching-score sums of every row of a feature table.
 
     The rules are the library's verified AV-indicative identification rules
     in library order; verdicts holds one row per rule and one column per
@@ -111,80 +88,28 @@ def score_table(library: RuleLibrary, table: FeatureTable) -> TableScores:
     return TableScores(rules, verdicts, matched, applicable, n_applicable)
 
 
-def undetermined_reason(n_applicable: int, applicable_weight: float) -> str | None:
-    """Why no matching score exists for a vehicle, or None when one does."""
-    if n_applicable == 0:
-        return "no verified AV-indicative rule applies to this vehicle"
-    if applicable_weight <= 0.0:
-        return "applicable rules carry zero total confidence weight"
-    return None
-
-
-def decide(score: float, delta: float) -> tuple[str, float]:
-    """Decision for a matching score, and its distance from delta in 0..1.
-
-    The decision is AV when score >= delta. The distance is normalized by
-    the widest possible margin on its side, so 1.0 means maximally far from
-    the boundary.
-    """
-    if score >= delta:
-        return "AV", (score - delta) / (1.0 - delta)
-    return "HDV", (delta - score) / delta
-
-
-def matching_score(
-    library: RuleLibrary,
-    features: Mapping[str, float],
-    context: str = "any",
-    *,
-    feature_units: str | None = None,
-) -> tuple[float, list[RuleEvidence]]:
-    """Confidence-weighted fraction of applicable AV-indicative rules matched.
-
-    Only verified AV-indicative rules vote; each contributes its confidence
-    as weight. Raises NoApplicableRulesError when nothing applies or the
-    applicable rules carry zero total weight, so callers can report the
-    vehicle as undetermined instead of guessing. This is score_table's
-    one-vehicle case.
-    """
-    scores = score_table(library, FeatureTable([features], [context], units=[feature_units]))
-    matched = float(scores.matched_weight[0])
-    applicable = float(scores.applicable_weight[0])
-    reason = undetermined_reason(int(scores.n_applicable[0]), applicable)
-    if reason is not None:
-        raise NoApplicableRulesError(reason)
-    evidence = [
-        RuleEvidence(rule.id, rule.description, VERDICTS[code], rule.confidence or 0.0)
-        for rule, code in zip(scores.rules, scores.verdicts[:, 0].tolist())
-    ]
-    return matched / applicable, evidence
-
-
 def identify_vehicle(
-    library: RuleLibrary,
-    features: Mapping[str, float],
-    context: str = "any",
-    *,
-    delta: float = DEFAULT_DELTA,
-    feature_units: str | None = None,
-    vehicle_id: str | None = None,
-) -> MatchReport:
-    """Call one vehicle AV or HDV from its matching score (see decide)."""
+    matched_weight: float, applicable_weight: float, n_applicable: int, delta: float,
+) -> tuple[str, float, float]:
+    """Decision, matching score and confidence of one vehicle from its score_table sums.
+
+    The score is the matched weight over the applicable weight, and the
+    decision is AV when score >= delta. The confidence is the distance from
+    delta normalized by the widest possible margin on its side, so 1.0 means
+    maximally far from the boundary. Raises NoApplicableRulesError when no
+    rule applies or the applicable rules carry zero total weight, so callers
+    can report the vehicle as undetermined instead of guessing.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta} outside (0, 1)")
-    score, evidence = matching_score(
-        library, features, context, feature_units=feature_units,
-    )
-    decision, margin = decide(score, delta)
-    n_applicable = sum(1 for e in evidence if e.verdict != NOT_APPLICABLE)
-    return MatchReport(
-        vehicle_id=vehicle_id,
-        score=score,
-        decision=decision,
-        confidence=margin,
-        evidence=tuple(evidence),
-        n_applicable=n_applicable,
-    )
+    if n_applicable == 0:
+        raise NoApplicableRulesError("no verified AV-indicative rule applies to this vehicle")
+    if applicable_weight <= 0.0:
+        raise NoApplicableRulesError("applicable rules carry zero total confidence weight")
+    score = matched_weight / applicable_weight
+    if score >= delta:
+        return "AV", score, (score - delta) / (1.0 - delta)
+    return "HDV", score, (delta - score) / delta
 
 
 def vote_table(library: RuleLibrary, table: FeatureTable, task: str) -> np.ndarray:

@@ -8,25 +8,24 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import asdict, replace
 
 from . import io
 from .classification import (
     TASK_DIRECTIONS,
-    decide,
-    identify_vehicle,  # not called here; perfbench/spans.py patches this name
+    identify_vehicle,
     infer_context,
     lane_prior,
     predict_lane_change,
     predict_speed_change,
     score_table,
     speed_prior,
-    undetermined_reason,
     vote_table,
 )
 from .config import RunConfig, load_config, merge_overrides
-from .errors import DegenerateLabelsError, InputError, TrajRulesError
+from .errors import DegenerateLabelsError, InputError, NoApplicableRulesError, TrajRulesError
 from .io import load_library, save_library  # bare name: perfbench/spans.py patches load_library
 from .kinematics import (
     compute_kinematics,
@@ -82,6 +81,10 @@ def _extract(t: Trajectory, cfg: RunConfig):
     events = detect_lane_changes(t, window=cfg.lc_window, threshold=cfg.lc_threshold)
     feats = summarize_features(t, kin, events)
     feats.update(extended_atoms(t, kin, events))
+    for atom, value in feats.items():
+        if not math.isfinite(value):  # a frame rate so high that the differences overflow
+            raise InputError(f"vehicle {t.vehicle_id!r}: feature {atom!r} is {value}, "
+                             "not a finite number")
     return kin, feats
 
 
@@ -214,10 +217,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         rows, map(tuple, scores.verdicts.T.tolist()), scores.matched_weight.tolist(),
         scores.applicable_weight.tolist(), scores.n_applicable.tolist(),
     ):
-        reason = undetermined_reason(n_applicable, applicable)
-        if reason is None:
-            score = matched / applicable
-            decision, confidence = decide(score, cfg.delta)
+        try:
+            decision, score, confidence = identify_vehicle(
+                matched, applicable, n_applicable, cfg.delta)
+        except NoApplicableRulesError as exc:
+            entry = {"vehicle_id": row["vehicle_id"], "decision": UNDETERMINED,
+                     "reason": str(exc)}
+        else:
             if verdicts not in evidence_for:
                 evidence_for[verdicts] = [
                     {"rule_id": rule_id, "verdict": VERDICTS[code], "weight": weight}
@@ -229,12 +235,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "score": score,
                 "confidence": confidence,
                 "evidence": evidence_for[verdicts],
-            }
-        else:
-            entry = {
-                "vehicle_id": row["vehicle_id"],
-                "decision": UNDETERMINED,
-                "reason": reason,
             }
         if row.get("label") is not None:
             entry["label"] = row["label"]

@@ -158,6 +158,9 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
         raise SchemaError(
             f"unit_system must be one of {UNIT_SYSTEMS}, got {unit_system!r}", line
         )
+    for key in ("frame_rate", "unit_scale"):
+        if key in doc and type(doc[key]) not in (int, float):  # not a string or a boolean
+            raise SchemaError(f"{key} must be a number, got {doc[key]!r}", line)
     try:
         return Trajectory(
             vehicle_id=str(vehicle_id),
@@ -169,20 +172,32 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
             unit_system=unit_system,
             label=_check_label(doc.get("label"), line),
         )
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer beyond float range
         raise SchemaError(str(exc), line) from exc
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield (line number, decoded value) for each non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not (raw := line.strip()):
-                continue
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not (raw := line.strip()):
+                    continue
+                try:
+                    yield lineno, json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"invalid JSON: {exc.msg}", lineno) from exc
+        except UnicodeDecodeError:
+            # the text layer decodes ahead in chunks, so find the line in the bytes
+            data = Path(path).read_bytes()
             try:
-                yield lineno, json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", lineno) from exc
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # splitlines breaks lines where the text layer does
+                line = len((data[:exc.start] + b"_").splitlines())
+                raise SchemaError(f"not valid UTF-8 ({exc.reason} at byte {exc.start})",
+                                  line) from exc
+            raise
 
 
 def _check_new_id(first_line: dict[str, int], vehicle_id: str, line: int) -> None:

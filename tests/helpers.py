@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from trajrules.classification import identify_vehicle, score_table
+from trajrules.rules import FeatureTable
 from trajrules.trajectory import Trajectory
 
 
@@ -49,3 +51,14 @@ def sigmoid_shift(n, shift, center, steepness=0.08):
     """Lateral profile moving from 0 to shift around the center index."""
     idx = np.arange(n, dtype=np.float64)
     return shift / (1.0 + np.exp(-steepness * (idx - center)))
+
+
+def score_one(library, features, context="any", *, feature_units=None):
+    """score_table over a one-row FeatureTable."""
+    return score_table(library, FeatureTable([features], [context], units=[feature_units]))
+
+
+def identify_column(scores, delta=0.5, j=0):
+    """identify_vehicle on column j's sums: (decision, score, confidence)."""
+    return identify_vehicle(float(scores.matched_weight[j]), float(scores.applicable_weight[j]),
+                            int(scores.n_applicable[j]), delta)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from trajrules import cli, dsl
-from trajrules.classification import identify_vehicle, infer_context, matching_score
+from trajrules.classification import infer_context
 from trajrules.errors import NoApplicableRulesError
 from trajrules.kinematics import (
     compute_kinematics,
@@ -39,7 +39,7 @@ from trajrules.synth import GeneratorConfig, generate_dataset
 from trajrules.trajectory import smooth_trajectory, validate_trajectory
 from trajrules.verification import compute_confidence, run_verification_loop
 
-from helpers import make_trajectory
+from helpers import identify_column, make_trajectory, score_one
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -204,7 +204,7 @@ def oracle_score(specs, feats, context):
 
 
 def test_matching_score_equals_brute_force():
-    """matching_score equals a brute-force recount on 1000 random rule-set/feature fixtures, exactly, in under 10 s"""
+    """the matching score equals a brute-force recount on 1000 random rule-set/feature fixtures, exactly, in under 10 s"""
     start = time.monotonic()
     rng = np.random.default_rng(77)
     for trial in range(1000):
@@ -214,9 +214,9 @@ def test_matching_score_equals_brute_force():
         lib = RuleLibrary(rules=rules, theta=0.7)
         if expected is None:
             with pytest.raises(NoApplicableRulesError):
-                matching_score(lib, feats, context=context)
+                identify_column(score_one(lib, feats, context=context))
         else:
-            score, _ = matching_score(lib, feats, context=context)
+            _, score, _ = identify_column(score_one(lib, feats, context=context))
             assert score == expected, f"trial {trial}"
     assert time.monotonic() - start < 10.0
 
@@ -334,10 +334,10 @@ def test_synthetic_end_to_end_identification():
         )
         context = infer_context(feats["mean_speed"])
         try:
-            report = identify_vehicle(lib, feats, context, delta=0.5,
-                                      feature_units="metric")
-            predictions.append(report.decision)
-            scores.append(report.score)
+            decision, score, _ = identify_column(
+                score_one(lib, feats, context, feature_units="metric"), delta=0.5)
+            predictions.append(decision)
+            scores.append(score)
         except NoApplicableRulesError:
             predictions.append("undetermined")
             scores.append(None)

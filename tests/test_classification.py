@@ -9,7 +9,6 @@ from trajrules.classification import (
     identify_vehicle,
     infer_context,
     lane_prior,
-    matching_score,
     predict_lane_change,
     predict_speed_change,
     score_table,
@@ -18,9 +17,16 @@ from trajrules.classification import (
 )
 from trajrules.errors import NoApplicableRulesError
 from trajrules.kinematics import KinematicSeries
-from trajrules.rules import NOT_APPLICABLE, ContextConstraint, FeatureTable, Rule, RuleLibrary
+from trajrules.rules import (
+    NOT_APPLICABLE,
+    VERDICTS,
+    ContextConstraint,
+    FeatureTable,
+    Rule,
+    RuleLibrary,
+)
 
-from helpers import make_trajectory
+from helpers import identify_column, make_trajectory, score_one
 
 
 def make_rule(rid, text, *, state="verified", polarity="AV_indicative",
@@ -49,10 +55,11 @@ def test_matching_score_weighted_fraction():
         make_rule("B", "std_accel < 0.3", confidence=0.6),
         make_rule("C", "max_decel < 0.6", confidence=0.5),
     )
-    score, evidence = matching_score(lib, {"std_jerk": 0.2, "std_accel": 0.5, "max_decel": 0.4})
+    scores = score_one(lib, {"std_jerk": 0.2, "std_accel": 0.5, "max_decel": 0.4})
+    _, score, _ = identify_column(scores)
     # A and C match, B applicable but unmatched
     assert score == pytest.approx((0.9 + 0.5) / (0.9 + 0.6 + 0.5))
-    assert len(evidence) == 3
+    assert len(scores.rules) == len(scores.verdicts) == 3
 
 
 def test_matching_score_na_in_evidence_not_denominator():
@@ -60,11 +67,12 @@ def test_matching_score_na_in_evidence_not_denominator():
         make_rule("A", "std_jerk < 0.3", confidence=0.8),
         make_rule("B", "lane_change_angle < 10", confidence=0.9),
     )
-    score, evidence = matching_score(lib, {"std_jerk": 0.2})
-    assert score == 1.0
-    by_id = {e.rule_id: e for e in evidence}
-    assert by_id["B"].verdict == NOT_APPLICABLE
-    assert by_id["B"].weight == 0.9
+    scores = score_one(lib, {"std_jerk": 0.2})
+    assert identify_column(scores)[1] == 1.0
+    by_id = {rule.id: (rule, VERDICTS[code])
+             for rule, code in zip(scores.rules, scores.verdicts[:, 0])}
+    assert by_id["B"][1] == NOT_APPLICABLE
+    assert by_id["B"][0].confidence == 0.9
 
 
 def test_matching_score_only_verified_av_rules_vote():
@@ -74,9 +82,9 @@ def test_matching_score_only_verified_av_rules_vote():
         make_rule("C", "std_jerk > 0.1", state="candidate"),
         make_rule("R", "std_jerk > 0.1", state="retired"),
     )
-    score, evidence = matching_score(lib, {"std_jerk": 0.2})
-    assert score == 1.0
-    assert [e.rule_id for e in evidence] == ["A"]
+    scores = score_one(lib, {"std_jerk": 0.2})
+    assert identify_column(scores)[1] == 1.0
+    assert [r.id for r in scores.rules] == ["A"]
 
 
 def test_av_rule_without_identification_task_does_not_vote():
@@ -85,35 +93,33 @@ def test_av_rule_without_identification_task_does_not_vote():
         make_rule("S", "std_jerk > 0.1", tasks=("speed",), direction="decelerate"),
         make_rule("L", "std_jerk > 0.1", tasks=("lane_change",), direction="left_LC"),
     )
-    score, evidence = matching_score(lib, {"std_jerk": 0.5})
-    assert score == 0.0
-    assert [e.rule_id for e in evidence] == ["A"]
+    assert identify_column(score_one(lib, {"std_jerk": 0.5}))[1] == 0.0
     scores = score_table(lib, FeatureTable([{"std_jerk": 0.5}], ["any"]))
     assert [r.id for r in scores.rules] == ["A"]
     assert scores.matched_weight.tolist() == [0.0]
     assert scores.applicable_weight.tolist() == [0.5]
     # with only task-scoped rules, nothing is left to identify with
     with pytest.raises(NoApplicableRulesError):
-        matching_score(library(*lib.rules[1:]), {"std_jerk": 0.5})
+        identify_column(score_one(library(*lib.rules[1:]), {"std_jerk": 0.5}))
 
 
 def test_matching_score_errors():
     lib = library(make_rule("A", "lane_change_angle < 10"))
     with pytest.raises(NoApplicableRulesError):
-        matching_score(lib, {"std_jerk": 0.2})
+        identify_column(score_one(lib, {"std_jerk": 0.2}))
     zero = library(make_rule("A", "std_jerk < 0.3", confidence=0.0))
     with pytest.raises(NoApplicableRulesError):
-        matching_score(zero, {"std_jerk": 0.2})
+        identify_column(score_one(zero, {"std_jerk": 0.2}))
 
 
 def test_matching_score_context_gate():
     lib = library(make_rule("A", "std_jerk < 0.3", contexts=("free_flow",)))
     with pytest.raises(NoApplicableRulesError):
-        matching_score(lib, {"std_jerk": 0.2}, context="congested")
-    score, _ = matching_score(lib, {"std_jerk": 0.2}, context="free_flow")
+        identify_column(score_one(lib, {"std_jerk": 0.2}, context="congested"))
+    _, score, _ = identify_column(score_one(lib, {"std_jerk": 0.2}, context="free_flow"))
     assert score == 1.0
     # unknown sample context leaves every rule in scope
-    score, _ = matching_score(lib, {"std_jerk": 0.2}, context="any")
+    _, score, _ = identify_column(score_one(lib, {"std_jerk": 0.2}, context="any"))
     assert score == 1.0
 
 
@@ -203,9 +209,9 @@ def test_matching_score_against_brute_force_oracle():
         lib = library(*rules)
         if expected is None:
             with pytest.raises(NoApplicableRulesError):
-                matching_score(lib, feats, context=context)
+                identify_column(score_one(lib, feats, context=context))
         else:
-            score, _ = matching_score(lib, feats, context=context)
+            _, score, _ = identify_column(score_one(lib, feats, context=context))
             assert score == expected, f"trial {trial}"
 
 
@@ -215,40 +221,52 @@ def test_identify_decision_and_margin():
         make_rule("B", "std_accel < 0.3", confidence=1.0),
     )
     # both matched: score 1.0, maximal AV margin
-    report = identify_vehicle(lib, {"std_jerk": 0.2, "std_accel": 0.2}, vehicle_id="v1")
-    assert report.decision == "AV"
-    assert report.score == 1.0
-    assert report.confidence == 1.0
-    assert report.vehicle_id == "v1"
-    assert report.n_applicable == 2
+    scores = score_one(lib, {"std_jerk": 0.2, "std_accel": 0.2})
+    decision, score, confidence = identify_column(scores)
+    assert decision == "AV"
+    assert score == 1.0
+    assert confidence == 1.0
+    assert scores.n_applicable.tolist() == [2]
     # neither matched: score 0.0, maximal HDV margin
-    report = identify_vehicle(lib, {"std_jerk": 0.9, "std_accel": 0.9})
-    assert report.decision == "HDV"
-    assert report.confidence == 1.0
+    decision, _, confidence = identify_column(score_one(lib, {"std_jerk": 0.9, "std_accel": 0.9}))
+    assert decision == "HDV"
+    assert confidence == 1.0
     # exactly on the boundary counts as AV with zero margin
-    report = identify_vehicle(lib, {"std_jerk": 0.2, "std_accel": 0.9})
-    assert report.score == 0.5
-    assert report.decision == "AV"
-    assert report.confidence == 0.0
+    decision, score, confidence = identify_column(
+        score_one(lib, {"std_jerk": 0.2, "std_accel": 0.9}))
+    assert score == 0.5
+    assert decision == "AV"
+    assert confidence == 0.0
 
 
 def test_identify_margin_scales_with_delta():
     lib = library(make_rule("A", "std_jerk < 0.3", confidence=1.0),
                   make_rule("B", "std_accel < 0.3", confidence=1.0))
-    feats = {"std_jerk": 0.2, "std_accel": 0.9}  # score 0.5
-    report = identify_vehicle(lib, feats, delta=0.25)
-    assert report.decision == "AV"
-    assert report.confidence == pytest.approx((0.5 - 0.25) / 0.75)
-    report = identify_vehicle(lib, feats, delta=0.8)
-    assert report.decision == "HDV"
-    assert report.confidence == pytest.approx((0.8 - 0.5) / 0.8)
+    scores = score_one(lib, {"std_jerk": 0.2, "std_accel": 0.9})  # score 0.5
+    decision, _, confidence = identify_column(scores, delta=0.25)
+    assert decision == "AV"
+    assert confidence == pytest.approx((0.5 - 0.25) / 0.75)
+    decision, _, confidence = identify_column(scores, delta=0.8)
+    assert decision == "HDV"
+    assert confidence == pytest.approx((0.8 - 0.5) / 0.8)
 
 
 def test_identify_delta_validation():
-    lib = library(make_rule("A", "std_jerk < 0.3"))
+    scores = score_one(library(make_rule("A", "std_jerk < 0.3")), {"std_jerk": 0.2})
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            identify_vehicle(lib, {"std_jerk": 0.2}, delta=bad)
+            identify_column(scores, delta=bad)
+
+
+def test_identify_undetermined_reasons():
+    with pytest.raises(NoApplicableRulesError,
+                       match="^no verified AV-indicative rule applies to this vehicle$"):
+        identify_vehicle(0.0, 0.0, 0, 0.5)
+    with pytest.raises(NoApplicableRulesError,
+                       match="^applicable rules carry zero total confidence weight$"):
+        identify_vehicle(0.0, 0.0, 2, 0.5)
+    assert identify_vehicle(0.75, 1.0, 1, 0.5) == ("AV", 0.75, 0.5)
+    assert identify_vehicle(0.25, 1.0, 3, 0.5) == ("HDV", 0.25, 0.5)
 
 
 def test_infer_context_boundary():

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from trajrules import cli
+from trajrules.classification import identify_vehicle
 from trajrules.dsl import parse_predicate
+from trajrules.errors import NoApplicableRulesError
 from trajrules.io import load_feature_rows, load_library, load_trajectories, save_library
-from trajrules.rules import ContextConstraint, seed_library
+from trajrules.rules import ContextConstraint, Rule, RuleLibrary, seed_library
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -139,6 +141,26 @@ def test_short_track_error_names_the_vehicle(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: v1: window of 120 steps needs 121 points, trajectory has 60\n"
     )
+
+
+@pytest.mark.parametrize("command", ["features", "predict"])
+@pytest.mark.parametrize("frame_rate,message", [
+    (1e308, "v0: frame_rate 1e+308 is too high: its squared time step is 0"),
+    (1e160, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+], ids=["step_squared_underflows", "features_overflow"])
+def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, frame_rate, message):
+    trajs = tmp_path / "t.jsonl"
+    points = [[t, 0.5 * t, 0.0] for t in range(200)]
+    trajs.write_text(json.dumps({"vehicle_id": "v0", "frame_rate": frame_rate,
+                                 "points": points}) + "\n")
+    library = tmp_path / "lib.json"
+    save_library(seed_library(), library)
+    extra = ["--library", str(library), "--task", "speed"] if command == "predict" else []
+    out = tmp_path / "out"
+    rc = cli.main([command, "--input", str(trajs), "--output", str(out), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_discover_with_mock_backend(workdir, tmp_path, capsys):
@@ -276,6 +298,37 @@ def test_classify_without_applicable_rules_is_undetermined(workdir, tmp_path):
     report = json.loads(report_path.read_text())
     assert all(r["decision"] == "undetermined" for r in report["results"])
     assert all("reason" in r for r in report["results"])
+
+
+def test_classify_decides_each_vehicle_through_identify_vehicle(tmp_path, monkeypatch):
+    # perfbench's tracer wraps cli.identify_vehicle by name, so classify must call it
+    calls, undetermined = [], []
+
+    def counting(*args):
+        calls.append(args)
+        try:
+            return identify_vehicle(*args)
+        except NoApplicableRulesError:
+            undetermined.append(args)
+            raise
+
+    monkeypatch.setattr(cli, "identify_vehicle", counting)
+    rows = tmp_path / "f.jsonl"
+    rows.write_text(json.dumps({"vehicle_id": "a", "features": {"std_jerk": 0.1}}) + "\n"
+                    + json.dumps({"vehicle_id": "b", "features": {"mean_speed": 9.0}}) + "\n")
+    lib_path = tmp_path / "lib.json"
+    save_library(RuleLibrary(rules=[Rule(id="A", description="d", confidence=1.0,
+                                         predicate=parse_predicate("std_jerk < 0.3"),
+                                         state="verified")]), lib_path)
+    report_path = tmp_path / "report.json"
+    rc = cli.main(["classify", "--features", str(rows), "--library", str(lib_path),
+                   "--output", str(report_path)])
+    assert rc == 0
+    assert len(calls) == 2
+    assert len(undetermined) == 1
+    results = json.loads(report_path.read_text())["results"]
+    assert [r["decision"] for r in results] == ["AV", "undetermined"]
+    assert results[1]["reason"] == "no verified AV-indicative rule applies to this vehicle"
 
 
 def test_classify_ignores_rules_not_tagged_for_identification(workdir, tmp_path):

@@ -83,7 +83,7 @@ def test_load_reports_offending_line(tmp_path):
     (lambda d: d.update(points=[[0, 1.0, True]]), "coordinate must be a number"),
     (lambda d: d.update(unit_system="imperial"), "unit_system"),
     (lambda d: d.update(label="bus"), "label must be one of"),
-    (lambda d: d.update(frame_rate="fast"), "could not convert"),
+    (lambda d: d.update(frame_rate="fast"), "frame_rate must be a number, got 'fast'"),
     (lambda d: d.update(vehicle_id=None), "vehicle_id must be a string or an integer, got None"),
     (lambda d: d.update(vehicle_id=True), "vehicle_id must be a string or an integer, got True"),
     (lambda d: d.update(vehicle_id=7.0), "vehicle_id must be a string or an integer, got 7.0"),
@@ -91,6 +91,11 @@ def test_load_reports_offending_line(tmp_path):
      "vehicle_id must be a string or an integer, got [1, 2]"),
     (lambda d: d.update(vehicle_id={"id": 1}),
      "vehicle_id must be a string or an integer, got {'id': 1}"),
+    (lambda d: d.update(frame_rate="25"), "frame_rate must be a number, got '25'"),
+    (lambda d: d.update(frame_rate=True), "frame_rate must be a number, got True"),
+    (lambda d: d.update(unit_scale="0.1"), "unit_scale must be a number, got '0.1'"),
+    (lambda d: d.update(unit_scale=False), "unit_scale must be a number, got False"),
+    (lambda d: d.update(frame_rate=10 ** 400), "int too large to convert to float"),
 ])
 def test_trajectory_schema_violations(tmp_path, mutate, fragment):
     doc = trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5))
@@ -173,6 +178,26 @@ def test_feature_rows_non_object_line(tmp_path):
     with pytest.raises(SchemaError) as exc_info:
         load_feature_rows(path)
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("load", [load_trajectories, load_feature_rows],
+                         ids=["tracks", "features"])
+def test_non_utf8_line_is_a_schema_error(tmp_path, load):
+    if load is load_trajectories:
+        a, b = (json.dumps(trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5,
+                                                              vehicle_id=vid)))
+                for vid in ("a", "b"))
+    else:
+        a, b = (json.dumps({"vehicle_id": vid, "features": {"x": 1.0}}) for vid in ("a", "b"))
+    path = tmp_path / "x.jsonl"
+    # the text layer decodes the whole file before yielding line 1; the
+    # Latin-1 id on line 3 (after a CRLF and a blank line) must still be named
+    bad = b.replace('"b"', '"b\xe9"').encode("latin-1")
+    path.write_bytes(a.encode() + b"\r\n\r\n" + bad + b"\n")
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert exc_info.value.line == 3
+    assert str(exc_info.value).startswith("line 3: not valid UTF-8 (invalid continuation byte")
 
 
 def test_dump_json_canonical(tmp_path):

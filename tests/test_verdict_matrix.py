@@ -1,8 +1,9 @@
 """The verdict matrix against the per-vehicle loops it replaced.
 
-The reference_* functions below are the loop bodies of matching_score,
-compute_confidence, collect_failures and the per-vehicle direction votes as
-they were before those became reductions over rules.FeatureTable verdicts.
+The reference_* functions below are the loop bodies of the one-vehicle
+matching score, compute_confidence, collect_failures and the per-vehicle
+direction votes as they were before those became reductions over
+rules.FeatureTable verdicts.
 They call the scalar evaluate_rule once per (rule, vehicle) and serve as
 the oracle: every score, evidence list, RuleStats, FailureCase list and
 vote dict must come out exactly equal, floats included.
@@ -15,15 +16,11 @@ import pytest
 from trajrules import cli, dsl
 from trajrules.classification import (
     TASK_DIRECTIONS,
-    RuleEvidence,
     _blend,
     _pick,
-    decide,
     lane_prior,
-    matching_score,
     score_table,
     speed_prior,
-    undetermined_reason,
     vote_table,
 )
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
@@ -49,6 +46,8 @@ from trajrules.verification import (
     implied_label,
 )
 
+from helpers import identify_column, score_one
+
 # --- the per-vehicle loops, kept as the oracle --------------------------------
 
 
@@ -66,7 +65,7 @@ def reference_matching_score(library, features, context="any", *, feature_units=
             feature_units=feature_units, library_units=library.units,
         )
         weight = rule.confidence or 0.0
-        evidence.append(RuleEvidence(rule.id, rule.description, verdict, weight))
+        evidence.append((rule.id, rule.description, verdict, weight))
         if verdict == NOT_APPLICABLE:
             continue
         n_applicable += 1
@@ -78,6 +77,14 @@ def reference_matching_score(library, features, context="any", *, feature_units=
     if applicable_weight <= 0.0:
         raise NoApplicableRulesError("applicable rules carry zero total confidence weight")
     return matched_weight / applicable_weight, evidence
+
+
+def one_vehicle(library, features, context, *, feature_units):
+    """Score and evidence of one vehicle from a one-row score_table."""
+    scores = score_one(library, features, context, feature_units=feature_units)
+    _, score, _ = identify_column(scores)
+    return score, [(rule.id, rule.description, VERDICTS[code], rule.confidence or 0.0)
+                   for rule, code in zip(scores.rules, scores.verdicts[:, 0].tolist())]
 
 
 def reference_compute_confidence(rule, rows, *, library_units=None, strict_denominator=False):
@@ -248,17 +255,15 @@ def test_reductions_equal_per_vehicle_loops():
             features, context, units = row["features"], row["context"], row["unit_system"]
             expected = outcome(reference_matching_score, library, features, context,
                                feature_units=units)
-            got = outcome(matching_score, library, features, context, feature_units=units)
+            got = outcome(one_vehicle, library, features, context, feature_units=units)
             assert got == expected, (trial, j)
-            reason = undetermined_reason(int(scores.n_applicable[j]),
-                                         float(scores.applicable_weight[j]))
-            if reason is not None:
-                assert expected == f"raised: {reason}", (trial, j)
+            column = outcome(identify_column, scores, 0.5, j)
+            if isinstance(column, str):
+                assert expected == column, (trial, j)
             else:
-                score = float(scores.matched_weight[j]) / float(scores.applicable_weight[j])
-                assert score == expected[0], (trial, j)
+                assert column[1] == expected[0], (trial, j)
                 assert [VERDICTS[c] for c in scores.verdicts[:, j]] == \
-                    [e.verdict for e in expected[1]], (trial, j)
+                    [verdict for _, _, verdict, _ in expected[1]], (trial, j)
             for task, directions in TASK_DIRECTIONS.items():
                 assert dict(zip(directions, votes[task][:, j].tolist())) == \
                     reference_direction_votes(library, features, context, task, directions,
@@ -291,7 +296,7 @@ def test_unit_mismatch_raises_like_the_loops():
     with pytest.raises(UnitMismatchError, match="^vehicle 'b': features are in 'pixel' units"):
         compute_confidence(rule, FeatureTable.from_rows(rows), library_units="metric")
     with pytest.raises(UnitMismatchError, match="^features are in 'pixel' units"):
-        matching_score(RuleLibrary(rules=[rule]), {"std_jerk": 0.1}, feature_units="pixel")
+        score_one(RuleLibrary(rules=[rule]), {"std_jerk": 0.1}, feature_units="pixel")
 
 
 def test_verdict_rows_are_cached_per_predicate_and_scope():
@@ -387,10 +392,13 @@ def reference_report(library, rows, delta):
         except NoApplicableRulesError as exc:
             entry.update(decision=UNDETERMINED, reason=str(exc))
         else:
-            decision, confidence = decide(score, delta)
+            if score >= delta:
+                decision, confidence = "AV", (score - delta) / (1.0 - delta)
+            else:
+                decision, confidence = "HDV", (delta - score) / delta
             entry.update(decision=decision, score=score, confidence=confidence, evidence=[
-                {"rule_id": e.rule_id, "verdict": e.verdict, "weight": e.weight}
-                for e in evidence])
+                {"rule_id": rule_id, "verdict": verdict, "weight": weight}
+                for rule_id, _, verdict, weight in evidence])
         if "label" in row:
             entry["label"] = row["label"]
         results.append(entry)
