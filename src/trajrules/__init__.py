@@ -15,7 +15,7 @@ from .classification import (
     speed_prior,
     vote_table,
 )
-from .dsl import evaluate_predicate, parse_predicate, required_atoms, to_dsl
+from .dsl import parse_predicate, required_atoms, to_dsl
 from .errors import (
     BackendError,
     InputError,
@@ -77,7 +77,6 @@ __all__ = [
     "compute_roc_auc",
     "detect_lane_changes",
     "discover_rules",
-    "evaluate_predicate",
     "evaluate_rule",
     "extended_atoms",
     "generate_dataset",

@@ -1,4 +1,4 @@
-"""Rule predicate language: parsing, printing, and evaluation.
+"""Rule predicate language: parsing and printing.
 
 Grammar (AND binds tighter than OR, no parentheses):
 
@@ -10,13 +10,14 @@ Grammar (AND binds tighter than OR, no parentheses):
 Atoms come from the fixed vocabulary in kinematics.ATOMS. Keywords are
 case-insensitive; "<=" / ">=" may also be written "≤" / "≥". The printer
 emits a canonical ASCII form that parses back to an identical tree.
+Predicates are evaluated over a column table by rules.FeatureTable.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import NonFiniteLiteralError, PredicateSyntaxError, UnknownAtomError
 from .kinematics import ATOMS
@@ -74,7 +75,6 @@ _TOKEN_RE = re.compile(
 )
 
 _UNICODE_CMP = {"≤": "<=", "≥": ">="}
-_KEYWORDS = {"AND", "OR", "NOT", "IN"}
 
 
 def _scan(text: str) -> list[_Token]:
@@ -226,27 +226,3 @@ def required_atoms(pred: Predicate) -> frozenset[str]:
         return atoms
     raise TypeError(f"not a predicate node: {pred!r}")
 
-
-def evaluate_predicate(pred: Predicate, features: Mapping[str, float]) -> bool:
-    """Evaluate a predicate over a feature mapping containing every required atom."""
-    if isinstance(pred, Comparison):
-        x = features[pred.atom]
-        if pred.op == "<":
-            return x < pred.value
-        if pred.op == "<=":
-            return x <= pred.value
-        if pred.op == ">":
-            return x > pred.value
-        if pred.op == ">=":
-            return x >= pred.value
-        return x == pred.value
-    if isinstance(pred, RangeTest):
-        x = features[pred.atom]
-        return pred.lo <= x <= pred.hi
-    if isinstance(pred, Not):
-        return not evaluate_predicate(pred.child, features)
-    if isinstance(pred, And):
-        return all(evaluate_predicate(c, features) for c in pred.children)
-    if isinstance(pred, Or):
-        return any(evaluate_predicate(c, features) for c in pred.children)
-    raise TypeError(f"not a predicate node: {pred!r}")

@@ -117,11 +117,7 @@ def compute_metrics(
     )
 
 
-def compute_roc_auc(
-    scores: list[float],
-    labels: list[str],
-    positive_label: str = POSITIVE_LABEL,
-) -> float:
+def compute_roc_auc(scores: list[float], labels: list[str]) -> float:
     """Area under the ROC curve via average ranks (ties contribute one half).
 
     Equivalent to sweeping every threshold with trapezoidal interpolation.
@@ -131,23 +127,15 @@ def compute_roc_auc(
         raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
     if not scores:
         raise EmptyInputError("no scores to rank")
-    s = np.asarray(scores, dtype=np.float64)
-    pos = np.array([y == positive_label for y in labels], dtype=bool)
+    pos = np.array([y == POSITIVE_LABEL for y in labels], dtype=bool)
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("ROC-AUC needs both classes present")
 
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
-
+    _, group, counts = np.unique(np.asarray(scores, dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    # average 1-based rank of each group of tied scores
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -57,9 +57,6 @@ class ContextConstraint:
         if bad:
             raise LibraryValidationError(f"unknown tasks: {sorted(bad)}")
 
-    def allows(self, context: str) -> bool:
-        return "any" in self.allowed_contexts or context in self.allowed_contexts
-
 
 @dataclass
 class Rule:
@@ -100,35 +97,6 @@ class Rule:
         return dsl.to_dsl(self.predicate)
 
 
-def evaluate_rule(
-    rule: Rule,
-    features: Mapping[str, float],
-    context: str,
-    *,
-    feature_units: str | None = None,
-    library_units: str | None = None,
-) -> str:
-    """Evaluate one rule against one vehicle.
-
-    Returns MATCHED, NOT_MATCHED, or NOT_APPLICABLE. The rule is not
-    applicable when the context is outside its scope or any atom its
-    predicate reads is absent from the features. Raises UnitMismatchError
-    when both unit systems are known and differ.
-    """
-    if feature_units is not None and library_units is not None and feature_units != library_units:
-        raise UnitMismatchError(
-            f"features are in {feature_units!r} units, library expects {library_units!r}"
-        )
-    if context != "any" and not rule.context.allows(context):
-        return NOT_APPLICABLE
-    needed = dsl.required_atoms(rule.predicate)
-    for atom in needed:
-        value = features.get(atom)
-        if value is None or value != value:  # missing or NaN
-            return NOT_APPLICABLE
-    return MATCHED if dsl.evaluate_predicate(rule.predicate, features) else NOT_MATCHED
-
-
 Mask = Callable[["FeatureTable"], np.ndarray]
 
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
@@ -165,8 +133,8 @@ class FeatureTable:
     first use; so does each label's boolean mask. Contexts are int8 indexes
     into CONTEXTS (len(CONTEXTS) when unknown). A rule's verdict row is
     computed once per (predicate, allowed contexts) and kept, so an unchanged
-    rule or a duplicate of another costs nothing. Every verdict equals what
-    evaluate_rule returns for that row.
+    rule or a duplicate of another costs nothing. tests/oracles.py holds the
+    scalar evaluator every verdict is checked against.
     """
 
     def __init__(
@@ -264,6 +232,22 @@ class FeatureTable:
         for i, rule in enumerate(rules):
             matrix[i] = self.verdicts(rule, library_units=library_units)
         return matrix
+
+
+def evaluate_rule(
+    rule: Rule,
+    features: Mapping[str, float],
+    context: str,
+    *,
+    feature_units: str | None = None,
+    library_units: str | None = None,
+) -> str:
+    """One-vehicle case of FeatureTable.verdicts: MATCHED, NOT_MATCHED or NOT_APPLICABLE.
+
+    Raises UnitMismatchError when both unit systems are known and differ.
+    """
+    table = FeatureTable([features], [context], units=[feature_units])
+    return VERDICTS[table.verdicts(rule, library_units=library_units)[0]]
 
 
 @dataclass

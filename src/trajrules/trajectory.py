@@ -55,13 +55,15 @@ class Trajectory:
 
 def _check_metadata(traj: Trajectory) -> None:
     if not math.isfinite(traj.frame_rate) or traj.frame_rate <= 0:
-        raise NonPositiveError(f"frame_rate must be positive, got {traj.frame_rate}")
+        raise NonPositiveError(
+            f"{traj.vehicle_id}: frame_rate must be positive, got {traj.frame_rate}")
     if traj.dt * traj.dt == 0.0:  # the Kalman filter and the kinematics divide by it
         raise NonPositiveError(
             f"{traj.vehicle_id}: frame_rate {traj.frame_rate} is too high: "
             "its squared time step is 0")
     if not math.isfinite(traj.unit_scale) or traj.unit_scale <= 0:
-        raise NonPositiveError(f"unit_scale must be positive, got {traj.unit_scale}")
+        raise NonPositiveError(
+            f"{traj.vehicle_id}: unit_scale must be positive, got {traj.unit_scale}")
     if traj.unit_system not in UNIT_SYSTEMS:
         raise ValueError(f"unit_system must be one of {UNIT_SYSTEMS}, got {traj.unit_system!r}")
     if traj.label is not None and traj.label not in LABELS:

@@ -32,7 +32,6 @@ from trajrules.rules import (
     FeatureTable,
     Rule,
     RuleLibrary,
-    evaluate_rule,
     seed_library,
 )
 from trajrules.synth import GeneratorConfig, generate_dataset
@@ -40,6 +39,7 @@ from trajrules.trajectory import smooth_trajectory, validate_trajectory
 from trajrules.verification import compute_confidence, run_verification_loop
 
 from helpers import identify_column, make_trajectory, score_one
+from oracles import evaluate_rule
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 

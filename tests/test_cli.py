@@ -144,15 +144,16 @@ def test_short_track_error_names_the_vehicle(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["features", "predict"])
-@pytest.mark.parametrize("frame_rate,message", [
-    (1e308, "v0: frame_rate 1e+308 is too high: its squared time step is 0"),
-    (1e160, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
-], ids=["step_squared_underflows", "features_overflow"])
-def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, frame_rate, message):
+@pytest.mark.parametrize("metadata,message", [
+    ({"frame_rate": 1e308}, "v0: frame_rate 1e+308 is too high: its squared time step is 0"),
+    ({"frame_rate": 1e160}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+    ({"frame_rate": 0}, "v0: frame_rate must be positive, got 0.0"),
+    ({"frame_rate": 25.0, "unit_scale": -1}, "v0: unit_scale must be positive, got -1.0"),
+], ids=["step_squared_underflows", "features_overflow", "frame_rate_zero", "unit_scale_negative"])
+def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, metadata, message):
     trajs = tmp_path / "t.jsonl"
     points = [[t, 0.5 * t, 0.0] for t in range(200)]
-    trajs.write_text(json.dumps({"vehicle_id": "v0", "frame_rate": frame_rate,
-                                 "points": points}) + "\n")
+    trajs.write_text(json.dumps({"vehicle_id": "v0", **metadata, "points": points}) + "\n")
     library = tmp_path / "lib.json"
     save_library(seed_library(), library)
     extra = ["--library", str(library), "--task", "speed"] if command == "predict" else []

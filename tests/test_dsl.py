@@ -7,7 +7,6 @@ from trajrules.dsl import (
     Not,
     Or,
     RangeTest,
-    evaluate_predicate,
     parse_predicate,
     required_atoms,
     to_dsl,
@@ -18,6 +17,7 @@ from trajrules.errors import (
     UnknownAtomError,
 )
 from trajrules.kinematics import ATOMS
+from trajrules.rules import MATCHED, NOT_MATCHED, Rule, evaluate_rule
 
 
 def test_parse_simple_comparison():
@@ -187,26 +187,34 @@ def test_required_atoms():
     assert required_atoms(pred) == frozenset({"mean_speed", "std_speed", "std_jerk"})
 
 
+def holds(text, features):
+    """Whether evaluate_rule matches a rule that wraps the predicate; never not applicable here."""
+    rule = Rule(id="P", description="predicate under test", predicate=parse_predicate(text))
+    verdict = evaluate_rule(rule, features, "any")
+    assert verdict in (MATCHED, NOT_MATCHED)
+    return verdict == MATCHED
+
+
 def test_evaluate_comparisons():
     feats = {"std_jerk": 0.3}
-    assert evaluate_predicate(parse_predicate("std_jerk < 0.31"), feats)
-    assert not evaluate_predicate(parse_predicate("std_jerk < 0.3"), feats)
-    assert evaluate_predicate(parse_predicate("std_jerk <= 0.3"), feats)
-    assert evaluate_predicate(parse_predicate("std_jerk >= 0.3"), feats)
-    assert not evaluate_predicate(parse_predicate("std_jerk > 0.3"), feats)
-    assert evaluate_predicate(parse_predicate("std_jerk = 0.3"), feats)
+    assert holds("std_jerk < 0.31", feats)
+    assert not holds("std_jerk < 0.3", feats)
+    assert holds("std_jerk <= 0.3", feats)
+    assert holds("std_jerk >= 0.3", feats)
+    assert not holds("std_jerk > 0.3", feats)
+    assert holds("std_jerk = 0.3", feats)
 
 
 def test_evaluate_range_bounds_inclusive():
-    pred = parse_predicate("mean_speed IN 1.0..2.0")
-    assert evaluate_predicate(pred, {"mean_speed": 1.0})
-    assert evaluate_predicate(pred, {"mean_speed": 2.0})
-    assert not evaluate_predicate(pred, {"mean_speed": 2.0001})
+    pred = "mean_speed IN 1.0..2.0"
+    assert holds(pred, {"mean_speed": 1.0})
+    assert holds(pred, {"mean_speed": 2.0})
+    assert not holds(pred, {"mean_speed": 2.0001})
 
 
 def test_evaluate_boolean_structure():
-    pred = parse_predicate("mean_speed < 1 OR std_speed < 2 AND std_jerk < 3")
-    assert evaluate_predicate(pred, {"mean_speed": 0.5, "std_speed": 9, "std_jerk": 9})
-    assert evaluate_predicate(pred, {"mean_speed": 9, "std_speed": 1, "std_jerk": 1})
-    assert not evaluate_predicate(pred, {"mean_speed": 9, "std_speed": 1, "std_jerk": 9})
-    assert not evaluate_predicate(parse_predicate("NOT std_jerk < 1"), {"std_jerk": 0.5})
+    pred = "mean_speed < 1 OR std_speed < 2 AND std_jerk < 3"
+    assert holds(pred, {"mean_speed": 0.5, "std_speed": 9, "std_jerk": 9})
+    assert holds(pred, {"mean_speed": 9, "std_speed": 1, "std_jerk": 1})
+    assert not holds(pred, {"mean_speed": 9, "std_speed": 1, "std_jerk": 9})
+    assert not holds("NOT std_jerk < 1", {"std_jerk": 0.5})

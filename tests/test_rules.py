@@ -85,10 +85,10 @@ def test_unit_mismatch_raises():
 
 def test_context_constraint_allows():
     c = ContextConstraint(frozenset({"free_flow"}), frozenset({"identification"}))
-    assert c.allows("free_flow")
-    assert not c.allows("congested")
+    assert evaluate_rule(make_rule(context=c), {"std_jerk": 0.1}, "free_flow") == MATCHED
+    assert evaluate_rule(make_rule(context=c), {"std_jerk": 0.1}, "congested") == NOT_APPLICABLE
     both = ContextConstraint(frozenset({"any"}), frozenset({"identification"}))
-    assert both.allows("congested")
+    assert evaluate_rule(make_rule(context=both), {"std_jerk": 0.1}, "congested") == MATCHED
 
 
 def test_rule_validation():

@@ -4,8 +4,8 @@ The reference_* functions below are the loop bodies of the one-vehicle
 matching score, compute_confidence, collect_failures and the per-vehicle
 direction votes as they were before those became reductions over
 rules.FeatureTable verdicts.
-They call the scalar evaluate_rule once per (rule, vehicle) and serve as
-the oracle: every score, evidence list, RuleStats, FailureCase list and
+They call the scalar evaluate_rule of oracles.py once per (rule, vehicle)
+and serve as the oracle: every score, evidence list, RuleStats, FailureCase list and
 vote dict must come out exactly equal, floats included.
 """
 import json
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from trajrules import cli, dsl
+from trajrules import rules as rules_module
 from trajrules.classification import (
     TASK_DIRECTIONS,
     _blend,
@@ -36,7 +37,6 @@ from trajrules.rules import (
     FeatureTable,
     Rule,
     RuleLibrary,
-    evaluate_rule,
 )
 from trajrules.verification import (
     FailureCase,
@@ -47,6 +47,7 @@ from trajrules.verification import (
 )
 
 from helpers import identify_column, score_one
+from oracles import evaluate_rule
 
 # --- the per-vehicle loops, kept as the oracle --------------------------------
 
@@ -238,6 +239,11 @@ def test_verdict_matrix_matches_evaluate_rule():
                                          feature_units=row["unit_system"],
                                          library_units="metric")
                 assert VERDICTS[matrix[i, j]] == expected, (trial, rule, row)
+                # the library's own one-vehicle entry point agrees too
+                assert rules_module.evaluate_rule(
+                    rule, row["features"], row["context"],
+                    feature_units=row["unit_system"], library_units="metric",
+                ) == expected, (trial, rule, row)
 
 
 def test_reductions_equal_per_vehicle_loops():
