@@ -18,18 +18,17 @@ import numpy as np
 from .errors import NoApplicableRulesError
 from .kinematics import KinematicSeries
 from .rules import (
+    LANE_DIRECTIONS,
     MATCHED_CODE,
     NOT_APPLICABLE_CODE,
+    SPEED_DIRECTIONS,
+    TASK_DIRECTIONS,
     FeatureTable,
     Rule,
     RuleLibrary,
     evaluate_rule,  # not called here; perfbench/spans.py patches this name
 )
 from .trajectory import Trajectory
-
-SPEED_DIRECTIONS = ("accelerate", "decelerate", "maintain")
-LANE_DIRECTIONS = ("left_LC", "right_LC", "keep_lane")
-TASK_DIRECTIONS = {"speed": SPEED_DIRECTIONS, "lane_change": LANE_DIRECTIONS}
 
 #: trailing-second kinematic prior thresholds
 ACCEL_DEADBAND = 0.1

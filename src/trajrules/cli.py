@@ -43,6 +43,7 @@ from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py
 from .verification import discover_rules, run_verification_loop
 
 log = logging.getLogger(__name__)
+_THETA_HELP = "confidence threshold of the written library (default: the input library's, 0.7 if new)"
 
 
 def _cfg(args: argparse.Namespace) -> RunConfig:
@@ -159,9 +160,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if args.library_in:
         library = load_library(args.library_in)
     elif args.seed_rules:
-        library = seed_library(cfg.theta)
+        library = seed_library()
     else:
-        library = RuleLibrary(theta=cfg.theta)
+        library = RuleLibrary()
+    if cfg.theta is not None:
+        library.theta = cfg.theta
     rules, rejected = discover_rules(backend, av, hdv)
     existing = {r.id for r in library.rules}
     added = 0
@@ -183,8 +186,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     backend = _backend(cfg)
     library = load_library(args.library)
-    if args.theta is not None:
-        library.theta = args.theta
+    if cfg.theta is not None:
+        library.theta = cfg.theta
     table = FeatureTable.from_rows(io.load_feature_rows(args.features))
     result = run_verification_loop(
         library, table, backend,
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library-in", help="extend this library instead of starting fresh")
     p.add_argument("--seed-rules", action="store_true", default=False,
                    help="start from the built-in starter library")
-    p.add_argument("--theta", type=float, help="confidence threshold for a new library")
+    p.add_argument("--theta", type=float, help=_THETA_HELP)
     _add_backend_flags(p)
     _add_config(p)
     p.set_defaults(func=cmd_discover)
@@ -382,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="labeled feature JSONL file")
     p.add_argument("--library", required=True, help="rule library JSON to verify")
     p.add_argument("--output", required=True, help="verified library JSON to write")
-    p.add_argument("--theta", type=float, default=None,
-                   help="override the library's confidence threshold")
+    p.add_argument("--theta", type=float, help=_THETA_HELP)
     p.add_argument("--max-iterations", type=int)
     p.add_argument("--stall-epsilon", type=float)
     p.add_argument("--strict-denominator", action="store_true", default=None,

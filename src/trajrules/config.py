@@ -28,7 +28,7 @@ class RunConfig:
     congestion_speed_threshold: float = 5.0
     # classification
     delta: float = 0.5
-    theta: float = 0.7
+    theta: float | None = None  # None keeps the library's own threshold
     # verification loop
     max_iterations: int = 5
     stall_epsilon: float = 0.01
@@ -63,7 +63,7 @@ class RunConfig:
             raise InputError(f"context must be auto/any/free_flow/congested, got {self.context!r}")
         if not 0.0 < self.delta < 1.0:
             raise InputError(f"delta {self.delta} outside (0, 1)")
-        if not 0.0 <= self.theta <= 1.0:
+        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise InputError(f"theta {self.theta} outside [0, 1]")
         if self.stall_epsilon < 0:
             raise InputError(f"stall_epsilon must be at least 0, got {self.stall_epsilon}")
@@ -72,7 +72,7 @@ class RunConfig:
 
 
 def _coerce(name: str, value: Any, default: Any) -> Any:
-    kind = type(default)
+    kind = float if default is None else type(default)  # only theta defaults to None
     if kind is bool:
         if isinstance(value, bool):
             return value

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .metrics import UNDETERMINED
-from .rules import CONTEXTS, DEFAULT_THETA, ContextConstraint, Rule, RuleLibrary
+from .rules import CONTEXTS, DEFAULT_THETA, Rule, RuleLibrary
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 DECISIONS = (*LABELS, UNDETERMINED)
@@ -311,10 +311,10 @@ def load_report(path: str | Path) -> list[dict]:
     return results
 
 
-_RULE_FIELDS = (
-    "id", "description", "predicate", "contexts", "tasks", "category",
-    "polarity", "confidence", "state", "direction", "revision",
+_OPTIONAL_RULE_FIELDS = (
+    "contexts", "tasks", "category", "polarity", "confidence", "state", "direction", "revision",
 )
+_RULE_FIELDS = ("id", "description", "predicate", *_OPTIONAL_RULE_FIELDS)
 _LIBRARY_FIELDS = ("version", "theta", "units", "rules", "provenance")
 
 
@@ -323,8 +323,8 @@ def _rule_to_dict(rule: Rule) -> dict:
         "id": rule.id,
         "description": rule.description,
         "predicate": rule.predicate_text,
-        "contexts": sorted(rule.context.allowed_contexts),
-        "tasks": sorted(rule.context.applicable_tasks),
+        "contexts": sorted(rule.contexts),
+        "tasks": sorted(rule.tasks),
         "category": rule.category,
         "polarity": rule.polarity,
         "confidence": rule.confidence,
@@ -337,34 +337,24 @@ def _rule_to_dict(rule: Rule) -> dict:
 
 
 def _rule_from_dict(data: object, index: int) -> Rule:
+    """Rule of one library entry; absent fields take Rule's defaults."""
     if not isinstance(data, dict):
         raise CorruptLibraryError(f"rule entry {index} must be a JSON object, got {data!r}")
     where = f"rule {data['id']}" if isinstance(data.get("id"), str) else f"rule entry {index}"
     for key in ("id", "description", "predicate"):
         if not isinstance(data.get(key, ""), str):
             raise LibraryValidationError(f"{where}: {key!r} must be a string, got {data[key]!r}")
-    for key in ("contexts", "tasks"):
-        value = data.get(key, [])
+    fields = {key: data[key] for key in _OPTIONAL_RULE_FIELDS if key in data}
+    for key in [key for key in ("contexts", "tasks") if key in fields]:
+        value = fields[key]
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise LibraryValidationError(
                 f"{where}: {key!r} must be an array of strings, got {value!r}")
+        fields[key] = frozenset(value)
     try:
-        rule = Rule(
-            id=data["id"],
-            description=data["description"],
-            predicate=dsl.parse_predicate(data["predicate"]),
-            context=ContextConstraint(
-                frozenset(data.get("contexts", ["any"])),
-                frozenset(data.get("tasks", ["identification"])),
-            ),
-            category=data.get("category", "smoothness"),
-            polarity=data.get("polarity", "AV_indicative"),
-            confidence=data.get("confidence"),
-            state=data.get("state", "candidate"),
-            direction=data.get("direction"),
-            revision=data.get("revision", 0),
-            extras={k: v for k, v in data.items() if k not in _RULE_FIELDS},
-        )
+        rule = Rule(id=data["id"], description=data["description"],
+                    predicate=dsl.parse_predicate(data["predicate"]), **fields,
+                    extras={k: v for k, v in data.items() if k not in _RULE_FIELDS})
     except KeyError as exc:
         raise CorruptLibraryError(f"rule entry missing field {exc}") from exc
     except PredicateError as exc:

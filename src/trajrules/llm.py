@@ -48,7 +48,7 @@ from .errors import (
     PredicateError,
     RetriesExhaustedError,
 )
-from .rules import CONTEXTS, ContextConstraint, Rule
+from .rules import CONTEXTS, Rule
 
 log = logging.getLogger(__name__)
 
@@ -273,8 +273,8 @@ def format_rule_block(rule: Rule) -> str:
         f"id: {rule.id}",
         f"description: {rule.description}",
         f"condition: {rule.predicate_text}",
-        f"contexts: {', '.join(sorted(rule.context.allowed_contexts))}",
-        f"tasks: {', '.join(sorted(rule.context.applicable_tasks))}",
+        f"contexts: {', '.join(sorted(rule.contexts))}",
+        f"tasks: {', '.join(sorted(rule.tasks))}",
         f"category: {rule.category}",
         f"polarity: {rule.polarity}",
     ]
@@ -285,21 +285,21 @@ def format_rule_block(rule: Rule) -> str:
 
 
 def _rule_from_block(body: str) -> Rule:
+    """Rule of one block; absent lines and blank scope lines take Rule's defaults."""
     fields = _parse_fields(body)
     for required in ("id", "description", "condition", "category"):
         if required not in fields:
             raise ValueError(f"missing field {required!r}")
-    contexts = _split_list(fields.get("contexts", "any")) or frozenset({"any"})
-    tasks = _split_list(fields.get("tasks", "identification")) or frozenset({"identification"})
+    optional = {key: fields[key] for key in ("polarity", "direction") if key in fields}
+    for key in ("contexts", "tasks"):
+        if values := _split_list(fields.get(key, "")):
+            optional[key] = values
     return Rule(
         id=fields["id"],
         description=fields["description"],
         predicate=dsl.parse_predicate(fields["condition"]),
-        context=ContextConstraint(contexts, tasks),
         category=fields["category"],
-        polarity=fields.get("polarity", "AV_indicative"),
-        direction=fields.get("direction"),
-        state="candidate",
+        **optional,
     )
 
 

@@ -23,9 +23,6 @@ class ConfusionMatrix:
     labels: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
 
-    def count(self, true_label: str, predicted_label: str) -> int:
-        return self.counts[self.labels.index(true_label)][self.labels.index(predicted_label)]
-
 
 @dataclass(frozen=True)
 class MetricsReport:

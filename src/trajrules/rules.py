@@ -21,7 +21,10 @@ TASKS = ("identification", "speed", "lane_change")
 CATEGORIES = ("speed", "lane_change", "following", "smoothness")
 POLARITIES = ("AV_indicative", "HDV_indicative")
 STATES = ("candidate", "verified", "retired")
-DIRECTIONS = ("accelerate", "decelerate", "maintain", "left_LC", "right_LC", "keep_lane")
+SPEED_DIRECTIONS = ("accelerate", "decelerate", "maintain")
+LANE_DIRECTIONS = ("left_LC", "right_LC", "keep_lane")
+TASK_DIRECTIONS = {"speed": SPEED_DIRECTIONS, "lane_change": LANE_DIRECTIONS}
+DIRECTIONS = SPEED_DIRECTIONS + LANE_DIRECTIONS
 
 MATCHED = "matched"
 NOT_MATCHED = "not_matched"
@@ -38,32 +41,13 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ContextConstraint:
-    """Where a rule applies: traffic contexts and downstream tasks."""
-
-    allowed_contexts: frozenset[str] = frozenset({"any"})
-    applicable_tasks: frozenset[str] = frozenset({"identification"})
-
-    def __post_init__(self) -> None:
-        if not self.allowed_contexts:
-            raise LibraryValidationError("allowed_contexts must not be empty")
-        if not self.applicable_tasks:
-            raise LibraryValidationError("applicable_tasks must not be empty")
-        bad = self.allowed_contexts - set(CONTEXTS)
-        if bad:
-            raise LibraryValidationError(f"unknown contexts: {sorted(bad)}")
-        bad = self.applicable_tasks - set(TASKS)
-        if bad:
-            raise LibraryValidationError(f"unknown tasks: {sorted(bad)}")
-
-
 @dataclass
 class Rule:
     id: str
     description: str
     predicate: dsl.Predicate
-    context: ContextConstraint = ContextConstraint()
+    contexts: frozenset[str] = frozenset({"any"})
+    tasks: frozenset[str] = frozenset({"identification"})
     category: str = "smoothness"
     polarity: str = "AV_indicative"
     confidence: float | None = None
@@ -75,6 +59,11 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.id:
             raise LibraryValidationError("rule id must be non-empty")
+        for name, known in (("contexts", CONTEXTS), ("tasks", TASKS)):
+            if not getattr(self, name):
+                raise LibraryValidationError(f"{self.id}: {name} must not be empty")
+            if bad := getattr(self, name) - set(known):
+                raise LibraryValidationError(f"{self.id}: unknown {name}: {sorted(bad)}")
         if self.category not in CATEGORIES:
             raise LibraryValidationError(f"{self.id}: unknown category {self.category!r}")
         if self.polarity not in POLARITIES:
@@ -212,10 +201,10 @@ class FeatureTable:
     def verdicts(self, rule: Rule, *, library_units: str | None = None) -> np.ndarray:
         """Read-only int8 verdict codes (see VERDICTS) of one rule for every row."""
         self.check_units(library_units)
-        key = (rule.predicate, rule.context.allowed_contexts)
+        key = (rule.predicate, rule.contexts)
         row = self._verdicts.get(key)
         if row is None:
-            applicable = self._scope(rule.context.allowed_contexts)
+            applicable = self._scope(rule.contexts)
             for atom in dsl.required_atoms(rule.predicate):
                 applicable = applicable & ~np.isnan(self.column(atom))
             hit = _compile(rule.predicate)(self)
@@ -289,7 +278,7 @@ class RuleLibrary:
     def verified_rules(self, task: str) -> list[Rule]:
         """Verified rules whose tasks include task, in library order."""
         return [r for r in self.rules
-                if r.state == "verified" and task in r.context.applicable_tasks]
+                if r.state == "verified" and task in r.tasks]
 
     def add_rule(self, rule: Rule) -> None:
         if any(r.id == rule.id for r in self.rules):
@@ -312,7 +301,7 @@ class RuleLibrary:
         self.provenance.append(entry)
 
 
-def seed_library(theta: float = DEFAULT_THETA) -> RuleLibrary:
+def seed_library() -> RuleLibrary:
     """Built-in starter library of AV-indicative driving-style rules.
 
     Thresholds follow published comparisons of automated and human driving
@@ -322,17 +311,10 @@ def seed_library(theta: float = DEFAULT_THETA) -> RuleLibrary:
     with a placeholder confidence of 0.825 and should be re-verified on
     local data before serious use.
     """
-    def rule(rid, desc, text, category, tasks=("identification",), contexts=("any",)):
-        return Rule(
-            id=rid,
-            description=desc,
-            predicate=dsl.parse_predicate(text),
-            context=ContextConstraint(frozenset(contexts), frozenset(tasks)),
-            category=category,
-            polarity="AV_indicative",
-            confidence=0.825,
-            state="verified",
-        )
+    def rule(rid, desc, text, category, **scope):  # scope: contexts=, tasks= as tuples
+        return Rule(id=rid, description=desc, predicate=dsl.parse_predicate(text),
+                    category=category, confidence=0.825, state="verified",
+                    **{key: frozenset(values) for key, values in scope.items()})
 
     rules = [
         rule("R2", "Acceleration stays in a narrow, near-linear band",
@@ -362,4 +344,4 @@ def seed_library(theta: float = DEFAULT_THETA) -> RuleLibrary:
         rule("R30", "Jerk std stays below 0.5 across extreme conditions",
              "std_jerk < 0.5", "smoothness"),
     ]
-    return RuleLibrary(rules=rules, theta=theta)
+    return RuleLibrary(rules=rules)

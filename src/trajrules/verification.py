@@ -37,7 +37,6 @@ from .rules import (
     NOT_APPLICABLE,
     NOT_APPLICABLE_CODE,
     VERDICTS,
-    ContextConstraint,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -169,8 +168,7 @@ def apply_suggestion(rule: Rule, suggestion: RefinementSuggestion) -> Rule:
         return replace(rule, state="retired")
     if suggestion.action == "add_context":
         assert suggestion.new_contexts is not None
-        context = ContextConstraint(suggestion.new_contexts, rule.context.applicable_tasks)
-        return replace(rule, context=context, state="candidate",
+        return replace(rule, contexts=suggestion.new_contexts, state="candidate",
                        confidence=None, revision=rule.revision + 1)
     # adjust_threshold / combine_features both carry a new predicate
     assert suggestion.new_predicate is not None

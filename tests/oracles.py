@@ -59,7 +59,7 @@ def evaluate_rule(
         raise UnitMismatchError(
             f"features are in {feature_units!r} units, library expects {library_units!r}"
         )
-    allowed = rule.context.allowed_contexts
+    allowed = rule.contexts
     if context != "any" and "any" not in allowed and context not in allowed:
         return NOT_APPLICABLE
     needed = dsl.required_atoms(rule.predicate)

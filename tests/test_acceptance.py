@@ -28,7 +28,6 @@ from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
     NOT_MATCHED,
-    ContextConstraint,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -50,7 +49,8 @@ def make_rule(rid, text, *, state="verified", polarity="AV_indicative",
         id=rid,
         description=f"rule {rid}",
         predicate=dsl.parse_predicate(text),
-        context=ContextConstraint(frozenset(contexts), frozenset({"identification"})),
+        contexts=frozenset(contexts),
+        tasks=frozenset({"identification"}),
         category="smoothness",
         polarity=polarity,
         state=state,

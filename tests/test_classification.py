@@ -20,7 +20,6 @@ from trajrules.kinematics import KinematicSeries
 from trajrules.rules import (
     NOT_APPLICABLE,
     VERDICTS,
-    ContextConstraint,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -36,7 +35,8 @@ def make_rule(rid, text, *, state="verified", polarity="AV_indicative",
         id=rid,
         description=f"rule {rid}",
         predicate=dsl.parse_predicate(text),
-        context=ContextConstraint(frozenset(contexts), frozenset(tasks)),
+        contexts=frozenset(contexts),
+        tasks=frozenset(tasks),
         category="speed",
         polarity=polarity,
         state=state,

@@ -10,7 +10,7 @@ from trajrules.classification import identify_vehicle
 from trajrules.dsl import parse_predicate
 from trajrules.errors import NoApplicableRulesError
 from trajrules.io import load_feature_rows, load_library, load_trajectories, save_library
-from trajrules.rules import ContextConstraint, Rule, RuleLibrary, seed_library
+from trajrules.rules import Rule, RuleLibrary, seed_library
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -200,6 +200,26 @@ def test_discover_extends_existing_library(workdir, tmp_path, capsys):
     assert len(lib.rules) == len(seed_library().rules) + 5
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "neither"])
+@pytest.mark.parametrize("command", ["verify", "discover"])
+def test_theta_reaches_a_loaded_library(workdir, tmp_path, command, source):
+    library = tmp_path / "in.json"
+    seeded = seed_library()
+    seeded.theta = 0.8
+    save_library(seeded, library)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"theta": 0.55}))
+    setting = {"flag": ["--theta", "0.55"], "config": ["--config", str(config)],
+               "neither": []}[source]
+    library_flag = "--library" if command == "verify" else "--library-in"
+    out = tmp_path / "out.json"
+    assert cli.main([
+        command, "--features", str(workdir / "f.jsonl"), library_flag, str(library),
+        "--output", str(out), "--mock-dir", MOCK_DIR, *setting,
+    ]) == 0
+    assert load_library(out).theta == (0.8 if source == "neither" else 0.55)
+
+
 def test_discover_without_fixture_fails(workdir, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -340,7 +360,7 @@ def test_classify_ignores_rules_not_tagged_for_identification(workdir, tmp_path)
     keep.state = "verified"
     # a verified AV-indicative speed rule matching every vehicle must not vote
     lib.add_rule(replace(keep, id="S1", predicate=parse_predicate("mean_speed > 0"),
-                         context=ContextConstraint(applicable_tasks=frozenset({"speed"})),
+                         tasks=frozenset({"speed"}),
                          direction="maintain", confidence=1.0))
     lib_path = tmp_path / "tasks.json"
     save_library(lib, lib_path)

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -17,7 +17,7 @@ def write_config(tmp_path, doc):
 def test_defaults():
     cfg = RunConfig()
     assert cfg.delta == 0.5
-    assert cfg.theta == 0.7
+    assert cfg.theta is None
     assert cfg.max_iterations == 5
     assert cfg.context == "auto"
     assert cfg.no_smoothing is False
@@ -31,7 +31,7 @@ def test_load_overrides_fields(tmp_path):
     assert cfg.lc_window == 90
     assert cfg.context == "free_flow"
     # untouched fields keep defaults
-    assert cfg.theta == 0.7
+    assert cfg.theta is None
 
 
 def test_load_unknown_key(tmp_path):
@@ -93,7 +93,8 @@ def test_validation_errors():
     assert RunConfig(stall_epsilon=0.0).stall_epsilon == 0.0
 
 
-FLOAT_FIELDS = [f.name for f in fields(RunConfig) if isinstance(getattr(RunConfig(), f.name), float)]
+FLOAT_FIELDS = [name for name, hint in get_type_hints(RunConfig).items()
+                if float in (hint, *get_args(hint))]
 
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -129,7 +130,7 @@ def test_load_non_object(tmp_path):
 
 
 def test_merge_overrides():
-    cfg = RunConfig()
+    cfg = RunConfig(theta=0.7)
     merged = merge_overrides(cfg, {"delta": 0.8, "theta": None, "not_a_field": 9})
     assert merged.delta == 0.8
     assert merged.theta == 0.7  # None means "flag not given"

@@ -33,7 +33,7 @@ from trajrules.llm import (
     parse_rule_response,
     prompt_kind,
 )
-from trajrules.rules import ContextConstraint, Rule
+from trajrules.rules import Rule
 
 
 def msg(content, role="user"):
@@ -124,8 +124,8 @@ def test_parse_rule_response_happy_path():
     assert [r.id for r in rules] == ["T1", "T2"]
     assert rules[0].state == "candidate"
     assert rules[0].predicate_text == "std_jerk < 0.3"
-    assert rules[1].context.allowed_contexts == frozenset({"congested", "free_flow"})
-    assert rules[1].context.applicable_tasks == frozenset({"identification", "speed"})
+    assert rules[1].contexts == frozenset({"congested", "free_flow"})
+    assert rules[1].tasks == frozenset({"identification", "speed"})
     assert rules[1].direction == "decelerate"
 
 
@@ -134,10 +134,21 @@ def test_parse_rule_response_defaults():
     rules, rejected = parse_rule_response(text)
     assert rejected == []
     (rule,) = rules
-    assert rule.context.allowed_contexts == frozenset({"any"})
-    assert rule.context.applicable_tasks == frozenset({"identification"})
+    assert rule.contexts == frozenset({"any"})
+    assert rule.tasks == frozenset({"identification"})
     assert rule.polarity == "AV_indicative"
     assert rule.direction is None
+
+
+def test_parse_rule_response_blank_scope_uses_defaults():
+    text = ("```rule\nid: T4\ndescription: d\ncondition: std_speed < 2\ncategory: speed\n"
+            "contexts:\ntasks:\nstate: verified\n```")
+    rules, rejected = parse_rule_response(text)
+    assert rejected == []
+    (rule,) = rules
+    assert rule.contexts == frozenset({"any"})
+    assert rule.tasks == frozenset({"identification"})
+    assert rule.state == "candidate"
 
 
 @pytest.mark.parametrize("body,fragment", [
@@ -191,7 +202,8 @@ def test_format_rule_block_round_trip():
         id="RT1",
         description="slows before moving over",
         predicate=dsl.parse_predicate("pre_lane_change_decel IN 0.2..0.3"),
-        context=ContextConstraint(frozenset({"free_flow"}), frozenset({"lane_change", "identification"})),
+        contexts=frozenset({"free_flow"}),
+        tasks=frozenset({"lane_change", "identification"}),
         category="lane_change",
         polarity="AV_indicative",
         direction="left_LC",
@@ -202,7 +214,8 @@ def test_format_rule_block_round_trip():
     (back,) = parsed
     assert back.id == rule.id
     assert back.predicate_text == rule.predicate_text
-    assert back.context == rule.context
+    assert back.contexts == rule.contexts
+    assert back.tasks == rule.tasks
     assert back.category == rule.category
     assert back.direction == "left_LC"
 

@@ -15,7 +15,6 @@ from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
     NOT_MATCHED,
-    ContextConstraint,
     Rule,
     RuleLibrary,
     evaluate_rule,
@@ -28,7 +27,8 @@ def make_rule(predicate="std_jerk < 0.3", contexts=("any",), **kwargs):
         id="T1",
         description="test rule",
         predicate=parse_predicate(predicate),
-        context=ContextConstraint(frozenset(contexts), frozenset({"identification"})),
+        contexts=frozenset(contexts),
+        tasks=frozenset({"identification"}),
         category="smoothness",
     )
     defaults.update(kwargs)
@@ -84,11 +84,11 @@ def test_unit_mismatch_raises():
 
 
 def test_context_constraint_allows():
-    c = ContextConstraint(frozenset({"free_flow"}), frozenset({"identification"}))
-    assert evaluate_rule(make_rule(context=c), {"std_jerk": 0.1}, "free_flow") == MATCHED
-    assert evaluate_rule(make_rule(context=c), {"std_jerk": 0.1}, "congested") == NOT_APPLICABLE
-    both = ContextConstraint(frozenset({"any"}), frozenset({"identification"}))
-    assert evaluate_rule(make_rule(context=both), {"std_jerk": 0.1}, "congested") == MATCHED
+    c = make_rule(contexts=("free_flow",))
+    assert evaluate_rule(c, {"std_jerk": 0.1}, "free_flow") == MATCHED
+    assert evaluate_rule(c, {"std_jerk": 0.1}, "congested") == NOT_APPLICABLE
+    both = make_rule(contexts=("any",))
+    assert evaluate_rule(both, {"std_jerk": 0.1}, "congested") == MATCHED
 
 
 def test_rule_validation():
@@ -120,8 +120,8 @@ def test_seed_library_contents():
     ids = [r.id for r in lib.rules]
     assert ids == ["R2", "R3", "R4", "R7", "R11", "R12", "R15", "R20", "R27", "R29", "R30"]
     r7 = lib.get("R7")
-    assert r7.context.allowed_contexts == frozenset({"free_flow"})
-    assert "speed" in r7.context.applicable_tasks
+    assert r7.contexts == frozenset({"free_flow"})
+    assert "speed" in r7.tasks
     assert lib.get("R27").predicate_text == "std_jerk < 0.3"
 
 
@@ -149,10 +149,9 @@ def test_verified_filters():
     lib.add_rule(make_rule(id="hdv", state="verified", confidence=0.9,
                            polarity="HDV_indicative"))
     lib.add_rule(make_rule(id="spd", state="verified", confidence=0.9,
-                           context=ContextConstraint(applicable_tasks=frozenset({"speed"}))))
+                           tasks=frozenset({"speed"})))
     lib.add_rule(make_rule(id="both", state="verified", confidence=0.9,
-                           context=ContextConstraint(
-                               applicable_tasks=frozenset({"identification", "lane_change"}))))
+                           tasks=frozenset({"identification", "lane_change"})))
     assert [r.id for r in lib.verified_rules("identification")] == ["ver", "hdv", "both"]
     assert [r.id for r in lib.verified_rules("speed")] == ["spd"]
     assert [r.id for r in lib.verified_rules("lane_change")] == ["both"]
@@ -178,7 +177,8 @@ def test_save_load_round_trip(tmp_path):
     for a, b in zip(lib.rules, loaded.rules):
         assert a.id == b.id
         assert a.predicate == b.predicate
-        assert a.context == b.context
+        assert a.contexts == b.contexts
+        assert a.tasks == b.tasks
         assert a.confidence == b.confidence
         assert a.state == b.state
         assert a.category == b.category
@@ -228,6 +228,8 @@ MALFORMED = [  # (library keys, keys of its one rule, error message)
     ({}, {"predicate": 5}, "rule X: 'predicate' must be a string, got 5"),
     ({}, {"contexts": 5}, "rule X: 'contexts' must be an array of strings, got 5"),
     ({}, {"tasks": [["speed"]]}, "rule X: 'tasks' must be an array of strings, got [['speed']]"),
+    ({}, {"contexts": []}, "X: contexts must not be empty"),
+    ({}, {"tasks": ["parking"]}, "X: unknown tasks: ['parking']"),
 ]
 
 

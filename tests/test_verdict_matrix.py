@@ -33,7 +33,6 @@ from trajrules.rules import (
     NOT_APPLICABLE,
     TASKS,
     VERDICTS,
-    ContextConstraint,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -59,7 +58,7 @@ def reference_matching_score(library, features, context="any", *, feature_units=
     n_applicable = 0
     for rule in library.rules:
         if (rule.state != "verified" or rule.polarity != "AV_indicative"
-                or "identification" not in rule.context.applicable_tasks):
+                or "identification" not in rule.tasks):
             continue
         verdict = evaluate_rule(
             rule, features, context,
@@ -127,7 +126,7 @@ def reference_direction_votes(library, features, context, task, directions, feat
     votes = dict.fromkeys(directions, 0.0)
     for rule in library.rules:
         if (rule.state != "verified" or rule.direction not in votes
-                or task not in rule.context.applicable_tasks):
+                or task not in rule.tasks):
             continue
         verdict = evaluate_rule(
             rule, features, context,
@@ -176,8 +175,8 @@ def random_rule(rng, rid):
         id=rid,
         description=f"rule {rid}",
         predicate=random_predicate(rng),
-        context=ContextConstraint(frozenset(SCOPES[rng.integers(len(SCOPES))]),
-                                  frozenset(TASK_SETS[rng.integers(len(TASK_SETS))])),
+        contexts=frozenset(SCOPES[rng.integers(len(SCOPES))]),
+        tasks=frozenset(TASK_SETS[rng.integers(len(TASK_SETS))]),
         polarity="AV_indicative" if rng.random() < 0.6 else "HDV_indicative",
         confidence=confidence,
         state=("verified", "verified", "verified", "candidate", "retired")[rng.integers(5)],
@@ -311,7 +310,7 @@ def test_verdict_rows_are_cached_per_predicate_and_scope():
     anywhere = Rule(id="A", description="d", predicate=pred)
     twin = Rule(id="B", description="other text", predicate=dsl.parse_predicate("std_jerk < 0.3"))
     congested = Rule(id="C", description="d", predicate=pred,
-                     context=ContextConstraint(frozenset({"congested"})))
+                     contexts=frozenset({"congested"}))
     row = table.verdicts(anywhere)
     assert table.verdicts(twin) is row
     assert [VERDICTS[c] for c in row] == ["matched", "not_matched"]
@@ -355,7 +354,7 @@ def fleet(tmp_path_factory):
     threshold = 0.5 * (speeds[2] + speeds[3])
     rules = [
         Rule(id=rid, description=f"rule {rid}", predicate=dsl.parse_predicate(text),
-             context=ContextConstraint(frozenset(contexts), frozenset(tasks)),
+             contexts=frozenset(contexts), tasks=frozenset(tasks),
              direction=direction, state=state, polarity=f"{polarity}_indicative",
              confidence=confidence)
         for rid, text, contexts, tasks, direction, state, polarity, confidence in PREDICT_RULES
@@ -477,7 +476,7 @@ def test_cmd_predict_unit_mismatch_names_the_vehicle(tmp_path, capsys):
     lib_path = tmp_path / "lib.json"
     save_library(RuleLibrary(rules=[Rule(
         id="P1", description="d", predicate=dsl.parse_predicate("std_accel < 9"),
-        context=ContextConstraint(applicable_tasks=frozenset({"lane_change"})),
+        tasks=frozenset({"lane_change"}),
         confidence=1.0, state="verified", direction="keep_lane")]), lib_path)
     rc = cli.main(["predict", "--input", str(tracks), "--library", str(lib_path),
                    "--output", str(tmp_path / "p.json"), "--task", "lane_change"])

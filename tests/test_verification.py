@@ -9,7 +9,6 @@ from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
     NOT_MATCHED,
-    ContextConstraint,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -31,7 +30,8 @@ def make_rule(rid="R1", text="std_jerk < 0.3", polarity="AV_indicative",
         id=rid,
         description="test rule",
         predicate=dsl.parse_predicate(text),
-        context=ContextConstraint(frozenset(contexts), frozenset(tasks)),
+        contexts=frozenset(contexts),
+        tasks=frozenset(tasks),
         category="smoothness",
         polarity=polarity,
         state=state,
@@ -143,7 +143,8 @@ def test_apply_suggestion_adjust_threshold():
     assert out.state == "candidate"
     assert out.confidence is None
     assert out.revision == rule.revision + 1
-    assert out.context == rule.context
+    assert out.contexts == rule.contexts
+    assert out.tasks == rule.tasks
 
 
 def test_apply_suggestion_add_context():
@@ -152,8 +153,8 @@ def test_apply_suggestion_add_context():
         rule,
         RefinementSuggestion("R1", "add_context", new_contexts=frozenset({"free_flow"})),
     )
-    assert out.context.allowed_contexts == frozenset({"free_flow"})
-    assert out.context.applicable_tasks == frozenset({"identification", "speed"})
+    assert out.contexts == frozenset({"free_flow"})
+    assert out.tasks == frozenset({"identification", "speed"})
     assert out.predicate_text == rule.predicate_text
     assert out.revision == rule.revision + 1
 
