@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
-from . import io
+from . import io, workers
 from .classification import (
     TASK_DIRECTIONS,
     identify_vehicle,
@@ -66,16 +68,6 @@ def _backend(cfg: RunConfig):
     return MockBackend(fixture_dir=cfg.mock_dir) if cfg.mock_dir else HttpBackend(settings)
 
 
-def _load_tracks(path: str, cfg: RunConfig) -> list[Trajectory]:
-    """load -> validate every track -> smooth them all in one batch."""
-    trajectories = io.load_trajectories(path)
-    for i, traj in enumerate(trajectories):
-        trajectories[i] = validate_trajectory(traj)
-    if cfg.no_smoothing:
-        return trajectories
-    return smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
-
-
 def _extract(t: Trajectory, cfg: RunConfig):
     """kinematics -> events -> feature mapping, for one prepared track."""
     kin = compute_kinematics(t)
@@ -89,6 +81,44 @@ def _extract(t: Trajectory, cfg: RunConfig):
     return kin, feats
 
 
+def _prepare(path: str, cfg: RunConfig, task: str | None,
+             span: tuple[int, int] | None = None) -> list[tuple]:
+    """(vehicle_id, unit_system, label, features, prior) of each track in span of
+    path, or in the whole file: load -> validate every track -> smooth them all
+    in one batch -> extract. prior is predict's prior for task, None without one."""
+    trajectories = io.load_trajectories(path, span)
+    for i, traj in enumerate(trajectories):
+        trajectories[i] = validate_trajectory(traj)
+    if not cfg.no_smoothing:
+        trajectories = smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
+    vehicles = []
+    for t in trajectories:
+        kin, feats = _extract(t, cfg)
+        prior = None if task is None else speed_prior(kin) if task == "speed" else lane_prior(t)
+        vehicles.append((t.vehicle_id, t.unit_system, t.label, feats, prior))
+    return vehicles
+
+
+def _prepared_tracks(path: str, cfg: RunConfig, task: str | None = None) -> list[tuple]:
+    """_prepare over the whole file, its slices spread over the CPUs.
+
+    The slices' results are used only if every slice succeeded and no vehicle
+    id repeats across them. Otherwise one pass over the whole file raises the
+    first error, as one process reading every line before validating would.
+    """
+    prepare = partial(_prepare, path, cfg, task)
+    try:
+        spans = io.jsonl_spans(path, workers.chunk_count(os.path.getsize(path)))
+        if len(spans) > 1:
+            with workers.fork_map(prepare, spans) as parts:
+                vehicles = [v for part in parts for v in part]
+            if len({v[0] for v in vehicles}) == len(vehicles):
+                return vehicles
+    except Exception as exc:  # the pass below raises the error a single process meets
+        log.info("%s: %s; reading it in one process", path, exc)
+    return prepare()
+
+
 def _context_for(feats: dict[str, float], cfg: RunConfig) -> str:
     if cfg.context == "auto":
         return infer_context(feats["mean_speed"], cfg.congestion_speed_threshold)
@@ -99,19 +129,18 @@ def cmd_features(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     rows = []
     skipped = 0
-    for t in _load_tracks(args.input, cfg):
-        _, feats = _extract(t, cfg)
+    for vehicle_id, unit_system, label, feats, _ in _prepared_tracks(args.input, cfg):
         if cfg.min_mean_speed > 0 and feats["mean_speed"] < cfg.min_mean_speed:
             skipped += 1
             continue
         row = {
-            "vehicle_id": t.vehicle_id,
-            "unit_system": t.unit_system,
+            "vehicle_id": vehicle_id,
+            "unit_system": unit_system,
             "context": _context_for(feats, cfg),
             "features": feats,
         }
-        if t.label is not None:
-            row["label"] = t.label
+        if label is not None:
+            row["label"] = label
         rows.append(row)
     io.save_feature_rows(rows, args.output)
     note = f" ({skipped} stationary vehicles dropped)" if skipped else ""
@@ -259,13 +288,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
     ids, units, contexts, rows, priors = [], [], [], [], []
-    for t in _load_tracks(args.input, cfg):
-        kin, feats = _extract(t, cfg)
-        ids.append(t.vehicle_id)
-        units.append(t.unit_system)
+    for vehicle_id, unit_system, _, feats, prior in _prepared_tracks(args.input, cfg, args.task):
+        ids.append(vehicle_id)
+        units.append(unit_system)
         contexts.append(_context_for(feats, cfg))
         rows.append(feats)
-        priors.append(speed_prior(kin) if args.task == "speed" else lane_prior(t))
+        priors.append(prior)
     votes = vote_table(library, FeatureTable(rows, contexts, units=units, ids=ids), args.task)
     directions = TASK_DIRECTIONS[args.task]
     predict = predict_speed_change if args.task == "speed" else predict_lane_change

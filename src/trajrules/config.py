@@ -55,6 +55,9 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
+        for name in ("process_noise", "measurement_noise"):
+            if getattr(self, name) <= 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lc_window < 2:
             raise InputError(f"lc_window must be at least 2, got {self.lc_window}")
         if self.lc_threshold <= 0:

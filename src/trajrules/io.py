@@ -8,13 +8,16 @@ and skip timestamps, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import os
+import shutil
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import dsl
+from . import dsl, workers
 from .errors import (
     CorruptLibraryError,
     InputError,
@@ -27,6 +30,7 @@ from .rules import CONTEXTS, DEFAULT_THETA, Rule, RuleLibrary
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 DECISIONS = (*LABELS, UNDETERMINED)
+log = logging.getLogger(__name__)
 
 
 # Encodes a container that holds no other container, one item per line at
@@ -34,6 +38,7 @@ DECISIONS = (*LABELS, UNDETERMINED)
 _FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
 _CONTAINERS = (dict, list, tuple)
 _BATCH = 4096  # pieces joined per write
+_POINT_BYTES = 50  # JSONL bytes per track point, roughly
 
 
 def dump_json(obj: object, path: str | Path) -> None:
@@ -176,11 +181,44 @@ def trajectory_from_dict(doc: dict, line: int = 0) -> Trajectory:
         raise SchemaError(str(exc), line) from exc
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Yield (line number, decoded value) for each non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
+def jsonl_spans(path: str | Path, n: int) -> list[tuple[int, int]]:
+    """At most n byte ranges (start, end) that cover the file, each cut at a line start."""
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        cuts = [0]
+        for k in range(1, n):
+            fh.seek(max(cuts[-1], size * k // n))
+            fh.readline()  # past the next \n, which ends a line in universal newlines too
+            if cuts[-1] < fh.tell() < size:
+                cuts.append(fh.tell())
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _lines_within(lines: Iterable[str], size: int) -> Iterator[str]:
+    """The lines that start within size bytes; each line must keep its ending."""
+    for line in lines:
+        if size <= 0:
+            return
+        yield line
+        size -= len(line) if line.isascii() else len(line.encode("utf-8"))
+
+
+def _read_jsonl(path: str | Path,
+                span: tuple[int, int] | None = None) -> Iterator[tuple[int, object]]:
+    """Yield (line number, decoded value) for each non-blank line of a JSONL file.
+
+    With span, only the lines in that byte range are read (see jsonl_spans),
+    numbered from 1 at its start.
+    """
+    # newline="" splits lines as universal newlines do but keeps their endings,
+    # so that a span's lines add up to its bytes
+    with open(path, encoding="utf-8", newline=None if span is None else "") as fh:
+        lines: Iterable[str] = fh
+        if span is not None:
+            fh.buffer.seek(span[0])
+            lines = _lines_within(fh, span[1] - span[0])
         try:
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in enumerate(lines, start=1):
                 if not (raw := line.strip()):
                     continue
                 try:
@@ -207,29 +245,60 @@ def _check_new_id(first_line: dict[str, int], vehicle_id: str, line: int) -> Non
         raise SchemaError(f"vehicle_id {vehicle_id!r} repeats the one on line {first}", line)
 
 
-def load_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a JSONL trajectory file; SchemaError names the offending line.
+def load_trajectories(path: str | Path,
+                      span: tuple[int, int] | None = None) -> list[Trajectory]:
+    """Read a JSONL trajectory file, or the lines in span; SchemaError names the
+    offending line.
 
-    Vehicle ids must be unique within the file.
+    Vehicle ids must be unique within what is read.
     """
     trajectories = []
     first_line: dict[str, int] = {}
-    for lineno, doc in _read_jsonl(path):
+    for lineno, doc in _read_jsonl(path, span):
         traj = trajectory_from_dict(doc, lineno)
         _check_new_id(first_line, traj.vehicle_id, lineno)
         trajectories.append(traj)
     return trajectories
 
 
-def _write_jsonl(docs: Iterable[dict], path: str | Path) -> None:
+def _jsonl_lines(docs: Iterable[dict]) -> Iterator[bytes]:
     """One canonical JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    for doc in docs:
+        yield (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _write_jsonl(docs: Iterable[dict], path: str | Path) -> None:
+    with open(path, "wb") as fh:
+        fh.writelines(_jsonl_lines(docs))
+
+
+def _track_lines(trajectories: list[Trajectory]) -> Iterator[bytes]:
+    return _jsonl_lines(map(trajectory_to_dict, trajectories))
 
 
 def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
-    _write_jsonl(map(trajectory_to_dict, trajectories), path)
+    """Write tracks as JSONL. Forked workers format the later slices of a large
+    list while the caller writes the first line by line; their lines follow in
+    slice order, so the bytes do not depend on the number of slices."""
+    tracks = list(trajectories)
+    n = workers.chunk_count(_POINT_BYTES * sum(map(len, tracks)))
+    parts = [tracks[len(tracks) * k // n:len(tracks) * (k + 1) // n] for k in range(n)]
+    with open(path, "wb") as fh:
+        try:
+            with workers.fork_map(
+                _track_lines, parts,
+                # a worker formats all its lines before its pipe can block it
+                send=lambda lines, pipe: pipe.writelines(list(lines)),
+                receive=lambda pipe: shutil.copyfileobj(pipe, fh),
+            ) as slices:
+                fh.writelines(next(slices))
+                for _ in slices:  # each copies one worker's lines into fh
+                    pass
+        except workers.ChunkFailed as exc:
+            log.info("%s; writing %s in one process", exc, path)
+            fh.seek(0)
+            fh.truncate()
+            fh.writelines(_track_lines(tracks))
 
 
 def load_feature_rows(path: str | Path) -> list[dict]:

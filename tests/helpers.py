@@ -1,7 +1,10 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from trajrules.classification import identify_vehicle, score_table
 from trajrules.rules import FeatureTable
@@ -62,3 +65,9 @@ def identify_column(scores, delta=0.5, j=0):
     """identify_vehicle on column j's sums: (decision, score, confidence)."""
     return identify_vehicle(float(scores.matched_weight[j]), float(scores.applicable_weight[j]),
                             int(scores.n_applicable[j]), delta)
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -114,8 +114,11 @@ def write_tracks(path, lengths):
     (["--lc-window", "1"], None, "lc_window must be at least 2, got 1"),
     (["--lc-threshold", "0"], None, "lc_threshold must be positive, got 0.0"),
     (["--lc-threshold=-3"], None, "lc_threshold must be positive, got -3.0"),
+    (["--process-noise=-1"], None, "process_noise must be positive, got -1.0"),
+    ([], {"measurement_noise": 0}, "measurement_noise must be positive, got 0.0"),
 ], ids=["flag_nan", "flag_inf", "measurement_nan", "threshold_neg_inf",
-        "config_nan", "config_inf", "lc_window_1", "lc_threshold_0", "lc_threshold_neg"])
+        "config_nan", "config_inf", "lc_window_1", "lc_threshold_0", "lc_threshold_neg",
+        "process_noise_neg", "measurement_noise_0"])
 def test_features_rejects_non_finite_settings(tmp_path, capsys, flags, config, message):
     trajs = tmp_path / "t.jsonl"
     out = tmp_path / "f.jsonl"

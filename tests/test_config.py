@@ -91,6 +91,10 @@ def test_validation_errors():
     with pytest.raises(InputError, match="^stall_epsilon must be at least 0, got -0.5$"):
         RunConfig(stall_epsilon=-0.5)
     assert RunConfig(stall_epsilon=0.0).stall_epsilon == 0.0
+    with pytest.raises(InputError, match="^process_noise must be positive, got -1.0$"):
+        RunConfig(process_noise=-1.0)
+    with pytest.raises(InputError, match="^measurement_noise must be positive, got 0.0$"):
+        RunConfig(measurement_noise=0.0)
 
 
 FLOAT_FIELDS = [name for name, hint in get_type_hints(RunConfig).items()

@@ -50,6 +50,28 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_spans_cut_at_line_starts_and_read_like_the_whole_file(tmp_path, n):
+    tracks = [make_trajectory(range(5 + 3 * i), [0.25 * i] * (5 + 3 * i), vehicle_id=f"vé{i}")
+              for i in range(9)]
+    lines = [json.dumps(trajectory_to_dict(t), ensure_ascii=False) for t in tracks]
+    # CRLF, a lone CR, blank lines and LF; non-ASCII text has more bytes than characters
+    data = ("\r\n".join(lines[:3]) + "\r" + lines[3] + "\r\n\r\n" + "\n".join(lines[4:])
+            + "\n\n").encode("utf-8")
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    spans = io.jsonl_spans(path, n)
+    assert 1 <= len(spans) <= n
+    assert spans[0][0] == 0 and spans[-1][1] == len(data)
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end == start and data[start - 1:start] == b"\n"
+    whole = load_trajectories(path)
+    parts = [t for span in spans for t in load_trajectories(path, span)]
+    assert [t.vehicle_id for t in parts] == [f"vé{i}" for i in range(9)]
+    for got, want in zip(parts, whole):
+        assert_same_trajectory(got, want)
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "t.jsonl"
     a, b = (json.dumps(trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5,

@@ -25,7 +25,7 @@ from trajrules.classification import (
     vote_table,
 )
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
-from trajrules.io import load_library, save_library
+from trajrules.io import load_library, load_trajectories, save_library
 from trajrules.metrics import UNDETERMINED
 from trajrules.rules import (
     DIRECTIONS,
@@ -37,6 +37,7 @@ from trajrules.rules import (
     Rule,
     RuleLibrary,
 )
+from trajrules.trajectory import smooth_trajectories, validate_trajectory
 from trajrules.verification import (
     FailureCase,
     RuleStats,
@@ -369,7 +370,10 @@ def reference_predict(library, args, task):
     directions = TASK_DIRECTIONS[task]
     neutral = "maintain" if task == "speed" else "keep_lane"
     predictions, contexts, all_votes = [], set(), set()
-    for t in cli._load_tracks(args[args.index("--input") + 1], cfg):
+    tracks = [validate_trajectory(t) for t in load_trajectories(args[args.index("--input") + 1])]
+    if not cfg.no_smoothing:
+        tracks = smooth_trajectories(tracks, cfg.process_noise, cfg.measurement_noise)
+    for t in tracks:
         kin, feats = cli._extract(t, cfg)
         context = cli._context_for(feats, cfg)
         votes = reference_direction_votes(library, feats, context, task, directions,
