@@ -109,11 +109,9 @@ def _prepared_tracks(path: str, cfg: RunConfig, task: str | None = None) -> list
     prepare = partial(_prepare, path, cfg, task)
     try:
         spans = io.jsonl_spans(path, workers.chunk_count(os.path.getsize(path)))
-        if len(spans) > 1:
-            with workers.fork_map(prepare, spans) as parts:
-                vehicles = [v for part in parts for v in part]
-            if len({v[0] for v in vehicles}) == len(vehicles):
-                return vehicles
+        vehicles = [v for part in workers.fork_map(prepare, spans) for v in part]
+        if len({v[0] for v in vehicles}) == len(vehicles):
+            return vehicles
     except Exception as exc:  # the pass below raises the error a single process meets
         log.info("%s: %s; reading it in one process", path, exc)
     return prepare()

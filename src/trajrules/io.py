@@ -8,16 +8,14 @@ and skip timestamps, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
-import shutil
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import dsl, workers
+from . import dsl
 from .errors import (
     CorruptLibraryError,
     InputError,
@@ -30,7 +28,6 @@ from .rules import CONTEXTS, DEFAULT_THETA, Rule, RuleLibrary
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 DECISIONS = (*LABELS, UNDETERMINED)
-log = logging.getLogger(__name__)
 
 
 # Encodes a container that holds no other container, one item per line at
@@ -38,7 +35,6 @@ log = logging.getLogger(__name__)
 _FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
 _CONTAINERS = (dict, list, tuple)
 _BATCH = 4096  # pieces joined per write
-_POINT_BYTES = 50  # JSONL bytes per track point, roughly
 
 
 def dump_json(obj: object, path: str | Path) -> None:
@@ -205,18 +201,15 @@ def _lines_within(lines: Iterable[str], size: int) -> Iterator[str]:
 
 def _read_jsonl(path: str | Path,
                 span: tuple[int, int] | None = None) -> Iterator[tuple[int, object]]:
-    """Yield (line number, decoded value) for each non-blank line of a JSONL file.
-
-    With span, only the lines in that byte range are read (see jsonl_spans),
-    numbered from 1 at its start.
-    """
+    """Yield (line number, decoded value) for each non-blank line in span, a byte
+    range from jsonl_spans, or in the whole file; lines are numbered from 1 at
+    the range's start."""
     # newline="" splits lines as universal newlines do but keeps their endings,
-    # so that a span's lines add up to its bytes
-    with open(path, encoding="utf-8", newline=None if span is None else "") as fh:
-        lines: Iterable[str] = fh
-        if span is not None:
-            fh.buffer.seek(span[0])
-            lines = _lines_within(fh, span[1] - span[0])
+    # so that the lines' lengths add up to the range's bytes
+    with open(path, encoding="utf-8", newline="") as fh:
+        start, end = span or (0, os.fstat(fh.fileno()).st_size)
+        fh.buffer.seek(start)
+        lines = _lines_within(fh, end - start)
         try:
             for lineno, line in enumerate(lines, start=1):
                 if not (raw := line.strip()):
@@ -261,44 +254,15 @@ def load_trajectories(path: str | Path,
     return trajectories
 
 
-def _jsonl_lines(docs: Iterable[dict]) -> Iterator[bytes]:
-    """One canonical JSON object per line, keys sorted."""
-    for doc in docs:
-        yield (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-
-
 def _write_jsonl(docs: Iterable[dict], path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.writelines(_jsonl_lines(docs))
-
-
-def _track_lines(trajectories: list[Trajectory]) -> Iterator[bytes]:
-    return _jsonl_lines(map(trajectory_to_dict, trajectories))
+    """One canonical JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
-    """Write tracks as JSONL. Forked workers format the later slices of a large
-    list while the caller writes the first line by line; their lines follow in
-    slice order, so the bytes do not depend on the number of slices."""
-    tracks = list(trajectories)
-    n = workers.chunk_count(_POINT_BYTES * sum(map(len, tracks)))
-    parts = [tracks[len(tracks) * k // n:len(tracks) * (k + 1) // n] for k in range(n)]
-    with open(path, "wb") as fh:
-        try:
-            with workers.fork_map(
-                _track_lines, parts,
-                # a worker formats all its lines before its pipe can block it
-                send=lambda lines, pipe: pipe.writelines(list(lines)),
-                receive=lambda pipe: shutil.copyfileobj(pipe, fh),
-            ) as slices:
-                fh.writelines(next(slices))
-                for _ in slices:  # each copies one worker's lines into fh
-                    pass
-        except workers.ChunkFailed as exc:
-            log.info("%s; writing %s in one process", exc, path)
-            fh.seek(0)
-            fh.truncate()
-            fh.writelines(_track_lines(tracks))
+    _write_jsonl(map(trajectory_to_dict, trajectories), path)
 
 
 def load_feature_rows(path: str | Path) -> list[dict]:

@@ -12,7 +12,7 @@ import os
 import pickle
 import signal
 import warnings
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -20,7 +20,7 @@ MIN_SLICE_BYTES = 1 << 20  # about 20,000 track points of JSONL
 
 
 class ChunkFailed(Exception):
-    """A worker ended without handing over its chunk's complete result."""
+    """A worker ended without handing over its chunk's result."""
 
 
 def chunk_count(size: int) -> int:
@@ -43,34 +43,16 @@ def _fork() -> int:
     return pid
 
 
-@contextlib.contextmanager
-def fork_map(fn: Callable, chunks: Sequence, send: Callable = pickle.dump,
-             receive: Callable = pickle.load) -> Iterator[Iterator]:
-    """Yield an iterator over fn(chunks[0]), then receive(pipe) of each other chunk.
+def fork_map(fn: Callable, chunks: Sequence) -> list:
+    """[fn(chunk) for chunk in chunks], each chunk after the first in a forked child.
 
-    A child calls send(fn(chunk), pipe) and ends with os._exit, so it runs no
-    exit handlers. The first chunk runs in the caller once every child has
-    started. A child that cannot start raises ChunkFailed on entering the
-    block; one that fails, or ends without sending, raises it where its result
-    is due. On leaving the block, every child is reaped; one whose result was
-    not read is killed first.
+    A child pickles its result into a pipe and ends with os._exit, so it runs
+    no exit handlers. The first chunk runs in the caller once every child has
+    started. ChunkFailed means a child could not start, or ended without a
+    whole result. On the way out, every child is killed if still running and
+    reaped, whether fn raised or not.
     """
     children: list[tuple[int, BinaryIO]] = []
-
-    def results() -> Iterator:
-        yield fn(chunks[0])
-        while children:
-            pid, pipe = children[0]
-            result = None
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # exit 0 means all sent
-                result = receive(pipe)
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status:
-                raise ChunkFailed(f"worker {pid} ended with {os.waitstatus_to_exitcode(status)}")
-            yield result
-
     try:
         for chunk in chunks[1:]:
             r, w = os.pipe()
@@ -85,16 +67,22 @@ def fork_map(fn: Callable, chunks: Sequence, send: Callable = pickle.dump,
                 try:
                     os.close(r)
                     with open(w, "wb") as out:
-                        send(fn(chunk), out)
+                        pickle.dump(fn(chunk), out)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        yield results()
+        results = [fn(chunks[0])]
+        for pid, pipe in children:
+            try:
+                results.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise ChunkFailed(f"worker {pid} ended without a result") from exc
+        return results
     finally:
         for pid, pipe in children:
             pipe.close()
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)  # a worker that sent its result has nothing left to do
                 os.waitpid(pid, 0)

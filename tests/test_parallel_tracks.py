@@ -1,12 +1,12 @@
-"""features, predict and synth give the same bytes and the same errors
-whatever the number of chunks their track work is split into."""
+"""features and predict give the same bytes and the same errors whatever
+the number of chunks their track work is split into."""
 import json
 import os
 
 import numpy as np
 import pytest
 
-from trajrules import cli, io, workers
+from trajrules import cli, workers
 from trajrules.dsl import parse_predicate
 from trajrules.io import jsonl_spans, save_library
 from trajrules.rules import Rule, RuleLibrary
@@ -117,33 +117,6 @@ def test_track_outputs_do_not_depend_on_the_chunk_count(tmp_path, forks, tracks,
         assert len(jsonl_spans(path, chunks)) == chunks
         out.unlink()
         assert run(forks, chunks, argv, out) == (0, chunks - 1, serial)
-
-
-def test_synth_output_does_not_depend_on_the_chunk_count(tmp_path, forks):
-    outputs = []
-    for chunks in (1, 2, 3):
-        out, manifest = tmp_path / f"t{chunks}.jsonl", tmp_path / f"m{chunks}.json"
-        argv = ["synth", "--output", str(out), "--manifest", str(manifest),
-                "--n-av", "2", "--n-hdv", "3", "--duration-s", "36", "--seed", "4"]
-        code, forked, data = run(forks, chunks, argv, out)
-        assert (code, forked) == (0, chunks - 1)
-        outputs.append((data, manifest.read_bytes()))
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-
-def test_synth_falls_back_to_one_process_when_a_worker_dies(tmp_path, forks, monkeypatch):
-    argv = ["synth", "--output", str(tmp_path / "t.jsonl"),
-            "--n-av", "1", "--n-hdv", "3", "--duration-s", "36", "--seed", "4"]
-    _, _, serial = run(forks, 1, argv, tmp_path / "t.jsonl")
-    caller, to_dict = os.getpid(), io.trajectory_to_dict
-
-    def dying_to_dict(traj):
-        if os.getpid() != caller:
-            os._exit(1)
-        return to_dict(traj)
-
-    monkeypatch.setattr(io, "trajectory_to_dict", dying_to_dict)
-    assert run(forks, 3, argv, tmp_path / "t.jsonl") == (0, 2, serial)
 
 
 def test_features_fall_back_to_one_process_when_a_worker_dies(tmp_path, forks, tracks,
