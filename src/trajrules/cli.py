@@ -26,7 +26,7 @@ from .classification import (
     speed_prior,
     vote_table,
 )
-from .config import RunConfig, load_config, merge_overrides
+from .config import RunConfig, build, load_config, merge_overrides
 from .errors import DegenerateLabelsError, InputError, NoApplicableRulesError, TrajRulesError
 from .io import load_library, save_library  # bare name: perfbench/spans.py patches load_library
 from .kinematics import (
@@ -38,7 +38,7 @@ from .kinematics import (
 from .llm import BackendConfig, HttpBackend, MockBackend
 from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc
 from .prompts import digest_sample
-from .rules import VERDICTS, FeatureTable, RuleLibrary, seed_library
+from .rules import STATES, VERDICTS, FeatureTable, RuleLibrary, seed_library
 from .synth import GeneratorConfig, generate_dataset
 from .trajectory import Trajectory, smooth_trajectories, validate_trajectory
 from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py patches it
@@ -54,17 +54,7 @@ def _cfg(args: argparse.Namespace) -> RunConfig:
 
 
 def _backend(cfg: RunConfig):
-    try:  # checked with --mock-dir too, so a bad setting fails the same way everywhere
-        settings = BackendConfig(
-            endpoint=cfg.endpoint,
-            model=cfg.model,
-            temperature=cfg.temperature,
-            max_output_tokens=cfg.max_output_tokens,
-            timeout_s=cfg.timeout_s,
-            max_retries=cfg.max_retries,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    settings = build(BackendConfig, cfg)  # with --mock-dir too, so a bad setting fails everywhere
     return MockBackend(fixture_dir=cfg.mock_dir) if cfg.mock_dir else HttpBackend(settings)
 
 
@@ -105,10 +95,13 @@ def _prepared_tracks(path: str, cfg: RunConfig, task: str | None = None) -> list
     The slices' results are used only if every slice succeeded and no vehicle
     id repeats across them. Otherwise one pass over the whole file raises the
     first error, as one process reading every line before validating would.
+    One slice is that pass, so its error is raised as it is.
     """
     prepare = partial(_prepare, path, cfg, task)
+    spans = io.jsonl_spans(path, workers.chunk_count(os.path.getsize(path)))
+    if len(spans) == 1:
+        return prepare()
     try:
-        spans = io.jsonl_spans(path, workers.chunk_count(os.path.getsize(path)))
         vehicles = [v for part in workers.fork_map(prepare, spans) for v in part]
         if len({v[0] for v in vehicles}) == len(vehicles):
             return vehicles
@@ -147,18 +140,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _cfg(args)
-    try:
-        gen_cfg = GeneratorConfig(
-            n_av=cfg.n_av,
-            n_hdv=cfg.n_hdv,
-            duration_s=cfg.duration_s,
-            frame_rate=cfg.frame_rate,
-            seed=cfg.seed,
-            separation=cfg.separation,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    gen_cfg = build(GeneratorConfig, _cfg(args))
     trajectories, manifest = generate_dataset(gen_cfg)
     io.save_trajectories(trajectories, args.output)
     if args.manifest:
@@ -223,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         strict_denominator=cfg.strict_denominator,
     )
     save_library(result.library, args.output)
-    states = {"verified": 0, "candidate": 0, "retired": 0}
+    states = dict.fromkeys(STATES, 0)
     for rule in result.library.rules:
         states[rule.state] += 1
     print(f"{result.reason} after {result.iterations} iteration(s): "
@@ -242,7 +224,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # io.dump_json then encodes once per distinct list
     evidence_for: dict[tuple[int, ...], list[dict]] = {}
     results = []
-    tally = {"AV": 0, "HDV": 0, UNDETERMINED: 0}
+    tally = dict.fromkeys(io.DECISIONS, 0)
     for row, verdicts, matched, applicable, n_applicable in zip(
         rows, map(tuple, scores.verdicts.T.tolist()), scores.matched_weight.tolist(),
         scores.applicable_weight.tolist(), scores.n_applicable.tolist(),

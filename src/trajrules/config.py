@@ -3,6 +3,7 @@
 A RunConfig can come from defaults, a JSON config file, command-line
 flags, or all three; later sources override earlier ones field by field.
 Unknown keys in a config file are an error rather than a silent no-op.
+build() makes the synth and backend settings from a RunConfig by field name.
 """
 from __future__ import annotations
 
@@ -11,8 +12,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
+from .classification import CONGESTION_SPEED_THRESHOLD
 from .errors import InputError
 from .io import load_json_object
+from .llm import BackendConfig
+from .synth import GeneratorConfig
+from .verification import DEFAULT_MAX_ITERATIONS, DEFAULT_STALL_EPSILON
 
 
 @dataclass(frozen=True)
@@ -25,31 +30,31 @@ class RunConfig:
     lc_threshold: float = 50.0
     min_mean_speed: float = 0.0  # 0 keeps every vehicle
     context: str = "auto"  # auto | any | free_flow | congested
-    congestion_speed_threshold: float = 5.0
+    congestion_speed_threshold: float = CONGESTION_SPEED_THRESHOLD
     # classification
     delta: float = 0.5
     theta: float | None = None  # None keeps the library's own threshold
     # verification loop
-    max_iterations: int = 5
-    stall_epsilon: float = 0.01
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    stall_epsilon: float = DEFAULT_STALL_EPSILON
     strict_denominator: bool = False
     # evaluation
     count_undetermined_as_error: bool = False
-    # backend
+    # backend; build(BackendConfig, cfg) reads the fields named as its own
     mock_dir: str = ""
-    endpoint: str = "https://api.example.com/v1/chat/completions"
-    model: str = "default"
-    temperature: float = 0.7
-    max_output_tokens: int = 2000
-    timeout_s: float = 60.0
-    max_retries: int = 3
-    # synthetic data
-    seed: int = 0
-    separation: float = 1.0
-    n_av: int = 100
-    n_hdv: int = 400
-    duration_s: float = 60.0
-    frame_rate: float = 25.0
+    endpoint: str = BackendConfig.endpoint
+    model: str = BackendConfig.model
+    temperature: float = BackendConfig.temperature
+    max_output_tokens: int = BackendConfig.max_output_tokens
+    timeout_s: float = BackendConfig.timeout_s
+    max_retries: int = BackendConfig.max_retries
+    # synthetic data; build(GeneratorConfig, cfg) reads the fields named as its own
+    seed: int = GeneratorConfig.seed
+    separation: float = GeneratorConfig.separation
+    n_av: int = GeneratorConfig.n_av
+    n_hdv: int = GeneratorConfig.n_hdv
+    duration_s: float = GeneratorConfig.duration_s
+    frame_rate: float = GeneratorConfig.frame_rate
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -104,6 +109,15 @@ def load_config(path: str | Path) -> RunConfig:
             raise InputError(f"unknown config key {key!r}")
         patch[key] = _coerce(key, value, known[key])
     return replace(defaults, **patch)
+
+
+def build(kind: type, cfg: RunConfig):
+    """kind (GeneratorConfig or BackendConfig) from cfg's fields of the same
+    names, the rest at kind's defaults; kind's ValueError becomes InputError."""
+    try:
+        return kind(**{f.name: getattr(cfg, f.name) for f in fields(kind) if hasattr(cfg, f.name)})
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def merge_overrides(cfg: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -24,7 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .metrics import UNDETERMINED
-from .rules import CONTEXTS, DEFAULT_THETA, Rule, RuleLibrary
+from .rules import CONTEXTS, Rule, RuleLibrary
 from .trajectory import LABELS, UNIT_SYSTEMS, Trajectory
 
 DECISIONS = (*LABELS, UNDETERMINED)
@@ -344,27 +345,19 @@ def load_report(path: str | Path) -> list[dict]:
     return results
 
 
-_OPTIONAL_RULE_FIELDS = (
-    "contexts", "tasks", "category", "polarity", "confidence", "state", "direction", "revision",
-)
-_RULE_FIELDS = ("id", "description", "predicate", *_OPTIONAL_RULE_FIELDS)
-_LIBRARY_FIELDS = ("version", "theta", "units", "rules", "provenance")
+# the JSON keys of a rule and of a library are their dataclass fields; unknown
+# keys go to extras, and an absent key takes the field's default
+_RULE_FIELDS = tuple(f.name for f in fields(Rule) if f.name != "extras")
+_REQUIRED_RULE_FIELDS = tuple(f.name for f in fields(Rule) if f.default is MISSING
+                              and f.default_factory is MISSING)
+_SET_RULE_FIELDS = tuple(f.name for f in fields(Rule) if isinstance(f.default, frozenset))
+_LIBRARY_FIELDS = tuple(f.name for f in fields(RuleLibrary) if f.name != "extras")
 
 
 def _rule_to_dict(rule: Rule) -> dict:
-    out = {
-        "id": rule.id,
-        "description": rule.description,
-        "predicate": rule.predicate_text,
-        "contexts": sorted(rule.contexts),
-        "tasks": sorted(rule.tasks),
-        "category": rule.category,
-        "polarity": rule.polarity,
-        "confidence": rule.confidence,
-        "state": rule.state,
-        "direction": rule.direction,
-        "revision": rule.revision,
-    }
+    out = {name: getattr(rule, name) for name in _RULE_FIELDS}
+    out.update({name: sorted(out[name]) for name in _SET_RULE_FIELDS},
+               predicate=rule.predicate_text)
     out.update(rule.extras)
     return out
 
@@ -374,36 +367,29 @@ def _rule_from_dict(data: object, index: int) -> Rule:
     if not isinstance(data, dict):
         raise CorruptLibraryError(f"rule entry {index} must be a JSON object, got {data!r}")
     where = f"rule {data['id']}" if isinstance(data.get("id"), str) else f"rule entry {index}"
-    for key in ("id", "description", "predicate"):
+    for key in _REQUIRED_RULE_FIELDS:
         if not isinstance(data.get(key, ""), str):
             raise LibraryValidationError(f"{where}: {key!r} must be a string, got {data[key]!r}")
-    fields = {key: data[key] for key in _OPTIONAL_RULE_FIELDS if key in data}
-    for key in [key for key in ("contexts", "tasks") if key in fields]:
-        value = fields[key]
+    given = {key: data[key] for key in _RULE_FIELDS if key in data}
+    for key in [key for key in _SET_RULE_FIELDS if key in given]:
+        value = given[key]
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise LibraryValidationError(
                 f"{where}: {key!r} must be an array of strings, got {value!r}")
-        fields[key] = frozenset(value)
+        given[key] = frozenset(value)
+    if missing := [key for key in _REQUIRED_RULE_FIELDS if key not in given]:
+        raise CorruptLibraryError(f"rule entry missing field {missing[0]!r}")
     try:
-        rule = Rule(id=data["id"], description=data["description"],
-                    predicate=dsl.parse_predicate(data["predicate"]), **fields,
-                    extras={k: v for k, v in data.items() if k not in _RULE_FIELDS})
-    except KeyError as exc:
-        raise CorruptLibraryError(f"rule entry missing field {exc}") from exc
+        given["predicate"] = dsl.parse_predicate(given["predicate"])
     except PredicateError as exc:
         raise LibraryValidationError(f"{where}: bad predicate: {exc}") from exc
-    return rule
+    return Rule(**given, extras={k: v for k, v in data.items() if k not in _RULE_FIELDS})
 
 
 def save_library(library: RuleLibrary, path: str | Path) -> None:
     """Write the library as JSON. Output bytes are deterministic."""
-    doc = {
-        "version": library.version,
-        "theta": library.theta,
-        "units": library.units,
-        "rules": [_rule_to_dict(r) for r in library.rules],
-        "provenance": library.provenance,
-    }
+    doc = {name: getattr(library, name) for name in _LIBRARY_FIELDS}
+    doc["rules"] = [_rule_to_dict(r) for r in library.rules]
     doc.update(library.extras)
     dump_json(doc, path)
 
@@ -424,11 +410,6 @@ def load_library(path: str | Path) -> RuleLibrary:
         raise CorruptLibraryError("library file missing 'rules' array")
     if not isinstance(doc.get("provenance", []), list):
         raise CorruptLibraryError("library 'provenance' must be an array")
-    return RuleLibrary(
-        rules=[_rule_from_dict(r, i) for i, r in enumerate(doc["rules"])],
-        theta=doc.get("theta", DEFAULT_THETA),
-        version=doc["version"],
-        units=doc.get("units", "metric"),
-        provenance=list(doc.get("provenance", [])),
-        extras={k: v for k, v in doc.items() if k not in _LIBRARY_FIELDS},
-    )
+    given = {key: doc[key] for key in _LIBRARY_FIELDS if key in doc}
+    given["rules"] = [_rule_from_dict(r, i) for i, r in enumerate(doc["rules"])]
+    return RuleLibrary(**given, extras={k: v for k, v in doc.items() if k not in _LIBRARY_FIELDS})

@@ -86,6 +86,9 @@ class BehaviorProfile:
     def __post_init__(self) -> None:
         if self.regime not in ("pulse", "wave"):
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name, value in vars(self).items():
+            if isinstance(value, (int, float)) and not value >= 0:
+                raise ValueError(f"{self.label} profile: {name} must be nonnegative, got {value:g}")
 
 
 AV_PROFILE = BehaviorProfile(
@@ -111,6 +114,11 @@ class GeneratorConfig:
     separation: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.n_av < 0 or self.n_hdv < 0:
             raise ValueError("population sizes must be nonnegative")
         if self.duration_s < 36.0:
@@ -119,6 +127,10 @@ class GeneratorConfig:
             raise ValueError("frame_rate must be positive")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
+        try:  # here rather than part way through generate_dataset
+            scale_profiles(AV_PROFILE, HDV_PROFILE, self.separation)
+        except ValueError as exc:
+            raise ValueError(f"separation {self.separation} is too large: {exc}") from exc
 
 
 _SCALED_FIELDS = ("speed_std", "jerk_std", "fluctuation_rate", "decel_cap", "pre_lc_decel")

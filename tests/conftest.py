@@ -1,7 +1,8 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]  # helpers and oracles; trajrules
 
 _acceptance_outcomes: dict[str, str] = {}
 _acceptance_docs: dict[str, str] = {}

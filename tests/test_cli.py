@@ -54,6 +54,21 @@ def test_synth_rejects_bad_population(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "seed must be nonnegative"),
+    (["--separation", "1.7"],
+     "separation 1.7 is too large: AV profile: speed_std must be nonnegative, got -0.55"),
+    (["--separation", "nan"], "separation must be finite, got nan"),
+])
+def test_synth_rejects_bad_settings(tmp_path, capsys, flags, message):
+    out = tmp_path / "t.jsonl"
+    rc = cli.main(["synth", "--output", str(out), "--n-av", "1", "--n-hdv", "1",
+                   "--duration-s", "36", *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_features_rows_carry_label_and_context(workdir):
     rows = load_feature_rows(workdir / "f.jsonl")
     assert len(rows) == 4

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import fields
 from typing import get_args, get_type_hints
 
 import pytest
 
-from trajrules.config import RunConfig, load_config, merge_overrides
+from trajrules.config import RunConfig, build, load_config, merge_overrides
 from trajrules.errors import InputError
+from trajrules.llm import BackendConfig
+from trajrules.synth import GeneratorConfig
 
 
 def write_config(tmp_path, doc):
@@ -22,6 +25,27 @@ def test_defaults():
     assert cfg.context == "auto"
     assert cfg.no_smoothing is False
     assert cfg.n_av == 100 and cfg.n_hdv == 400
+
+
+@pytest.mark.parametrize("kind,library_only", [
+    (GeneratorConfig, set()),
+    (BackendConfig, {"retry_backoff_s", "token_env"}),
+])
+def test_settings_fields_are_run_config_fields_with_the_same_defaults(kind, library_only):
+    ours = {f.name: f.default for f in fields(RunConfig)}
+    theirs = {f.name: f.default for f in fields(kind) if f.name not in library_only}
+    assert {name: ours.get(name) for name in theirs} == theirs
+    assert build(kind, RunConfig()) == kind()
+
+
+def test_build_reads_fields_by_name_and_raises_input_errors():
+    cfg = RunConfig(seed=9, n_av=3, model="m", max_retries=0)
+    assert build(GeneratorConfig, cfg) == GeneratorConfig(seed=9, n_av=3)
+    assert build(BackendConfig, cfg) == BackendConfig(model="m", max_retries=0)
+    with pytest.raises(InputError, match=r"^temperature 3.0 outside \[0, 2\]$"):
+        build(BackendConfig, RunConfig(temperature=3.0))
+    with pytest.raises(InputError, match="^seed must be nonnegative$"):
+        build(GeneratorConfig, RunConfig(seed=-1))
 
 
 def test_load_overrides_fields(tmp_path):

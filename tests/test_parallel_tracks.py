@@ -137,6 +137,19 @@ def test_features_fall_back_to_one_process_when_a_worker_dies(tmp_path, forks, t
     assert run(forks, 3, argv, out) == (0, 2, serial)
 
 
+def test_one_chunk_reads_a_failing_file_once(tmp_path, forks, tracks, monkeypatch):
+    _, docs = tracks
+    path = tmp_path / "short.jsonl"
+    write_lines(path, [docs[0], bad_last_record(docs)])
+    loads = []
+    load = cli.io.load_trajectories
+    monkeypatch.setattr(cli.io, "load_trajectories", lambda *a: loads.append(a) or load(*a))
+    out = tmp_path / "f.jsonl"
+    argv = ["features", "--input", str(path), "--output", str(out), *EXTRACTION]
+    assert run(forks, 1, argv, out) == (2, 0, None)
+    assert len(loads) == 1
+
+
 def bad_last_record(docs):
     return {**docs[-1], "vehicle_id": "bad", "points": [[0, 1.0]]}
 

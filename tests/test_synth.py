@@ -111,6 +111,18 @@ def test_config_validation():
         GeneratorConfig(frame_rate=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(separation=-0.5)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        GeneratorConfig(seed=-1)
+    for name in ("duration_s", "frame_rate", "separation"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            GeneratorConfig(**{name: float("nan")})
+    # above 4/3 the AV speed_std target would be negative
+    assert GeneratorConfig(separation=4 / 3).separation == 4 / 3
+    with pytest.raises(ValueError, match="^separation 1.7 is too large: AV profile: "
+                                         "speed_std must be nonnegative, got -0.55$"):
+        GeneratorConfig(separation=1.7)
+    with pytest.raises(ValueError, match="^HDV profile: decel_cap must be nonnegative"):
+        replace(HDV_PROFILE, decel_cap=-0.025)
 
 
 def test_scale_profiles_midpoint_math():
