@@ -11,7 +11,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 from . import io, workers
@@ -26,7 +27,7 @@ from .classification import (
     speed_prior,
     vote_table,
 )
-from .config import RunConfig, build, load_config, merge_overrides
+from .config import CONTEXT_CHOICES, RunConfig, build, load_config, merge_overrides
 from .errors import DegenerateLabelsError, InputError, NoApplicableRulesError, TrajRulesError
 from .io import load_library, save_library  # bare name: perfbench/spans.py patches load_library
 from .kinematics import (
@@ -40,7 +41,7 @@ from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc
 from .prompts import digest_sample
 from .rules import STATES, VERDICTS, FeatureTable, RuleLibrary, seed_library
 from .synth import GeneratorConfig, generate_dataset
-from .trajectory import Trajectory, smooth_trajectories, validate_trajectory
+from .trajectory import LABELS, Trajectory, smooth_trajectories, validate_trajectory
 from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py patches it
 from .verification import discover_rules, run_verification_loop
 
@@ -150,15 +151,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_by_label(rows: list[dict]) -> tuple[list[dict], list[dict]]:
-    av, hdv = [], []
-    for row in rows:
-        digest = digest_sample(row["vehicle_id"], row["features"])
-        if row.get("label") == "AV":
-            av.append(digest)
-        elif row.get("label") == "HDV":
-            hdv.append(digest)
-    return av, hdv
+@dataclass
+class _Digests(Sequence):
+    """Rows as their digests, each made when read: a prompt reads only those it keeps."""
+
+    rows: list[dict]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> dict:
+        return digest_sample(self.rows[i]["vehicle_id"], self.rows[i]["features"])
+
+
+def _split_by_label(rows: list[dict]) -> tuple[_Digests, _Digests]:
+    return tuple(_Digests([row for row in rows if row.get("label") == label])
+                 for label in LABELS)
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
@@ -343,8 +351,9 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lc-window", type=int,
                         help="lane-change window length in frames")
     parser.add_argument("--lc-threshold", type=float,
-                        help="cumulative lateral displacement threshold")
-    parser.add_argument("--context", choices=("auto", "any", "free_flow", "congested"))
+                        help="cumulative lateral displacement threshold "
+                        "(default: by the track's unit system)")
+    parser.add_argument("--context", choices=CONTEXT_CHOICES)
     parser.add_argument("--congestion-speed-threshold", type=float)
 
 

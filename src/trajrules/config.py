@@ -16,8 +16,12 @@ from .classification import CONGESTION_SPEED_THRESHOLD
 from .errors import InputError
 from .io import load_json_object
 from .llm import BackendConfig
+from .rules import CONTEXTS
 from .synth import GeneratorConfig
 from .verification import DEFAULT_MAX_ITERATIONS, DEFAULT_STALL_EPSILON
+
+
+CONTEXT_CHOICES = ("auto", *CONTEXTS)  # auto: from the vehicle's mean speed
 
 
 @dataclass(frozen=True)
@@ -27,9 +31,9 @@ class RunConfig:
     measurement_noise: float = 1.0
     no_smoothing: bool = False
     lc_window: int = 120
-    lc_threshold: float = 50.0
+    lc_threshold: float | None = None  # None: by the track's unit system
     min_mean_speed: float = 0.0  # 0 keeps every vehicle
-    context: str = "auto"  # auto | any | free_flow | congested
+    context: str = "auto"  # one of CONTEXT_CHOICES
     congestion_speed_threshold: float = CONGESTION_SPEED_THRESHOLD
     # classification
     delta: float = 0.5
@@ -65,10 +69,10 @@ class RunConfig:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lc_window < 2:
             raise InputError(f"lc_window must be at least 2, got {self.lc_window}")
-        if self.lc_threshold <= 0:
+        if self.lc_threshold is not None and self.lc_threshold <= 0:
             raise InputError(f"lc_threshold must be positive, got {self.lc_threshold}")
-        if self.context not in ("auto", "any", "free_flow", "congested"):
-            raise InputError(f"context must be auto/any/free_flow/congested, got {self.context!r}")
+        if self.context not in CONTEXT_CHOICES:
+            raise InputError(f"context must be {'/'.join(CONTEXT_CHOICES)}, got {self.context!r}")
         if not 0.0 < self.delta < 1.0:
             raise InputError(f"delta {self.delta} outside (0, 1)")
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
@@ -80,7 +84,7 @@ class RunConfig:
 
 
 def _coerce(name: str, value: Any, default: Any) -> Any:
-    kind = float if default is None else type(default)  # only theta defaults to None
+    kind = float if default is None else type(default)  # theta and lc_threshold
     if kind is bool:
         if isinstance(value, bool):
             return value

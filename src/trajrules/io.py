@@ -11,6 +11,8 @@ import json
 import math
 import os
 from dataclasses import MISSING, fields
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -36,6 +38,7 @@ DECISIONS = (*LABELS, UNDETERMINED)
 _FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
 _CONTAINERS = (dict, list, tuple)
 _BATCH = 4096  # pieces joined per write
+_decode = json.JSONDecoder().decode  # json.loads without its per-call checks
 
 
 def dump_json(obj: object, path: str | Path) -> None:
@@ -43,11 +46,12 @@ def dump_json(obj: object, path: str | Path) -> None:
 
     The bytes are json.dumps(obj, indent=2, sort_keys=True) plus a newline,
     made without the pure-Python encoder that indent selects: each container
-    that holds no other container is one call of the C encoder. Its text is
-    kept by identity until the next batch of pieces is written, so an object
-    shared across a stretch of the document is encoded once there. Batches
-    are written between the items of any container, so neither a large
-    report nor the text of its flat items is ever held in memory whole.
+    that holds no other container is one call of the C encoder. A container's
+    text is kept by identity until the next batch of pieces is written (and
+    only if none was written while it was built), so an object shared across
+    a stretch of the document is encoded once there. Batches are written
+    between the items of any container, so neither a large report nor the
+    text of its flat items is ever held in memory whole.
     """
     with open(path, "w", encoding="utf-8") as fh:
         parts: list[str] = []
@@ -56,21 +60,25 @@ def dump_json(obj: object, path: str | Path) -> None:
         fh.write("".join(parts))
 
 
+# not for all keys: 0.0 and -0.0 would share a cache entry but not a text
+_string_text = lru_cache(maxsize=1024)(_FLAT_ENCODER.encode)
+
+
 def _key_text(key: object) -> str:
     if isinstance(key, str):
-        return _FLAT_ENCODER.encode(key)
+        return _string_text(key)
     # int, float, bool and None keys become strings as json converts them
     # ({1: 0} -> {"1": 0}); anything else raises json's TypeError
     return _FLAT_ENCODER.encode({key: None})[1:-len(": null}")]
 
 
 def _write_value(obj: object, depth: int, parts: list[str],
-                 memo: dict[tuple[int, int], str], fh: TextIO) -> None:
+                 memo: dict[tuple[int, int], str | None], fh: TextIO) -> None:
     """Append obj's indented text at depth to parts; write parts out in batches."""
     if not isinstance(obj, _CONTAINERS):
         parts.append(_FLAT_ENCODER.encode(obj))
         return
-    text = memo.get((id(obj), depth))
+    text = memo.get(key := (id(obj), depth))
     if text is not None:
         parts.append(text)
         return
@@ -81,14 +89,16 @@ def _write_value(obj: object, depth: int, parts: list[str],
             # ensure_ascii escapes newlines inside strings, so every raw
             # newline is a line break and can take the depth's indent
             text = f"{text[0]}\n  {text[1:-1]}\n{text[-1]}".replace("\n", "\n" + "  " * depth)
-        memo[id(obj), depth] = text
+        memo[key] = text
         parts.append(text)
         return
+    start = len(parts)
+    memo[key] = None  # a batch write clears the memo, and with it this mark
     opening, closing = "{}" if is_dict else "[]"
     pad = "\n" + "  " * (depth + 1)
     sep = opening + pad
-    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
-        parts.append(sep + _key_text(key) + ": " if is_dict else sep)
+    for item_key, value in sorted(obj.items()) if is_dict else enumerate(obj):
+        parts.append(sep + _key_text(item_key) + ": " if is_dict else sep)
         _write_value(value, depth + 1, parts, memo, fh)
         if len(parts) >= _BATCH:
             fh.write("".join(parts))
@@ -96,6 +106,8 @@ def _write_value(obj: object, depth: int, parts: list[str],
             memo.clear()
         sep = "," + pad
     parts.append("\n" + "  " * depth + closing)
+    if key in memo:  # all of obj's text is still in parts
+        memo[key] = "".join(parts[start:])
 
 
 def _check_label(value: object, line: int) -> str | None:
@@ -272,7 +284,30 @@ def load_feature_rows(path: str | Path) -> list[dict]:
     Each row carries vehicle_id (a string, unique within the file), a
     mapping of finite feature values, and optionally label, context, and
     unit_system (one of UNIT_SYSTEMS).
+
+    The file is decoded, then checked field by field over all rows at once.
+    Only a file that fails is read again line by line, which raises
+    SchemaError for its first bad line.
     """
+    try:
+        # universal newlines break lines where _read_jsonl does
+        with open(path, encoding="utf-8") as fh:
+            rows = list(map(_decode, filter(None, map(str.strip, fh.read().split("\n")))))
+        ids = [row["vehicle_id"] for row in rows]
+        values = list(chain.from_iterable(row["features"].values() for row in rows))
+        if (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
+                and set(map(type, values)) <= {int, float}
+                and np.isfinite(np.array(values, dtype=np.float64)).all()
+                and {row.get("context", "any") for row in rows} <= set(CONTEXTS)
+                and {row.get("unit_system", UNIT_SYSTEMS[0]) for row in rows} <= set(UNIT_SYSTEMS)
+                and {row.get("label") for row in rows} <= {None, *LABELS}):
+            return rows
+    except (LookupError, AttributeError, TypeError, ValueError, OverflowError):
+        pass  # a row that is not an object, lacks a field or fails to decode
+    return _load_feature_rows_by_line(path)
+
+
+def _load_feature_rows_by_line(path: str | Path) -> list[dict]:
     rows = []
     first_line: dict[str, int] = {}
     for lineno, doc in _read_jsonl(path):

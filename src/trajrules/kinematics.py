@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooShortError, WindowTooLongError
-from .trajectory import Trajectory
+from .trajectory import LANE_CHANGE_THRESHOLDS, Trajectory
 
 #: Feature atoms derivable from a single trajectory with no extra context.
 CORE_ATOMS = (
@@ -90,7 +90,7 @@ def compute_kinematics(traj: Trajectory) -> KinematicSeries:
 def detect_lane_changes(
     traj: Trajectory,
     window: int = 120,
-    threshold: float = 50.0,
+    threshold: float | None = None,
 ) -> list[LaneChangeEvent]:
     """Detect lane changes from cumulative lateral displacement.
 
@@ -100,10 +100,13 @@ def detect_lane_changes(
     threshold/2; the net test suppresses in-lane oscillation. Overlapping
     firing windows merge into one event, represented by the window with the
     largest cumulative displacement (earliest on ties), so every reported
-    event spans exactly *window* frames.
+    event spans exactly *window* frames. threshold=None takes the track's
+    unit system's entry in LANE_CHANGE_THRESHOLDS.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
+    if threshold is None:
+        threshold = LANE_CHANGE_THRESHOLDS[traj.unit_system]
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     n = len(traj)

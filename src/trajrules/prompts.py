@@ -3,7 +3,8 @@
 Each builder is a pure function from data to a message list: same inputs,
 same bytes. Sample digests are compact JSON lines; when a prompt would
 exceed the character budget, whole digests are dropped oldest-first (list
-order is age order) and the omission is noted in the prompt itself.
+order is age order) and the omission is noted in the prompt itself. Only
+the digests a prompt keeps, plus one, are read, so samples may be made lazily.
 """
 from __future__ import annotations
 
@@ -79,28 +80,37 @@ def digest_sample(vehicle_id: str, features: Mapping[str, float], *,
     return digest
 
 
-def _digest_lines(digests: Sequence[dict]) -> list[str]:
-    return [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in digests]
-
-
 def _fit_to_budget(
     fixed_len: int,
-    av_lines: list[str],
-    hdv_lines: list[str],
+    av: Sequence[dict],
+    hdv: Sequence[dict],
     budget: int,
-) -> tuple[list[str], list[str], int, int]:
-    """Drop digest lines oldest-first until the assembled prompt fits."""
-    a, h = 0, 0  # number of leading lines dropped per group
-    total = fixed_len + sum(len(s) + 1 for s in av_lines) + sum(len(s) + 1 for s in hdv_lines)
-    while total > budget and (a < len(av_lines) or h < len(hdv_lines)):
-        # drop from whichever side still has more digests, HDV on ties
-        if len(av_lines) - a > len(hdv_lines) - h:
-            total -= len(av_lines[a]) + 1
-            a += 1
+) -> tuple[list[str], list[str]]:
+    """The newest digest lines of each group that fit the budget beside fixed_len.
+
+    Digests drop oldest first, from whichever group has more left, HDV on ties;
+    this walks that order back from the newest until one does not fit.
+    """
+    kept_av: list[str] = []
+    kept_hdv: list[str] = []
+    total = fixed_len
+    while True:
+        a, h = len(kept_av), len(kept_hdv)
+        # dropping takes AV while it has more left, so AV comes back while it
+        # has no more kept than HDV, or once HDV has all of its own back
+        if a < len(av) and (h == len(hdv) or a <= h):
+            group, kept = av, kept_av
+        elif h < len(hdv):
+            group, kept = hdv, kept_hdv
         else:
-            total -= len(hdv_lines[h]) + 1
-            h += 1
-    return av_lines[a:], hdv_lines[h:], a, h
+            break
+        digest = group[len(group) - len(kept) - 1]
+        line = json.dumps(digest, sort_keys=True, separators=(",", ":"))
+        total += len(line) + 1
+        if total > budget:
+            break
+        kept.append(line)
+    return kept_av[::-1], kept_hdv[::-1]
 
 
 def build_discovery_prompt(
@@ -115,8 +125,6 @@ def build_discovery_prompt(
     """
     if not av_samples or not hdv_samples:
         raise EmptySampleSetError("discovery needs samples from both groups")
-    av_lines = _digest_lines(av_samples)
-    hdv_lines = _digest_lines(hdv_samples)
 
     def assemble(av: list[str], hdv: list[str], note: str) -> list[ChatMessage]:
         user = "\n".join([
@@ -138,16 +146,13 @@ def build_discovery_prompt(
         ])
         return [ChatMessage("system", DISCOVERY_ROLE), ChatMessage("user", user)]
 
-    full = assemble(av_lines, hdv_lines, "")
-    overhead = sum(len(m.content) for m in full) - sum(len(s) + 1 for s in av_lines + hdv_lines)
-    kept_av, kept_hdv, dropped_av, dropped_hdv = _fit_to_budget(
-        overhead + 120, av_lines, hdv_lines, budget
-    )
-    if dropped_av or dropped_hdv:
-        note = (f"[{dropped_av} AV and {dropped_hdv} HDV digests omitted "
-                "to fit the prompt budget; oldest dropped first]")
-        return assemble(kept_av, kept_hdv, note)
-    return full
+    # each digest line adds its length plus one newline to the empty prompt
+    overhead = sum(len(m.content) for m in assemble([], [], ""))
+    kept_av, kept_hdv = _fit_to_budget(overhead + 120, av_samples, hdv_samples, budget)
+    dropped_av, dropped_hdv = len(av_samples) - len(kept_av), len(hdv_samples) - len(kept_hdv)
+    note = (f"[{dropped_av} AV and {dropped_hdv} HDV digests omitted to fit the prompt "
+            "budget; oldest dropped first]" if dropped_av or dropped_hdv else "")
+    return assemble(kept_av, kept_hdv, note)
 
 
 def build_reflection_prompt(
@@ -164,7 +169,6 @@ def build_reflection_prompt(
     """
     if not failures:
         raise EmptySampleSetError("reflection needs at least one failure case")
-    lines = _digest_lines(failures)
     header = "\n".join([
         "## Rule Under Review",
         format_rule_block(rule),
@@ -195,9 +199,8 @@ def build_reflection_prompt(
         ])
         return [ChatMessage("system", REFLECTION_ROLE), ChatMessage("user", user)]
 
-    full = assemble(lines, "")
-    overhead = sum(len(m.content) for m in full) - sum(len(s) + 1 for s in lines)
-    kept, _, dropped, _ = _fit_to_budget(overhead + 120, lines, [], budget)
-    if dropped:
-        return assemble(kept, f"[{dropped} failure digests omitted to fit the prompt budget]")
-    return full
+    overhead = sum(len(m.content) for m in assemble([], ""))
+    kept, _ = _fit_to_budget(overhead + 120, failures, [], budget)
+    dropped = len(failures) - len(kept)
+    return assemble(kept, f"[{dropped} failure digests omitted to fit the prompt budget]"
+                    if dropped else "")

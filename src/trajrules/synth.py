@@ -26,7 +26,7 @@ smooth one-lane sigmoid plus a faint in-lane sway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .kinematics import (
     extended_atoms,
     summarize_features,
 )
-from .trajectory import Trajectory
+from .trajectory import LANE_CHANGE_THRESHOLDS, Trajectory
 
 JITTER_FRACTION = 0.05
 MIN_SPEED = 0.5
@@ -46,7 +46,7 @@ LANE_WIDTH = 3.5  # meters
 
 # lane-change detection for the manifest's realized stats
 LC_WINDOW = 120  # frames
-LC_THRESHOLD = 2.0  # meters of cumulative lateral displacement
+LC_THRESHOLD = LANE_CHANGE_THRESHOLDS["metric"]  # meters of cumulative lateral displacement
 
 # jerk ripple calibration
 RIPPLE_NOMINAL_AMP = 0.08
@@ -492,12 +492,7 @@ def generate_dataset(cfg: GeneratorConfig) -> tuple[list[Trajectory], dict]:
                 k: round(sums[k] / hits[k], 6) for k in sorted(sums)
             }
     manifest = {
-        "seed": cfg.seed,
-        "separation": cfg.separation,
-        "n_av": cfg.n_av,
-        "n_hdv": cfg.n_hdv,
-        "duration_s": cfg.duration_s,
-        "frame_rate": cfg.frame_rate,
+        **asdict(cfg),
         "lane_change_window": LC_WINDOW,
         "lane_change_threshold": LC_THRESHOLD,
         "label_means": label_means,

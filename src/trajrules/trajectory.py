@@ -25,6 +25,7 @@ MAX_GAP_FRAMES = 3
 
 LABELS = ("AV", "HDV")
 UNIT_SYSTEMS = ("pixel", "metric")
+LANE_CHANGE_THRESHOLDS = {"pixel": 50.0, "metric": 2.0}  # default, lateral travel per window
 
 
 @dataclass(eq=False)

@@ -49,6 +49,20 @@ def test_synth_writes_manifest(tmp_path, capsys):
     assert set(doc["label_means"]) == {"AV", "HDV"}
 
 
+def test_features_default_lane_change_threshold_follows_the_unit_system(tmp_path):
+    # synth records lane changes with the metric threshold; default flags must agree
+    trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
+    assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
+                     "--n-av", "2", "--n-hdv", "3", "--duration-s", "40", "--seed", "3"]) == 0
+    assert cli.main(["features", "--input", str(trajs), "--output", str(feats)]) == 0
+    expected = {t["vehicle_id"]: t["stats"]["lane_change_count"]
+                for t in json.loads(manifest.read_text())["trajectories"]}
+    got = {row["vehicle_id"]: row["features"]["lane_change_count"]
+           for row in load_feature_rows(feats)}
+    assert got == expected
+    assert set(expected.values()) == {1.0}
+
+
 def test_synth_rejects_bad_population(tmp_path):
     rc = cli.main(["synth", "--output", str(tmp_path / "t.jsonl"), "--n-av", "-1"])
     assert rc == 2

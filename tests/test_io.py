@@ -17,6 +17,7 @@ from trajrules.io import (
     trajectory_to_dict,
 )
 from helpers import assert_same_trajectory, make_trajectory
+import oracles
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -222,6 +223,65 @@ def test_non_utf8_line_is_a_schema_error(tmp_path, load):
     assert str(exc_info.value).startswith("line 3: not valid UTF-8 (invalid continuation byte")
 
 
+# --- load_feature_rows against the line-by-line reference ---------------------
+
+def feature_line(vehicle_id, **fields):
+    row = {"vehicle_id": vehicle_id, "features": {"mean_speed": 12.5, "std_jerk": 0.25},
+           "label": "AV", "context": "free_flow", "unit_system": "metric", **fields}
+    return json.dumps(row).encode()
+
+
+# each case is the lines (bytes, ending kept) placed into a file of good rows
+LOADER_CASES = {
+    "crlf": [feature_line("x") + b"\r\n"],
+    "lone_cr": [feature_line("x") + b"\r"],
+    "blank_lines": [b"\n", b"  \t \n", feature_line("x") + b"\n", b"\r\n"],
+    "huge_integer": [feature_line("x", features={"a": 10**400}) + b"\n"],
+    "not_utf8": [feature_line("x\xe9").replace(b"\\u00e9", b"\xe9") + b"\n"],
+    "nan_token": [b'{"vehicle_id": "x", "features": {"a": NaN}}\n'],
+    "infinity_token": [b'{"vehicle_id": "x", "features": {"a": 1.0, "b": -Infinity}}\n'],
+    "boolean_value": [feature_line("x", features={"a": True}) + b"\n"],
+    "string_value": [feature_line("x", features={"a": "1.5"}) + b"\n"],
+    "repeated_id": [feature_line("r1") + b"\n"],
+    "bad_context": [feature_line("x", context="highway") + b"\n"],
+    "bad_unit_system": [feature_line("x", unit_system="furlongs") + b"\n"],
+    "bad_label": [feature_line("x", label="bike") + b"\n"],
+    "null_label": [feature_line("x", label=None) + b"\n"],
+    "list_context": [feature_line("x", context=["any"]) + b"\n"],
+    "array_line": [b"[1, 2]\n"],
+    "string_line": [b'"row"\n'],
+    # decoding the lines joined by commas would read these as two valid rows
+    "value_split_across_lines": [b'{"vehicle_id": "x", "features": {}, "tags": [1\n',
+                                 b'2]}, {"vehicle_id": "y", "features": {}}\n'],
+    "object_split_across_lines": [b'{"vehicle_id": "x", "features": {"a": 1.0}\n',
+                                  b'"label": "AV"}, {"vehicle_id": "y", "features": {}}\n'],
+    "invalid_json": [b'{"vehicle_id": "x",\n'],
+}
+
+
+VALID_LOADER_CASES = ("crlf", "lone_cr", "blank_lines", "huge_integer", "null_label")
+
+
+def loader_outcome(load, path):
+    try:
+        return load(path)
+    except SchemaError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("case", LOADER_CASES, ids=list(LOADER_CASES))
+def test_load_feature_rows_matches_line_by_line_reference(tmp_path, case, where):
+    lines = [feature_line(f"r{i}") + b"\n" for i in range(5)]
+    at = {"first": 0, "middle": len(lines) // 2, "last": len(lines)}[where]
+    lines[at:at] = LOADER_CASES[case]
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b"".join(lines))
+    got = loader_outcome(load_feature_rows, path)
+    assert got == loader_outcome(oracles.load_feature_rows, path)
+    assert isinstance(got, list) == (case in VALID_LOADER_CASES)
+
+
 def test_dump_json_canonical(tmp_path):
     path = tmp_path / "r.json"
     dump_json({"b": 1, "a": {"z": 2, "y": 3}}, path)
@@ -310,6 +370,38 @@ def test_dump_json_with_tiny_batches_equals_json_dumps(tmp_path, monkeypatch):
         doc = random_document(rng, 0, [])
         dump_json(doc, path)
         assert path.read_bytes() == oracle_bytes(doc), trial
+
+
+@pytest.mark.parametrize("batch", [io._BATCH, 2], ids=["default_batch", "tiny_batch"])
+def test_dump_json_shared_nested_list_at_two_depths(tmp_path, monkeypatch, batch):
+    # a list of dicts kept by identity at depths 1 and 2, and twice in one list;
+    # the keys 0.0 and -0.0 are equal but print differently
+    monkeypatch.setattr(io, "_BATCH", batch)
+    shared = [{"rule_id": "R1", "weight": 0.5}, {"rule_id": "R2", "weight": [1, 2]}]
+    doc = {"a": shared, "b": [shared, shared, {"c": shared}], "d": [{0.0: shared}, {-0.0: 1}]}
+    path = tmp_path / "r.json"
+    dump_json(doc, path)
+    assert path.read_bytes() == oracle_bytes(doc)
+
+
+def test_dump_json_encodes_a_shared_nested_list_once(tmp_path, monkeypatch):
+    # entries share one evidence list of dicts, as the classify report's do
+    evidence = [{"rule_id": f"R{k}", "verdict": "matched", "weight": 0.9} for k in range(10)]
+    doc = {"results": [{"vehicle_id": f"v{i}", "evidence": evidence} for i in range(100)]}
+    calls = 0
+    write_value = io._write_value
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return write_value(*args)
+
+    monkeypatch.setattr(io, "_write_value", counting)
+    path = tmp_path / "r.json"
+    dump_json(doc, path)
+    assert path.read_bytes() == oracle_bytes(doc)
+    # each entry: itself, its id and its evidence, plus the evidence's dicts once
+    assert calls == 2 + 3 * 100 + 10
 
 
 def test_dump_json_memory_stays_below_file_size(tmp_path):

@@ -1,6 +1,13 @@
+import hashlib
+import random
+from collections.abc import Sequence
+
 import pytest
 
+import oracles
+from trajrules import cli, io, prompts
 from trajrules.errors import EmptySampleSetError
+from trajrules.kinematics import ATOMS
 from trajrules.llm import KIND_MARKERS
 from trajrules.prompts import (
     PROMPT_CHAR_BUDGET,
@@ -93,6 +100,76 @@ def test_discovery_budget_ties_drop_hdv_first():
     assert "[0 AV and 1 HDV digests omitted" in text
     assert '"vehicle_id":"hdv_0000"' not in text
     assert '"vehicle_id":"av_0000"' in text
+
+
+# sha256 of the prompt test_seed_42_discovery_prompt_bytes_are_pinned builds,
+# taken with the builder that digested every row before dropping any
+PINNED_PROMPT_SHA256 = "0c43c2e083f8b45f2631ef1c352cd3d0ee3aaee70bb74a40247338000de8edee"
+
+
+class CountingDigests(Sequence):
+    """Digests that count how often they are read."""
+
+    def __init__(self, digests):
+        self.digests = digests
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.digests)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.digests[i]
+
+
+def varied_digests(prefix, n, label):
+    # lines of different lengths, so budgets fall at many offsets within one
+    return [digest_sample(f"{prefix}_{i}", {"mean_speed": 10.0 + i / 7, "std_jerk": i % 3},
+                          label=label) for i in range(n)]
+
+
+@pytest.mark.parametrize("n_av,n_hdv", [(1, 1), (3, 50), (50, 3), (10, 10), (4000, 16000)])
+def test_discovery_prompt_equals_the_full_digest_oracle(n_av, n_hdv):
+    av, hdv = varied_digests("av", n_av, "AV"), varied_digests("hdv", n_hdv, "HDV")
+    full = sum(len(m.content) for m in oracles.build_discovery_prompt(av, hdv, budget=10**9))
+    empty = full - sum(len(line) + 1 for line in oracles._digest_lines(av + hdv))
+    step = 7 if n_av + n_hdv < 100 else full // 3
+    budgets = {0, empty + 119, empty + 120, empty + 121, PROMPT_CHAR_BUDGET,
+               full + 119, full + 120, full + 121, full + 1000, *range(empty, full + 130, step)}
+    for budget in sorted(budgets):
+        counted_av, counted_hdv = CountingDigests(av), CountingDigests(hdv)
+        messages = build_discovery_prompt(counted_av, counted_hdv, budget=budget)
+        expected = oracles.build_discovery_prompt(av, hdv, budget=budget)
+        assert messages == expected, budget
+        text = user_text(messages)
+        assert counted_av.reads <= text.count('"vehicle_id":"av_') + 1, budget
+        assert counted_hdv.reads <= text.count('"vehicle_id":"hdv_') + 1, budget
+
+
+@pytest.mark.parametrize("n_av,n_hdv", [(0, 0), (1, 0), (12, 0), (0, 12), (4, 9)])
+def test_fit_to_budget_equals_the_oracle_with_either_group_empty(n_av, n_hdv):
+    # the reflection prompt fits its failure digests as one group beside an empty one
+    av, hdv = varied_digests("av", n_av, "AV"), varied_digests("hdv", n_hdv, "HDV")
+    lines = oracles._digest_lines(av + hdv)
+    for budget in range(0, 100 + sum(len(line) + 1 for line in lines), 3):
+        expected = oracles._fit_to_budget(100, lines[:n_av], lines[n_av:], budget)[:2]
+        assert prompts._fit_to_budget(100, av, hdv, budget) == expected, budget
+
+
+def test_seed_42_discovery_prompt_bytes_are_pinned(tmp_path):
+    # the mock backend ignores the prompt, so no pipeline output would show a
+    # change in these bytes; 400 rows overflow the budget, so digests drop
+    rng = random.Random(42)
+    rows = [{"vehicle_id": f"v{i:03d}", "label": "AV" if rng.random() < 0.5 else "HDV",
+             "context": "free_flow", "unit_system": "metric",
+             "features": {atom: round(rng.uniform(0.0, 20.0), 6) for atom in ATOMS}}
+            for i in range(400)]
+    path = tmp_path / "rows.jsonl"
+    io.save_feature_rows(rows, path)
+    messages = build_discovery_prompt(*cli._split_by_label(io.load_feature_rows(path)))
+    assert "[102 AV and 122 HDV digests omitted" in user_text(messages)
+    digest = hashlib.sha256("\0".join(f"{m.role}\n{m.content}" for m in messages).encode())
+    assert digest.hexdigest() == PINNED_PROMPT_SHA256
 
 
 def test_discovery_no_note_when_under_budget():
