@@ -74,9 +74,9 @@ def _extract(t: Trajectory, cfg: RunConfig):
 
 def _prepare(path: str, cfg: RunConfig, task: str | None,
              span: tuple[int, int] | None = None) -> list[tuple]:
-    """(vehicle_id, unit_system, label, features, prior) of each track in span of
-    path, or in the whole file: load -> validate every track -> smooth them all
-    in one batch -> extract. prior is predict's prior for task, None without one."""
+    """(row, prior) of each track in span of path, or in the whole file: load ->
+    validate every track -> smooth them all in one batch -> extract. row is as
+    save_feature_rows writes it; prior is predict's prior for task, or None."""
     trajectories = io.load_trajectories(path, span)
     for i, traj in enumerate(trajectories):
         trajectories[i] = validate_trajectory(traj)
@@ -85,8 +85,12 @@ def _prepare(path: str, cfg: RunConfig, task: str | None,
     vehicles = []
     for t in trajectories:
         kin, feats = _extract(t, cfg)
+        row = {"vehicle_id": t.vehicle_id, "unit_system": t.unit_system,
+               "context": _context_for(feats, cfg), "features": feats}
+        if t.label is not None:
+            row["label"] = t.label
         prior = None if task is None else speed_prior(kin) if task == "speed" else lane_prior(t)
-        vehicles.append((t.vehicle_id, t.unit_system, t.label, feats, prior))
+        vehicles.append((row, prior))
     return vehicles
 
 
@@ -104,7 +108,7 @@ def _prepared_tracks(path: str, cfg: RunConfig, task: str | None = None) -> list
         return prepare()
     try:
         vehicles = [v for part in workers.fork_map(prepare, spans) for v in part]
-        if len({v[0] for v in vehicles}) == len(vehicles):
+        if len({row["vehicle_id"] for row, _ in vehicles}) == len(vehicles):
             return vehicles
     except Exception as exc:  # the pass below raises the error a single process meets
         log.info("%s: %s; reading it in one process", path, exc)
@@ -119,21 +123,9 @@ def _context_for(feats: dict[str, float], cfg: RunConfig) -> str:
 
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
-    rows = []
-    skipped = 0
-    for vehicle_id, unit_system, label, feats, _ in _prepared_tracks(args.input, cfg):
-        if cfg.min_mean_speed > 0 and feats["mean_speed"] < cfg.min_mean_speed:
-            skipped += 1
-            continue
-        row = {
-            "vehicle_id": vehicle_id,
-            "unit_system": unit_system,
-            "context": _context_for(feats, cfg),
-            "features": feats,
-        }
-        if label is not None:
-            row["label"] = label
-        rows.append(row)
+    prepared = [row for row, _ in _prepared_tracks(args.input, cfg)]
+    rows = [row for row in prepared if row["features"]["mean_speed"] >= cfg.min_mean_speed]
+    skipped = len(prepared) - len(rows)
     io.save_feature_rows(rows, args.output)
     note = f" ({skipped} stationary vehicles dropped)" if skipped else ""
     print(f"wrote {len(rows)} feature rows to {args.output}{note}")
@@ -275,21 +267,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
-    ids, units, contexts, rows, priors = [], [], [], [], []
-    for vehicle_id, unit_system, _, feats, prior in _prepared_tracks(args.input, cfg, args.task):
-        ids.append(vehicle_id)
-        units.append(unit_system)
-        contexts.append(_context_for(feats, cfg))
-        rows.append(feats)
-        priors.append(prior)
-    votes = vote_table(library, FeatureTable(rows, contexts, units=units, ids=ids), args.task)
+    vehicles = _prepared_tracks(args.input, cfg, args.task)
+    votes = vote_table(library, FeatureTable.from_rows([row for row, _ in vehicles]), args.task)
     directions = TASK_DIRECTIONS[args.task]
     predict = predict_speed_change if args.task == "speed" else predict_lane_change
     predictions = []
-    for vehicle_id, prior, column in zip(ids, priors, votes.T.tolist()):
-        pred = predict(dict(zip(directions, column)), prior, vehicle_id)
+    for (row, prior), column in zip(vehicles, votes.T.tolist()):
+        pred = predict(dict(zip(directions, column)), prior, row["vehicle_id"])
         predictions.append({
-            "vehicle_id": vehicle_id,
+            "vehicle_id": row["vehicle_id"],
             "direction": pred.direction,
             "scores": dict(pred.scores),
         })
@@ -423,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="trajectory JSONL file")
     p.add_argument("--library", required=True, help="verified rule library JSON")
     p.add_argument("--output", required=True, help="prediction JSON to write")
-    p.add_argument("--task", required=True, choices=("speed", "lane_change"))
+    p.add_argument("--task", required=True, choices=tuple(TASK_DIRECTIONS))
     _add_extraction_flags(p)
     _add_config(p)
     p.set_defaults(func=cmd_predict)

@@ -95,7 +95,10 @@ def _coerce(name: str, value: Any, default: Any) -> Any:
         raise InputError(f"config key {name!r} must be an integer, got {value!r}")
     if kind is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond float range
+                raise InputError(f"config key {name!r} must be finite, got {value!r}") from None
         raise InputError(f"config key {name!r} must be a number, got {value!r}")
     if isinstance(value, str):
         return value

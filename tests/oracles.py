@@ -175,7 +175,11 @@ def load_feature_rows(path: str | Path) -> list[dict]:
         for key, value in features.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(f"feature {key!r} must be numeric, got {value!r}", lineno)
-            if not -math.inf < value < math.inf:  # NaN fails both comparisons
+            try:
+                finite = -math.inf < float(value) < math.inf  # NaN fails both comparisons
+            except OverflowError:  # an integer beyond float range
+                finite = False
+            if not finite:
                 raise SchemaError(f"feature {key!r} must be finite, got {value!r}", lineno)
         if doc.get("context", "any") not in CONTEXTS:
             raise SchemaError(f"context must be one of {CONTEXTS}, got {doc['context']!r}", lineno)

@@ -430,8 +430,10 @@ def test_classify_ignores_rules_not_tagged_for_identification(workdir, tmp_path)
      "report entry 0 ('x'): score must be finite, got nan"),
     ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV", "score": float("inf")}]},
      "report entry 0 ('x'): score must be finite, got inf"),
+    ({"results": [{"vehicle_id": "x", "decision": "AV", "label": "AV", "score": 10**400}]},
+     f"report entry 0 ('x'): score must be finite, got {10**400}"),
 ], ids=["no_labels", "array", "entry_not_object", "no_decision", "string_score",
-        "bad_decision", "bad_label", "nan_score", "infinite_score"])
+        "bad_decision", "bad_label", "nan_score", "infinite_score", "huge_integer_score"])
 def test_evaluate_rejects_bad_report(tmp_path, capsys, doc, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(doc))
@@ -611,6 +613,36 @@ def test_predict_both_tasks(workdir, tmp_path, capsys):
             assert set(pred["scores"]) == valid
 
 
+def test_an_empty_track_file_gives_no_rows_and_no_predictions(tmp_path, capsys):
+    tracks, lib_path = tmp_path / "t.jsonl", tmp_path / "lib.json"
+    tracks.write_bytes(b"")
+    save_library(seed_library(), lib_path)
+    assert cli.main(["features", "--input", str(tracks), "--output", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "f").read_bytes() == b""
+    assert cli.main(["predict", "--input", str(tracks), "--library", str(lib_path),
+                     "--output", str(tmp_path / "p"), "--task", "speed"]) == 0
+    assert json.loads((tmp_path / "p").read_text()) == {"task": "speed", "predictions": []}
+    assert capsys.readouterr().out == (f"wrote 0 feature rows to {tmp_path / 'f'}\n"
+                                       "predicted speed for 0 vehicles\n")
+
+
+@pytest.mark.parametrize("command", ["discover", "verify", "classify"])
+def test_a_feature_value_beyond_float_range_is_an_input_error(workdir, tmp_path, capsys,
+                                                              command):
+    rows = load_feature_rows(workdir / "f.jsonl")
+    rows[1]["features"]["mean_speed"] = 10**400
+    feats, lib_path = tmp_path / "f.jsonl", tmp_path / "lib.json"
+    feats.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    save_library(seed_library(), lib_path)
+    inputs = {"discover": ["--mock-dir", MOCK_DIR],
+              "verify": ["--mock-dir", MOCK_DIR, "--library", str(lib_path)],
+              "classify": ["--library", str(lib_path)]}[command]
+    argv = [command, "--features", str(feats), "--output", str(tmp_path / "out.json"), *inputs]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 2: feature 'mean_speed' must be finite, got {10**400}\n")
+
+
 def test_null_label_is_no_label_through_classify_and_evaluate(workdir, tmp_path):
     rows = load_feature_rows(workdir / "f.jsonl")
     rows[0]["label"] = None
@@ -656,6 +688,8 @@ def test_json_file_reads_fail_the_same_way(workdir, tmp_path, capsys, command, f
     for content, message in ((b"[]", f"{name} must hold a JSON object"),
                              (b"{broken", f"{name} is not valid JSON: "),
                              (b'{"a": "\xe9"}', f"{name} is not valid JSON: 'utf-8' codec"),
+                             (b'{"a": 1%s}' % (b"0" * 5000),
+                              f"{name} is not valid JSON: Exceeds the limit (4300 digits)"),
                              (None, f"cannot read {name}: ")):
         if content is None:
             bad.unlink()

@@ -133,6 +133,13 @@ def test_every_float_field_must_be_finite(name):
         assert str(exc.value) == f"{name} must be finite, got {value!r}"
 
 
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_float_key_beyond_float_range_is_an_input_error(tmp_path, name):
+    with pytest.raises(InputError) as exc:
+        load_config(write_config(tmp_path, {name: 10**400}))
+    assert str(exc.value) == f"config key {name!r} must be finite, got {10**400}"
+
+
 def test_load_validates_after_merge(tmp_path):
     with pytest.raises(InputError):
         load_config(write_config(tmp_path, {"delta": 0.99, "theta": 2.0}))

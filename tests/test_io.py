@@ -213,8 +213,7 @@ def test_non_utf8_line_is_a_schema_error(tmp_path, load):
     else:
         a, b = (json.dumps({"vehicle_id": vid, "features": {"x": 1.0}}) for vid in ("a", "b"))
     path = tmp_path / "x.jsonl"
-    # the text layer decodes the whole file before yielding line 1; the
-    # Latin-1 id on line 3 (after a CRLF and a blank line) must still be named
+    # the Latin-1 id on line 3 (after a CRLF and a blank line) must be named
     bad = b.replace('"b"', '"b\xe9"').encode("latin-1")
     path.write_bytes(a.encode() + b"\r\n\r\n" + bad + b"\n")
     with pytest.raises(SchemaError) as exc_info:
@@ -256,10 +255,11 @@ LOADER_CASES = {
     "object_split_across_lines": [b'{"vehicle_id": "x", "features": {"a": 1.0}\n',
                                   b'"label": "AV"}, {"vehicle_id": "y", "features": {}}\n'],
     "invalid_json": [b'{"vehicle_id": "x",\n'],
+    "too_many_digits": [feature_line("x").replace(b"12.5", b"1" * 5000) + b"\n"],
 }
 
 
-VALID_LOADER_CASES = ("crlf", "lone_cr", "blank_lines", "huge_integer", "null_label")
+VALID_LOADER_CASES = ("crlf", "lone_cr", "blank_lines", "null_label")
 
 
 def loader_outcome(load, path):
@@ -280,6 +280,75 @@ def test_load_feature_rows_matches_line_by_line_reference(tmp_path, case, where)
     got = loader_outcome(load_feature_rows, path)
     assert got == loader_outcome(oracles.load_feature_rows, path)
     assert isinstance(got, list) == (case in VALID_LOADER_CASES)
+
+
+def track_line(vehicle_id, **fields):
+    doc = trajectory_to_dict(make_trajectory([0, 1, 2, 3, 4], [0] * 5, vehicle_id="?"))
+    return json.dumps({**doc, "vehicle_id": vehicle_id, **fields}).encode()
+
+
+def raw(line, char):
+    """line with json's escape of char replaced by char's UTF-8 bytes."""
+    return line.replace(json.dumps(char)[1:-1].encode(), char.encode())
+
+
+LOADERS = {"tracks": (load_trajectories, track_line), "features": (load_feature_rows, feature_line)}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_the_first_bad_line_is_named_whatever_its_fault(tmp_path, kind):
+    load, line = LOADERS[kind]
+    latin1 = line("b\xe9").replace(b"\\u00e9", b"\xe9")  # not UTF-8
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(line("a") + b"\n{bad\n" + latin1 + b"\n")
+    with pytest.raises(SchemaError, match=r"^line 2: invalid JSON: Expecting property name"):
+        load(path)
+    path.write_bytes(line([1, 2]) + b"\n" + line("a") + b"\n" + latin1 + b"\n")
+    with pytest.raises(SchemaError, match=r"^line 1: vehicle_id must be a string"):
+        load(path)
+    path.write_bytes(line("a") + b"\n" + latin1 + b"\n{bad\n")
+    with pytest.raises(SchemaError, match=r"^line 2: not valid UTF-8 \(invalid continuation byte"):
+        load(path)
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x85", "\u2028"],
+                         ids=["vt", "ff", "nel", "line_separator"])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_only_newlines_and_carriage_returns_end_a_line(tmp_path, kind, char):
+    load, line = LOADERS[kind]
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(raw(line(f"a{char}b"), char) + b"\n" + line("c") + b"\n")
+    if char < " ":  # a control character is invalid in a JSON string
+        with pytest.raises(SchemaError, match=r"^line 1: invalid JSON: Invalid control character"):
+            load(path)
+        return
+    got = load(path)
+    ids = [t.vehicle_id if kind == "tracks" else t["vehicle_id"] for t in got]
+    assert ids == [f"a{char}b", "c"]
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_byte_order_mark_is_named_with_its_line(tmp_path, kind):
+    load, line = LOADERS[kind]
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(line("a") + b"\r\n\r\n\xef\xbb\xbf" + line("b") + b"\n")
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert str(exc_info.value) == ("line 3: invalid JSON: Unexpected UTF-8 BOM "
+                                   "(decode using utf-8-sig)")
+
+
+@pytest.mark.parametrize("bad", [feature_line("b", label="bike"), b'{"vehicle_id": "b",'],
+                         ids=["bad_row", "bad_json"])
+def test_a_failing_feature_file_is_opened_once(tmp_path, monkeypatch, bad):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(feature_line("a") + b"\n" + bad + b"\n")
+    opened = []
+    monkeypatch.setattr(io, "open", lambda file, *a, **k: opened.append(file) or open(file, *a, **k),
+                        raising=False)
+    with pytest.raises(SchemaError, match="^line 2: "):
+        load_feature_rows(path)
+    assert opened == [path]
 
 
 def test_dump_json_canonical(tmp_path):

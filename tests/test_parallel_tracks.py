@@ -33,6 +33,21 @@ def forks(monkeypatch):
     return Forks
 
 
+@pytest.fixture
+def whole_file_passes(monkeypatch):
+    """The paths that cli._prepare read whole in this process, not in a slice."""
+    passes = []
+    prepare = cli._prepare
+
+    def recording_prepare(path, cfg, task, span=None):
+        if span is None:
+            passes.append(path)
+        return prepare(path, cfg, task, span)
+
+    monkeypatch.setattr(cli, "_prepare", recording_prepare)
+    return passes
+
+
 def track_doc(rng, i):
     """Mixed lengths at 10 or 25 Hz; short frame drops; every fourth track split by a gap."""
     frame_rate = 10.0 if i % 3 == 0 else 25.0
@@ -105,22 +120,24 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_track_outputs_do_not_depend_on_the_chunk_count(tmp_path, forks, tracks, library,
-                                                        command):
+                                                        whole_file_passes, command):
     path, _ = tracks
     out = tmp_path / "out"
     argv = [*COMMANDS[command], "--input", str(path), "--output", str(out), *EXTRACTION]
     if command.startswith("predict"):
         argv += ["--library", str(library)]
     code, forked, serial = run(forks, 1, argv, out)
-    assert (code, forked) == (0, 0)
+    assert (code, forked, whole_file_passes) == (0, 0, [str(path)])
     for chunks in (2, 3):
         assert len(jsonl_spans(path, chunks)) == chunks
         out.unlink()
         assert run(forks, chunks, argv, out) == (0, chunks - 1, serial)
+        # the slices' results were used: no pass over the whole file fell back
+        assert whole_file_passes == [str(path)]
 
 
 def test_features_fall_back_to_one_process_when_a_worker_dies(tmp_path, forks, tracks,
-                                                              monkeypatch):
+                                                              whole_file_passes, monkeypatch):
     path, _ = tracks
     out = tmp_path / "f.jsonl"
     argv = ["features", "--input", str(path), "--output", str(out), *EXTRACTION]
@@ -135,6 +152,7 @@ def test_features_fall_back_to_one_process_when_a_worker_dies(tmp_path, forks, t
     monkeypatch.setattr(cli, "_extract", dying_extract)
     out.unlink()
     assert run(forks, 3, argv, out) == (0, 2, serial)
+    assert whole_file_passes == [str(path)] * 2
 
 
 def test_one_chunk_reads_a_failing_file_once(tmp_path, forks, tracks, monkeypatch):
