@@ -27,7 +27,7 @@ from .classification import (
     speed_prior,
     vote_table,
 )
-from .config import CONTEXT_CHOICES, RunConfig, build, load_config, merge_overrides
+from .config import CONTEXT_CHOICES, RunConfig, build, load_config, merge_overrides, setting_type
 from .errors import DegenerateLabelsError, InputError, NoApplicableRulesError, TrajRulesError
 from .io import load_library, save_library  # bare name: perfbench/spans.py patches load_library
 from .kinematics import (
@@ -46,11 +46,10 @@ from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py
 from .verification import discover_rules, run_verification_loop
 
 log = logging.getLogger(__name__)
-_THETA_HELP = "confidence threshold of the written library (default: the input library's, 0.7 if new)"
 
 
 def _cfg(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     return merge_overrides(cfg, vars(args))
 
 
@@ -60,11 +59,16 @@ def _backend(cfg: RunConfig):
 
 
 def _extract(t: Trajectory, cfg: RunConfig):
-    """kinematics -> events -> feature mapping, for one prepared track."""
+    """kinematics -> events -> feature mapping, for one prepared track. A track
+    no longer than the lane-change window has no events and no lane atoms."""
     kin = compute_kinematics(t)
-    events = detect_lane_changes(t, window=cfg.lc_window, threshold=cfg.lc_threshold)
+    short = len(t) <= cfg.lc_window
+    events = [] if short else detect_lane_changes(t, window=cfg.lc_window,
+                                                  threshold=cfg.lc_threshold)
     feats = summarize_features(t, kin, events)
     feats.update(extended_atoms(t, kin, events))
+    if short:
+        del feats["lane_change_count"], feats["lane_change_rate"]
     for atom, value in feats.items():
         if not math.isfinite(value):  # a frame rate so high that the differences overflow
             raise InputError(f"vehicle {t.vehicle_id!r}: feature {atom!r} is {value}, "
@@ -315,32 +319,36 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
+#: help of each setting flag; a setting not named here has none
+_SETTING_HELP = {
+    "no_smoothing": "skip Kalman smoothing before differentiation",
+    "lc_window": "lane-change window length in frames",
+    "lc_threshold": "cumulative lateral displacement threshold (default: by the track's unit system)",
+    "min_mean_speed": "drop vehicles slower than this (0 keeps all)",
+    "theta": "confidence threshold of the written library (default: the input library's, 0.7 if new)",
+    "strict_denominator": "divide confidence by all samples, not just applicable ones",
+    "delta": "AV decision threshold on the matching score",
+    "mock_dir": "fixture directory for the offline mock backend",
+    "endpoint": "chat-completions endpoint URL",
+    "model": "model name sent to the endpoint",
+    "separation": "profile separation multiplier (1 = published targets)",
+}
+_EXTRACTION = ("no_smoothing", "process_noise", "measurement_noise", "lc_window",
+               "lc_threshold", "context", "congestion_speed_threshold")
+_BACKEND = ("mock_dir", "endpoint", "model", "temperature", "max_output_tokens",
+            "timeout_s", "max_retries")
+
+
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """A --flag per named RunConfig field, typed as its config key; unset, it is None."""
+    for name in names:
+        flag, help_ = "--" + name.replace("_", "-"), _SETTING_HELP.get(name)
+        if setting_type(name) is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=help_)
+        else:
+            parser.add_argument(flag, type=setting_type(name), help=help_,
+                                choices=CONTEXT_CHOICES if name == "context" else None)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-
-
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mock-dir", help="fixture directory for the offline mock backend")
-    parser.add_argument("--endpoint", help="chat-completions endpoint URL")
-    parser.add_argument("--model", help="model name sent to the endpoint")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--max-output-tokens", type=int)
-    parser.add_argument("--timeout-s", type=float)
-    parser.add_argument("--max-retries", type=int)
-
-
-def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-smoothing", action="store_true", default=None,
-                        help="skip Kalman smoothing before differentiation")
-    parser.add_argument("--process-noise", type=float)
-    parser.add_argument("--measurement-noise", type=float)
-    parser.add_argument("--lc-window", type=int,
-                        help="lane-change window length in frames")
-    parser.add_argument("--lc-threshold", type=float,
-                        help="cumulative lateral displacement threshold "
-                        "(default: by the track's unit system)")
-    parser.add_argument("--context", choices=CONTEXT_CHOICES)
-    parser.add_argument("--congestion-speed-threshold", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,23 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract feature rows from trajectories")
     p.add_argument("--input", required=True, help="trajectory JSONL file")
     p.add_argument("--output", required=True, help="feature JSONL file to write")
-    p.add_argument("--min-mean-speed", type=float,
-                   help="drop vehicles slower than this (0 keeps all)")
-    _add_extraction_flags(p)
-    _add_config(p)
+    _add_settings(p, "min_mean_speed", *_EXTRACTION)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("synth", help="generate a synthetic two-population dataset")
     p.add_argument("--output", required=True, help="trajectory JSONL file to write")
     p.add_argument("--manifest", help="also write realized statistics as JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--separation", type=float,
-                   help="profile separation multiplier (1 = published targets)")
-    p.add_argument("--n-av", type=int)
-    p.add_argument("--n-hdv", type=int)
-    p.add_argument("--duration-s", type=float)
-    p.add_argument("--frame-rate", type=float)
-    _add_config(p)
+    _add_settings(p, "seed", "separation", "n_av", "n_hdv", "duration_s", "frame_rate")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("discover", help="propose rules from labeled feature rows")
@@ -379,30 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library-in", help="extend this library instead of starting fresh")
     p.add_argument("--seed-rules", action="store_true", default=False,
                    help="start from the built-in starter library")
-    p.add_argument("--theta", type=float, help=_THETA_HELP)
-    _add_backend_flags(p)
-    _add_config(p)
+    _add_settings(p, "theta", *_BACKEND)
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("verify", help="measure, reflect on, and refine a library")
     p.add_argument("--features", required=True, help="labeled feature JSONL file")
     p.add_argument("--library", required=True, help="rule library JSON to verify")
     p.add_argument("--output", required=True, help="verified library JSON to write")
-    p.add_argument("--theta", type=float, help=_THETA_HELP)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--stall-epsilon", type=float)
-    p.add_argument("--strict-denominator", action="store_true", default=None,
-                   help="divide confidence by all samples, not just applicable ones")
-    _add_backend_flags(p)
-    _add_config(p)
+    _add_settings(p, "theta", "max_iterations", "stall_epsilon", "strict_denominator", *_BACKEND)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="identify vehicles with a verified library")
     p.add_argument("--features", required=True, help="feature JSONL file")
     p.add_argument("--library", required=True, help="verified rule library JSON")
     p.add_argument("--output", required=True, help="decision report JSON to write")
-    p.add_argument("--delta", type=float, help="AV decision threshold on the matching score")
-    _add_config(p)
+    _add_settings(p, "delta")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("predict", help="predict the next speed or lane maneuver")
@@ -410,15 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True, help="verified rule library JSON")
     p.add_argument("--output", required=True, help="prediction JSON to write")
     p.add_argument("--task", required=True, choices=tuple(TASK_DIRECTIONS))
-    _add_extraction_flags(p)
-    _add_config(p)
+    _add_settings(p, *_EXTRACTION)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a decision report against its labels")
     p.add_argument("--report", required=True, help="decision report JSON from classify")
     p.add_argument("--output", required=True, help="metrics JSON to write")
-    p.add_argument("--count-undetermined-as-error", action="store_true", default=None)
-    _add_config(p)
+    _add_settings(p, "count_undetermined_as_error")
     p.set_defaults(func=cmd_evaluate)
 
     return parser
@@ -432,10 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrajRulesError as exc:

@@ -83,8 +83,19 @@ class RunConfig:
             raise InputError("max_iterations must be at least 1")
 
 
-def _coerce(name: str, value: Any, default: Any) -> Any:
-    kind = float if default is None else type(default)  # theta and lc_threshold
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def setting_type(name: str) -> type:
+    """Type of a setting's config key and flag: its default's, float if that is None."""
+    default = _DEFAULTS[name]
+    return float if default is None else type(default)
+
+
+def _coerce(name: str, value: Any) -> Any:
+    if name not in _DEFAULTS:
+        raise InputError(f"unknown config key {name!r}")
+    kind = setting_type(name)
     if kind is bool:
         if isinstance(value, bool):
             return value
@@ -108,14 +119,7 @@ def _coerce(name: str, value: Any, default: Any) -> Any:
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file. Unknown keys and wrong types raise InputError."""
     doc = load_json_object(path, "config file", InputError)
-    defaults = RunConfig()
-    known = {f.name: getattr(defaults, f.name) for f in fields(RunConfig)}
-    patch = {}
-    for key, value in doc.items():
-        if key not in known:
-            raise InputError(f"unknown config key {key!r}")
-        patch[key] = _coerce(key, value, known[key])
-    return replace(defaults, **patch)
+    return RunConfig(**{key: _coerce(key, value) for key, value in doc.items()})
 
 
 def build(kind: type, cfg: RunConfig):
@@ -129,6 +133,5 @@ def build(kind: type, cfg: RunConfig):
 
 def merge_overrides(cfg: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:
     """Apply non-None override values (e.g. parsed CLI flags) onto cfg."""
-    known = {f.name for f in fields(RunConfig)}
-    patch = {k: v for k, v in overrides.items() if k in known and v is not None}
+    patch = {k: v for k, v in overrides.items() if k in _DEFAULTS and v is not None}
     return replace(cfg, **patch) if patch else cfg

@@ -37,7 +37,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from . import dsl
 from .errors import (
@@ -242,12 +242,18 @@ class RejectedBlock:
 class RefinementSuggestion:
     rule_id: str
     action: str
-    new_predicate: str | None = None
+    new_predicate: dsl.Predicate | None = None
     new_contexts: frozenset[str] | None = None
     rationale: str = ""
 
 
 _FENCE_RE = re.compile(r"```(?P<tag>rule|refinement)\s*\n(?P<body>.*?)```", re.DOTALL)
+_RULE_ID_RE = re.compile(r"rule_id\s*:\s*(\S+)", re.IGNORECASE)
+
+
+def _bodies(text: str, tag: str) -> Iterator[str]:
+    """The body of each ```tag fence in text, in order."""
+    return (m.group("body") for m in _FENCE_RE.finditer(text) if m.group("tag") == tag)
 
 
 def _parse_fields(body: str) -> dict[str, str]:
@@ -307,23 +313,19 @@ def parse_rule_response(text: str) -> tuple[list[Rule], list[RejectedBlock]]:
     """Extract rules from a discovery response.
 
     Every ```rule fence is parsed independently; blocks that fail to compile
-    (bad DSL, unknown atom, missing fields, values Rule rejects) become
-    RejectedBlock entries instead of aborting the batch.
+    (bad DSL, unknown atom, missing fields, values Rule rejects, an id an
+    earlier block took) become RejectedBlock entries instead of aborting the batch.
     """
     rules: list[Rule] = []
     rejected: list[RejectedBlock] = []
     seen: set[str] = set()
-    for match in _FENCE_RE.finditer(text):
-        if match.group("tag") != "rule":
-            continue
-        body = match.group("body")
+    for body in _bodies(text, "rule"):
         try:
             rule = _rule_from_block(body)
+            if rule.id in seen:
+                raise ValueError(f"duplicate rule id {rule.id!r}")
         except (ValueError, PredicateError, LibraryValidationError) as exc:
             rejected.append(RejectedBlock(text=body.strip(), reason=str(exc)))
-            continue
-        if rule.id in seen:
-            rejected.append(RejectedBlock(text=body.strip(), reason=f"duplicate rule id {rule.id!r}"))
             continue
         seen.add(rule.id)
         rules.append(rule)
@@ -335,51 +337,36 @@ def parse_refinement_response(text: str) -> list[RefinementSuggestion]:
 
     A block that names a rule but is otherwise unusable degrades to a
     retire suggestion carrying the parse failure as its rationale, so a
-    confused model response still resolves deterministically.
+    confused model response still resolves deterministically. When the
+    block's lines do not parse, the rule id is searched for in its text.
     """
     suggestions: list[RefinementSuggestion] = []
-    for match in _FENCE_RE.finditer(text):
-        if match.group("tag") != "refinement":
-            continue
-        body = match.group("body")
+    for body in _bodies(text, "refinement"):
+        fields = None
         try:
             fields = _parse_fields(body)
-        except ValueError as exc:
-            ids = re.search(r"rule_id\s*:\s*(\S+)", body)
-            suggestions.append(RefinementSuggestion(
-                rule_id=ids.group(1) if ids else "",
-                action="retire",
-                rationale=f"unparseable suggestion: {exc}",
-            ))
-            continue
-        rule_id = fields.get("rule_id", "")
-        try:
             action = fields.get("action", "")
             if action not in REFINEMENT_ACTIONS:
                 raise ValueError(f"unknown action {action!r}")
-            new_predicate = None
-            new_contexts = None
+            new_predicate = new_contexts = None
             if action in ("adjust_threshold", "combine_features"):
                 if "condition" not in fields:
                     raise ValueError(f"action {action} requires a condition")
-                dsl.parse_predicate(fields["condition"])  # must compile
-                new_predicate = fields["condition"]
+                new_predicate = dsl.parse_predicate(fields["condition"])
             elif action == "add_context":
-                contexts = _split_list(fields.get("contexts", ""))
-                if not contexts or contexts - set(CONTEXTS):
+                new_contexts = _split_list(fields.get("contexts", ""))
+                if not new_contexts or new_contexts - set(CONTEXTS):
                     raise ValueError("action add_context requires known contexts")
-                new_contexts = contexts
             suggestions.append(RefinementSuggestion(
-                rule_id=rule_id,
-                action=action,
-                new_predicate=new_predicate,
-                new_contexts=new_contexts,
-                rationale=fields.get("rationale", ""),
+                fields.get("rule_id", ""), action, new_predicate, new_contexts,
+                fields.get("rationale", ""),
             ))
         except (ValueError, PredicateError) as exc:
+            if fields is None:
+                ids = _RULE_ID_RE.search(body)
+                rule_id = ids.group(1) if ids else ""
+            else:
+                rule_id = fields.get("rule_id", "")
             suggestions.append(RefinementSuggestion(
-                rule_id=rule_id,
-                action="retire",
-                rationale=f"unparseable suggestion: {exc}",
-            ))
+                rule_id, "retire", rationale=f"unparseable suggestion: {exc}"))
     return suggestions

@@ -54,6 +54,7 @@ def compute_metrics(
     Undetermined predictions never enter the confusion matrix. By default
     they are dropped from every rate; with count_undetermined_as_error they
     stay in the accuracy and recall denominators as guaranteed misses.
+    Raises EmptyInputError when no prediction is left to count.
     """
     if len(predictions) != len(labels):
         raise LengthMismatchError(
@@ -61,7 +62,7 @@ def compute_metrics(
         )
     decided = [(p, y) for p, y in zip(predictions, labels) if p != UNDETERMINED]
     n_undetermined = len(predictions) - len(decided)
-    if not decided:
+    if not (predictions if count_undetermined_as_error else decided):
         raise EmptyInputError("no determined predictions to score")
 
     class_names = sorted({y for _, y in decided} | {p for p, _ in decided})

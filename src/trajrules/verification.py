@@ -30,7 +30,6 @@ from .prompts import (
     build_reflection_prompt,
     digest_sample,
 )
-from . import dsl
 from .rules import (
     MATCHED,
     MATCHED_CODE,
@@ -166,14 +165,10 @@ def apply_suggestion(rule: Rule, suggestion: RefinementSuggestion) -> Rule:
     """
     if suggestion.action == "retire":
         return replace(rule, state="retired")
-    if suggestion.action == "add_context":
-        assert suggestion.new_contexts is not None
-        return replace(rule, contexts=suggestion.new_contexts, state="candidate",
-                       confidence=None, revision=rule.revision + 1)
-    # adjust_threshold / combine_features both carry a new predicate
-    assert suggestion.new_predicate is not None
-    return replace(rule, predicate=dsl.parse_predicate(suggestion.new_predicate),
-                   state="candidate", confidence=None, revision=rule.revision + 1)
+    change = ({"contexts": suggestion.new_contexts} if suggestion.action == "add_context"
+              else {"predicate": suggestion.new_predicate})  # adjust_threshold, combine_features
+    return replace(rule, **change, state="candidate", confidence=None,
+                   revision=rule.revision + 1)
 
 
 def _failure_digests(failures: Sequence[FailureCase]) -> list[dict]:
@@ -299,7 +294,7 @@ def run_verification_loop(
             library.replace_rule(revised)
             event = "retired" if chosen.action == "retire" else "refined"
             detail = f"{chosen.action}"
-            if chosen.new_predicate:
+            if chosen.new_predicate is not None:
                 detail += f": {rule.predicate_text} -> {revised.predicate_text}"
             if chosen.new_contexts:
                 detail += f": contexts -> {sorted(chosen.new_contexts)}"

@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from trajrules import cli
 from trajrules.classification import identify_vehicle
+from trajrules.config import RunConfig, setting_type
 from trajrules.dsl import parse_predicate
 from trajrules.errors import NoApplicableRulesError
 from trajrules.io import load_feature_rows, load_library, load_trajectories, save_library
@@ -124,6 +126,31 @@ def test_features_negative_frame_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: v: negative frame index -1\n"
 
 
+def test_every_setting_is_a_flag_typed_as_its_config_key():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    settings = {f.name for f in fields(RunConfig)}
+    seen = set()
+    for command, parser in sub.choices.items():
+        required = [arg for a in parser._actions if a.required
+                    for arg in (a.option_strings[0], a.choices[0] if a.choices else "x")]
+        for action in parser._actions:
+            if action.dest not in settings:
+                continue
+            seen.add(action.dest)
+            kind = setting_type(action.dest)
+            flag = action.option_strings[0]
+            if kind is bool:
+                assert isinstance(action, argparse._StoreTrueAction), (command, flag)
+                assert vars(parser.parse_args(required))[action.dest] is None
+                assert vars(parser.parse_args([*required, flag]))[action.dest] is True
+            else:
+                value = action.choices[-1] if action.choices else "3"
+                parsed = vars(parser.parse_args([*required, flag, value]))[action.dest]
+                assert type(parsed) is kind and parsed == kind(value), (command, flag)
+    assert seen == settings
+
+
 def write_tracks(path, lengths):
     """One straight 25 Hz track per length, ids v0, v1, ..."""
     with open(path, "w") as fh:
@@ -162,17 +189,33 @@ def test_features_rejects_non_finite_settings(tmp_path, capsys, flags, config, m
 
 
 @pytest.mark.parametrize("command", ["features", "predict"])
-def test_short_track_error_names_the_vehicle(tmp_path, capsys, command):
-    trajs = tmp_path / "t.jsonl"
-    write_tracks(trajs, [200, 60, 200])
+def test_a_track_no_longer_than_the_window_has_no_lane_atoms(tmp_path, command):
+    # 120 points span 119 steps, one short of the default 120-step window: that
+    # track gets no lane-change events and no lane atoms, and the others are untouched
     library = tmp_path / "lib.json"
     save_library(seed_library(), library)
     extra = ["--library", str(library), "--task", "lane_change"] if command == "predict" else []
-    rc = cli.main([command, "--input", str(trajs), "--output", str(tmp_path / "out"), *extra])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: v1: window of 120 steps needs 121 points, trajectory has 60\n"
-    )
+    trajs = tmp_path / "t.jsonl"
+    write_tracks(trajs, [200, 120, 200])
+    lines = trajs.read_text().splitlines(keepends=True)
+    (tmp_path / "without.jsonl").write_text(lines[0] + lines[2])
+    outputs = []
+    for name in ("t.jsonl", "without.jsonl"):
+        out = tmp_path / f"{name}.out"
+        assert cli.main([command, "--input", str(tmp_path / name), "--output", str(out),
+                         *extra]) == 0
+        if command == "features":
+            outputs.append({row["vehicle_id"]: row for row in load_feature_rows(out)})
+        else:
+            outputs.append({p["vehicle_id"]: p for p in json.loads(out.read_text())["predictions"]})
+    with_short, without = outputs
+    assert set(with_short) == {"v0", "v1", "v2"}
+    assert {k: v for k, v in with_short.items() if k != "v1"} == without
+    if command == "features":
+        features = with_short["v1"]["features"]
+        assert "mean_speed" in features
+        assert not {"lane_change_count", "lane_change_rate"} & set(features)
+        assert "lane_change_count" in with_short["v0"]["features"]
 
 
 @pytest.mark.parametrize("command", ["features", "predict"])
@@ -443,6 +486,26 @@ def test_evaluate_rejects_bad_report(tmp_path, capsys, doc, message):
     ])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_evaluate_counts_an_all_undetermined_report_as_misses(tmp_path, capsys):
+    # with the flag every undetermined entry is a miss, so there is something to score
+    report_path, metrics_path = tmp_path / "report.json", tmp_path / "m.json"
+    report_path.write_text(json.dumps({"results": [
+        {"vehicle_id": "x", "decision": "undetermined", "label": "AV"},
+        {"vehicle_id": "y", "decision": "undetermined", "label": "HDV"},
+        {"vehicle_id": "z", "decision": "undetermined", "label": "HDV"},
+    ]}))
+    argv = ["evaluate", "--report", str(report_path), "--output", str(metrics_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: no determined predictions to score\n"
+    assert cli.main([*argv, "--count-undetermined-as-error"]) == 0
+    assert capsys.readouterr().out == (
+        "accuracy 0.000, macro F1 0.000, ROC-AUC n/a, 3 undetermined\n")
+    metrics = json.loads(metrics_path.read_text())
+    assert (metrics["accuracy"], metrics["n_samples"], metrics["n_undetermined"]) == (0.0, 3, 3)
+    assert metrics["confusion"] == {"labels": ["AV", "HDV"], "counts": [[0, 0], [0, 0]]}
+    assert metrics["roc_auc"] is None
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])

@@ -5,7 +5,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
-from trajrules.config import RunConfig, build, load_config, merge_overrides
+from trajrules.config import RunConfig, build, load_config, merge_overrides, setting_type
 from trajrules.errors import InputError
 from trajrules.llm import BackendConfig
 from trajrules.synth import GeneratorConfig
@@ -119,6 +119,11 @@ def test_validation_errors():
         RunConfig(process_noise=-1.0)
     with pytest.raises(InputError, match="^measurement_noise must be positive, got 0.0$"):
         RunConfig(measurement_noise=0.0)
+
+
+def test_setting_type_is_the_annotated_type():
+    for name, hint in get_type_hints(RunConfig).items():
+        assert set(get_args(hint) or (hint,)) - {type(None)} == {setting_type(name)}, name
 
 
 FLOAT_FIELDS = [name for name, hint in get_type_hints(RunConfig).items()

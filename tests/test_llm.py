@@ -246,7 +246,7 @@ rationale: redundant with R27
 def test_parse_refinement_response_actions():
     out = parse_refinement_response(REFINEMENT_TEXT)
     assert [s.action for s in out] == ["adjust_threshold", "add_context", "retire"]
-    assert out[0].new_predicate == "std_accel < 0.3"
+    assert dsl.to_dsl(out[0].new_predicate) == "std_accel < 0.3"
     assert out[1].new_contexts == frozenset({"free_flow"})
     assert out[2].new_predicate is None and out[2].new_contexts is None
     assert out[0].rationale == "threshold far too loose"
@@ -267,12 +267,13 @@ def test_parse_refinement_degrades_to_retire(body):
 
 
 def test_parse_refinement_field_error_keeps_rule_id():
-    # a no-colon line breaks field parsing; the id is recovered by regex
-    text = "```refinement\nrule_id: R9\naction adjust_threshold\n```"
-    (sugg,) = parse_refinement_response(text)
-    assert sugg.rule_id == "R9"
-    assert sugg.action == "retire"
-    assert "unparseable suggestion" in sugg.rationale
+    # a no-colon line breaks field parsing; the id is recovered by regex, in any case
+    for key in ("rule_id", "RULE_ID", "Rule_Id"):
+        text = f"```refinement\n{key}: R9\naction adjust_threshold\n```"
+        (sugg,) = parse_refinement_response(text)
+        assert sugg.rule_id == "R9", key
+        assert sugg.action == "retire"
+        assert "unparseable suggestion" in sugg.rationale
 
 
 def completion(content):

@@ -137,7 +137,8 @@ def test_apply_suggestion_retire_keeps_revision():
 def test_apply_suggestion_adjust_threshold():
     rule = make_rule(state="verified", confidence=0.6)
     out = apply_suggestion(
-        rule, RefinementSuggestion("R1", "adjust_threshold", new_predicate="std_jerk < 0.25")
+        rule, RefinementSuggestion("R1", "adjust_threshold",
+                                   new_predicate=dsl.parse_predicate("std_jerk < 0.25"))
     )
     assert out.predicate_text == "std_jerk < 0.25"
     assert out.state == "candidate"
