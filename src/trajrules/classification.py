@@ -172,14 +172,8 @@ def _blend(votes: Mapping[str, float], prior: str, directions: tuple[str, ...]) 
 
 
 def _pick(scores: dict[str, float], directions: tuple[str, ...], neutral: str) -> str:
-    best = max(scores.values())
-    # ties resolve to the neutral option first, then listed order
-    if scores[neutral] >= best:
-        return neutral
-    for d in directions:
-        if scores[d] >= best:
-            return d
-    return neutral
+    # max keeps the first of equal scores: ties go to neutral, then listed order
+    return max((neutral, *directions), key=scores.__getitem__)
 
 
 def predict_speed_change(

@@ -15,9 +15,11 @@ from typing import Any, Mapping
 from .classification import CONGESTION_SPEED_THRESHOLD
 from .errors import InputError
 from .io import load_json_object
+from .kinematics import LC_WINDOW
 from .llm import BackendConfig
 from .rules import CONTEXTS
 from .synth import GeneratorConfig
+from .trajectory import DEFAULT_MEASUREMENT_NOISE, DEFAULT_PROCESS_NOISE
 from .verification import DEFAULT_MAX_ITERATIONS, DEFAULT_STALL_EPSILON
 
 
@@ -27,10 +29,10 @@ CONTEXT_CHOICES = ("auto", *CONTEXTS)  # auto: from the vehicle's mean speed
 @dataclass(frozen=True)
 class RunConfig:
     # feature extraction
-    process_noise: float = 1e-2
-    measurement_noise: float = 1.0
+    process_noise: float = DEFAULT_PROCESS_NOISE
+    measurement_noise: float = DEFAULT_MEASUREMENT_NOISE
     no_smoothing: bool = False
-    lc_window: int = 120
+    lc_window: int = LC_WINDOW
     lc_threshold: float | None = None  # None: by the track's unit system
     min_mean_speed: float = 0.0  # 0 keeps every vehicle
     context: str = "auto"  # one of CONTEXT_CHOICES

@@ -42,6 +42,9 @@ FLUCTUATION_MAGNITUDE = 0.1
 #: Seconds of acceleration history inspected ahead of each lane change.
 PRE_LC_WINDOW_S = 2.0
 
+#: Default lane-change detection window, in frames.
+LC_WINDOW = 120
+
 
 @dataclass(frozen=True, eq=False)
 class KinematicSeries:
@@ -89,7 +92,7 @@ def compute_kinematics(traj: Trajectory) -> KinematicSeries:
 
 def detect_lane_changes(
     traj: Trajectory,
-    window: int = 120,
+    window: int = LC_WINDOW,
     threshold: float | None = None,
 ) -> list[LaneChangeEvent]:
     """Detect lane changes from cumulative lateral displacement.

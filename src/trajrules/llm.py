@@ -248,7 +248,6 @@ class RefinementSuggestion:
 
 
 _FENCE_RE = re.compile(r"```(?P<tag>rule|refinement)\s*\n(?P<body>.*?)```", re.DOTALL)
-_RULE_ID_RE = re.compile(r"rule_id\s*:\s*(\S+)", re.IGNORECASE)
 
 
 def _bodies(text: str, tag: str) -> Iterator[str]:
@@ -256,17 +255,21 @@ def _bodies(text: str, tag: str) -> Iterator[str]:
     return (m.group("body") for m in _FENCE_RE.finditer(text) if m.group("tag") == tag)
 
 
-def _parse_fields(body: str) -> dict[str, str]:
+def _parse_fields(body: str) -> tuple[dict[str, str], str | None]:
+    """A block's 'key: value' fields, keys lower-cased, and the complaint about
+    its first line of another form (blank and # lines are skipped)."""
     fields: dict[str, str] = {}
+    malformed = None
     for line in body.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ValueError(f"expected 'key: value', got {line!r}")
+            malformed = malformed or f"expected 'key: value', got {line!r}"
+            continue
         key, value = line.split(":", 1)
         fields[key.strip().lower()] = value.strip()
-    return fields
+    return fields, malformed
 
 
 def _split_list(value: str) -> frozenset[str]:
@@ -292,7 +295,9 @@ def format_rule_block(rule: Rule) -> str:
 
 def _rule_from_block(body: str) -> Rule:
     """Rule of one block; absent lines and blank scope lines take Rule's defaults."""
-    fields = _parse_fields(body)
+    fields, malformed = _parse_fields(body)
+    if malformed:
+        raise ValueError(malformed)
     for required in ("id", "description", "condition", "category"):
         if required not in fields:
             raise ValueError(f"missing field {required!r}")
@@ -337,14 +342,15 @@ def parse_refinement_response(text: str) -> list[RefinementSuggestion]:
 
     A block that names a rule but is otherwise unusable degrades to a
     retire suggestion carrying the parse failure as its rationale, so a
-    confused model response still resolves deterministically. When the
-    block's lines do not parse, the rule id is searched for in its text.
+    confused model response still resolves deterministically. A block with
+    a malformed line still takes its rule id from its own rule_id line.
     """
     suggestions: list[RefinementSuggestion] = []
     for body in _bodies(text, "refinement"):
-        fields = None
+        fields, malformed = _parse_fields(body)
         try:
-            fields = _parse_fields(body)
+            if malformed:
+                raise ValueError(malformed)
             action = fields.get("action", "")
             if action not in REFINEMENT_ACTIONS:
                 raise ValueError(f"unknown action {action!r}")
@@ -362,11 +368,6 @@ def parse_refinement_response(text: str) -> list[RefinementSuggestion]:
                 fields.get("rationale", ""),
             ))
         except (ValueError, PredicateError) as exc:
-            if fields is None:
-                ids = _RULE_ID_RE.search(body)
-                rule_id = ids.group(1) if ids else ""
-            else:
-                rule_id = fields.get("rule_id", "")
             suggestions.append(RefinementSuggestion(
-                rule_id, "retire", rationale=f"unparseable suggestion: {exc}"))
+                fields.get("rule_id", ""), "retire", rationale=f"unparseable suggestion: {exc}"))
     return suggestions

@@ -60,29 +60,22 @@ def compute_metrics(
         raise LengthMismatchError(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
-    decided = [(p, y) for p, y in zip(predictions, labels) if p != UNDETERMINED]
-    n_undetermined = len(predictions) - len(decided)
-    if not (predictions if count_undetermined_as_error else decided):
+    counted = [(p, y) for p, y in zip(predictions, labels)
+               if p != UNDETERMINED or count_undetermined_as_error]
+    n_undetermined = predictions.count(UNDETERMINED)
+    if not counted:
         raise EmptyInputError("no determined predictions to score")
 
-    class_names = sorted({y for _, y in decided} | {p for p, _ in decided})
-    if count_undetermined_as_error:
-        class_names = sorted(set(class_names) | {y for p, y in zip(predictions, labels) if p == UNDETERMINED})
+    class_names = sorted({y for _, y in counted} | {p for p, _ in counted if p != UNDETERMINED})
     index = {c: i for i, c in enumerate(class_names)}
     counts = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
-    for p, y in decided:
-        counts[index[y], index[p]] += 1
-
-    # undetermined true-label counts, charged against recall when requested
-    missed = np.zeros(len(class_names), dtype=np.int64)
-    if count_undetermined_as_error:
-        for p, y in zip(predictions, labels):
-            if p == UNDETERMINED:
-                missed[index[y]] += 1
-
-    correct = int(np.trace(counts))
-    denominator = len(decided) + (n_undetermined if count_undetermined_as_error else 0)
-    accuracy = correct / denominator
+    missed = np.zeros(len(class_names), dtype=np.int64)  # undetermined, charged against recall
+    for p, y in counted:
+        if p == UNDETERMINED:
+            missed[index[y]] += 1
+        else:
+            counts[index[y], index[p]] += 1
+    accuracy = int(np.trace(counts)) / len(counted)
 
     per_class: dict[str, dict[str, float]] = {}
     for c, i in index.items():

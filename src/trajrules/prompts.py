@@ -17,6 +17,7 @@ from .llm import KIND_MARKERS, ChatMessage, format_rule_block
 from .rules import Rule
 
 PROMPT_CHAR_BUDGET = 60_000
+_NOTE_RESERVE = 120  # characters kept free for the note on omitted digests
 
 _ANALYSIS_DIMENSIONS = """\
 Compare the two groups along these four dimensions:
@@ -148,7 +149,7 @@ def build_discovery_prompt(
 
     # each digest line adds its length plus one newline to the empty prompt
     overhead = sum(len(m.content) for m in assemble([], [], ""))
-    kept_av, kept_hdv = _fit_to_budget(overhead + 120, av_samples, hdv_samples, budget)
+    kept_av, kept_hdv = _fit_to_budget(overhead + _NOTE_RESERVE, av_samples, hdv_samples, budget)
     dropped_av, dropped_hdv = len(av_samples) - len(kept_av), len(hdv_samples) - len(kept_hdv)
     note = (f"[{dropped_av} AV and {dropped_hdv} HDV digests omitted to fit the prompt "
             "budget; oldest dropped first]" if dropped_av or dropped_hdv else "")
@@ -200,7 +201,7 @@ def build_reflection_prompt(
         return [ChatMessage("system", REFLECTION_ROLE), ChatMessage("user", user)]
 
     overhead = sum(len(m.content) for m in assemble([], ""))
-    kept, _ = _fit_to_budget(overhead + 120, failures, [], budget)
+    kept, _ = _fit_to_budget(overhead + _NOTE_RESERVE, failures, [], budget)
     dropped = len(failures) - len(kept)
     return assemble(kept, f"[{dropped} failure digests omitted to fit the prompt budget]"
                     if dropped else "")

@@ -8,7 +8,7 @@ verdict keeps out-of-scope vehicles out of both sides of every score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -86,32 +86,23 @@ class Rule:
         return dsl.to_dsl(self.predicate)
 
 
-Mask = Callable[["FeatureTable"], np.ndarray]
-
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
             "=": np.equal}
 _CONTEXT_CODES = {c: i for i, c in enumerate(CONTEXTS)}
 
 
-def _compile(pred: dsl.Predicate) -> Mask:
+def _hits(pred: dsl.Predicate, table: FeatureTable) -> np.ndarray:
     """Boolean mask over table rows; meaningful where every required atom is present."""
     if isinstance(pred, dsl.Comparison):
-        compare, atom, value = _COMPARE[pred.op], pred.atom, pred.value
-        return lambda table: compare(table.column(atom), value)
+        return _COMPARE[pred.op](table.column(pred.atom), pred.value)
     if isinstance(pred, dsl.RangeTest):
-        atom, lo, hi = pred.atom, pred.lo, pred.hi
-
-        def in_range(table: FeatureTable) -> np.ndarray:
-            x = table.column(atom)
-            return (lo <= x) & (x <= hi)
-        return in_range
+        x = table.column(pred.atom)
+        return (pred.lo <= x) & (x <= pred.hi)
     if isinstance(pred, dsl.Not):
-        child = _compile(pred.child)
-        return lambda table: ~child(table)
+        return ~_hits(pred.child, table)
     if isinstance(pred, (dsl.And, dsl.Or)):
-        children = [_compile(c) for c in pred.children]
         reduce = np.logical_and.reduce if isinstance(pred, dsl.And) else np.logical_or.reduce
-        return lambda table: reduce([child(table) for child in children])
+        return reduce([_hits(child, table) for child in pred.children])
     raise TypeError(f"not a predicate node: {pred!r}")
 
 
@@ -207,7 +198,7 @@ class FeatureTable:
             applicable = self._scope(rule.contexts)
             for atom in dsl.required_atoms(rule.predicate):
                 applicable = applicable & ~np.isnan(self.column(atom))
-            hit = _compile(rule.predicate)(self)
+            hit = _hits(rule.predicate, self)
             row = np.where(applicable, np.where(hit, MATCHED_CODE, NOT_MATCHED_CODE),
                            NOT_APPLICABLE_CODE).astype(np.int8)
             row.flags.writeable = False

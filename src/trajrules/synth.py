@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import InfeasibleProfileError
 from .kinematics import (
+    LC_WINDOW,
     compute_kinematics,
     count_fluctuations,
     detect_lane_changes,
@@ -44,8 +45,7 @@ JITTER_FRACTION = 0.05
 MIN_SPEED = 0.5
 LANE_WIDTH = 3.5  # meters
 
-# lane-change detection for the manifest's realized stats
-LC_WINDOW = 120  # frames
+# lane-change detection for the manifest's realized stats (window: kinematics.LC_WINDOW)
 LC_THRESHOLD = LANE_CHANGE_THRESHOLDS["metric"]  # meters of cumulative lateral displacement
 
 # jerk ripple calibration
@@ -125,6 +125,10 @@ class GeneratorConfig:
             raise ValueError("duration_s below 36 s cannot hold the maneuver layout")
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
+        frames = self.duration_s * self.frame_rate
+        if not frames < np.iinfo(np.intp).max:
+            raise ValueError(f"duration_s * frame_rate is {frames:g} frames, "
+                             "beyond numpy's index range")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         try:  # here rather than part way through generate_dataset
@@ -201,7 +205,8 @@ def _lateral_path(
         center = t0 + 0.5 * LC_DURATION_S
         arg = k * (t - center)
         y = y + direction * 0.5 * LANE_WIDTH * (1.0 + np.tanh(arg))
-        vy = vy + direction * 0.5 * LANE_WIDTH * k / np.cosh(arg) ** 2
+        with np.errstate(over="ignore"):  # far from the maneuver cosh**2 is inf, k/inf is 0
+            vy = vy + direction * 0.5 * LANE_WIDTH * k / np.cosh(arg) ** 2
     return y, vy
 
 

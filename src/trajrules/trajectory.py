@@ -26,6 +26,8 @@ MAX_GAP_FRAMES = 3
 LABELS = ("AV", "HDV")
 UNIT_SYSTEMS = ("pixel", "metric")
 LANE_CHANGE_THRESHOLDS = {"pixel": 50.0, "metric": 2.0}  # default, lateral travel per window
+DEFAULT_PROCESS_NOISE = 1e-2  # Kalman smoothing defaults
+DEFAULT_MEASUREMENT_NOISE = 1.0
 
 
 @dataclass(eq=False)
@@ -147,8 +149,8 @@ def _gains(n: int, dt: float, q: float, r: float) -> tuple[list[float], list[flo
 
 def smooth_trajectories(
     trajs: list[Trajectory],
-    process_noise: float = 1e-2,
-    measurement_noise: float = 1.0,
+    process_noise: float = DEFAULT_PROCESS_NOISE,
+    measurement_noise: float = DEFAULT_MEASUREMENT_NOISE,
 ) -> list[Trajectory]:
     """Kalman-smooth positions with an independent constant-velocity model per axis.
 
@@ -192,8 +194,8 @@ def smooth_trajectories(
 
 def smooth_trajectory(
     traj: Trajectory,
-    process_noise: float = 1e-2,
-    measurement_noise: float = 1.0,
+    process_noise: float = DEFAULT_PROCESS_NOISE,
+    measurement_noise: float = DEFAULT_MEASUREMENT_NOISE,
 ) -> Trajectory:
     """One-track case of smooth_trajectories."""
     return smooth_trajectories([traj], process_noise, measurement_noise)[0]

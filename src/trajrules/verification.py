@@ -220,13 +220,13 @@ def run_verification_loop(
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
+    def retire(rule: Rule, detail: str) -> None:  # at the current iteration
+        rule.state = "retired"
+        library.record("retired", rule.id, detail, iteration)
+
     stats: dict[str, RuleStats] = {}
     prev_conf: dict[str, float] | None = None
-    iterations = 0
-    reason = "max_iterations"
-
     for iteration in range(1, max_iterations + 1):
-        iterations = iteration
         active = [r for r in library.rules if r.state != "retired"]
         conf: dict[str, float] = {}
         for rule in active:
@@ -238,17 +238,14 @@ def run_verification_loop(
             conf[rule.id] = st.confidence
             rule.confidence = st.confidence
             if st.n_applicable == 0:
-                rule.state = "retired"
-                library.record("retired", rule.id,
-                               "no coverage on the validation set", iteration)
+                retire(rule, "no coverage on the validation set")
             else:
                 rule.state = "verified" if st.confidence >= library.theta else "candidate"
         library.version += 1
 
         candidates = [r for r in library.rules if r.state == "candidate"]
         if not candidates:
-            reason = "all_verified"
-            break
+            return VerificationResult(library, stats, iteration, "all_verified")
 
         stalled = prev_conf is not None and all(
             abs(conf[rid] - prev_conf[rid]) <= stall_epsilon
@@ -257,15 +254,10 @@ def run_verification_loop(
         if stalled or iteration == max_iterations:
             reason = "stalled" if stalled else "max_iterations"
             for rule in candidates:
-                rule.state = "retired"
-                library.record(
-                    "retired", rule.id,
-                    f"confidence {rule.confidence:.3f} below threshold "
-                    f"{library.theta} at loop exit ({reason})",
-                    iteration,
-                )
+                retire(rule, f"confidence {rule.confidence:.3f} below threshold "
+                             f"{library.theta} at loop exit ({reason})")
             library.version += 1
-            break
+            return VerificationResult(library, stats, iteration, reason)
         prev_conf = conf
 
         for rule in candidates:
@@ -273,9 +265,7 @@ def run_verification_loop(
             if not failures:
                 # sub-threshold without failures can only mean strict
                 # denominator + thin coverage; reflection has nothing to chew on
-                rule.state = "retired"
-                library.record("retired", rule.id,
-                               "no failure cases to reflect on", iteration)
+                retire(rule, "no failure cases to reflect on")
                 library.version += 1
                 continue
             st = stats[rule.id]
@@ -301,5 +291,3 @@ def run_verification_loop(
             if chosen.rationale:
                 detail += f" ({chosen.rationale})"
             library.record(event, rule.id, detail, iteration)
-
-    return VerificationResult(library, stats, iterations, reason)

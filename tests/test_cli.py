@@ -75,6 +75,10 @@ def test_synth_rejects_bad_population(tmp_path):
     (["--separation", "1.7"],
      "separation 1.7 is too large: AV profile: speed_std must be nonnegative, got -0.55"),
     (["--separation", "nan"], "separation must be finite, got nan"),
+    (["--duration-s", "1e308"], "duration_s * frame_rate is inf frames, beyond numpy's index range"),
+    (["--frame-rate", "1e308"], "duration_s * frame_rate is inf frames, beyond numpy's index range"),
+    (["--duration-s", "1e18"],
+     "duration_s * frame_rate is 2.5e+19 frames, beyond numpy's index range"),
 ])
 def test_synth_rejects_bad_settings(tmp_path, capsys, flags, message):
     out = tmp_path / "t.jsonl"
@@ -83,6 +87,28 @@ def test_synth_rejects_bad_settings(tmp_path, capsys, flags, message):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synth_long_tracks_raise_no_numpy_warning(tmp_path):
+    # far from a lane change the lateral velocity term overflows to inf before k/inf = 0
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["synth", "--output", str(out), "--n-av", "1", "--n-hdv", "1",
+                     "--duration-s", "300", "--seed", "0"]) == 0
+    assert [len(t) for t in load_trajectories(out)] == [7501, 7501]
+
+
+def test_features_finds_every_lane_change_of_a_long_synth_track(tmp_path):
+    # at 120 s each AV gets two lane changes and each HDV one
+    trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
+    assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
+                     "--n-av", "2", "--n-hdv", "2", "--duration-s", "120", "--seed", "1"]) == 0
+    assert cli.main(["features", "--input", str(trajs), "--output", str(feats)]) == 0
+    expected = {"av_0000": 2.0, "av_0001": 2.0, "hdv_0000": 1.0, "hdv_0001": 1.0}
+    assert {t["vehicle_id"]: t["stats"]["lane_change_count"]
+            for t in json.loads(manifest.read_text())["trajectories"]} == expected
+    assert {row["vehicle_id"]: row["features"]["lane_change_count"]
+            for row in load_feature_rows(feats)} == expected
 
 
 def test_features_rows_carry_label_and_context(workdir):
@@ -94,6 +120,16 @@ def test_features_rows_carry_label_and_context(workdir):
         assert row["context"] == "free_flow"  # both profiles cruise above 5 m/s
         assert "std_jerk" in row["features"]
         assert "max_decel" in row["features"]
+
+
+@pytest.mark.parametrize("context", ["free_flow", "congested"])
+def test_features_fixed_context_labels_every_row(workdir, tmp_path, context):
+    out = tmp_path / "f.jsonl"
+    assert cli.main(["features", "--input", str(workdir / "t.jsonl"), "--output", str(out),
+                     "--no-smoothing", "--context", context]) == 0
+    rows = load_feature_rows(out)
+    assert len(rows) == 4
+    assert {row["context"] for row in rows} == {context}
 
 
 def test_features_min_speed_filter(workdir, tmp_path, capsys):
@@ -506,6 +542,23 @@ def test_evaluate_counts_an_all_undetermined_report_as_misses(tmp_path, capsys):
     assert (metrics["accuracy"], metrics["n_samples"], metrics["n_undetermined"]) == (0.0, 3, 3)
     assert metrics["confusion"] == {"labels": ["AV", "HDV"], "counts": [[0, 0], [0, 0]]}
     assert metrics["roc_auc"] is None
+
+
+def test_evaluate_gives_no_roc_auc_when_determined_entries_share_a_label(tmp_path, capsys):
+    # the one HDV is undetermined, so the scores to rank are all AV
+    report_path, metrics_path = tmp_path / "report.json", tmp_path / "m.json"
+    report_path.write_text(json.dumps({"results": [
+        {"vehicle_id": "x", "decision": "AV", "label": "AV", "score": 0.9},
+        {"vehicle_id": "y", "decision": "HDV", "label": "AV", "score": 0.2},
+        {"vehicle_id": "z", "decision": "undetermined", "label": "HDV"},
+    ]}))
+    assert cli.main(["evaluate", "--report", str(report_path),
+                     "--output", str(metrics_path)]) == 0
+    assert capsys.readouterr().out == (
+        "accuracy 0.500, macro F1 0.333, ROC-AUC n/a, 1 undetermined\n")
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["roc_auc"] is None
+    assert (metrics["n_samples"], metrics["n_undetermined"]) == (3, 1)
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])

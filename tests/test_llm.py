@@ -267,13 +267,37 @@ def test_parse_refinement_degrades_to_retire(body):
 
 
 def test_parse_refinement_field_error_keeps_rule_id():
-    # a no-colon line breaks field parsing; the id is recovered by regex, in any case
+    # a no-colon line breaks field parsing; the id still comes from its own line, in any case
     for key in ("rule_id", "RULE_ID", "Rule_Id"):
         text = f"```refinement\n{key}: R9\naction adjust_threshold\n```"
         (sugg,) = parse_refinement_response(text)
         assert sugg.rule_id == "R9", key
         assert sugg.action == "retire"
         assert "unparseable suggestion" in sugg.rationale
+
+
+def test_parse_refinement_empty_rule_id_names_no_rule():
+    # the id is read from the rule_id line alone, never from the line after it
+    (sugg,) = parse_refinement_response("```refinement\nrule_id:\nadjust the threshold\n```")
+    assert sugg.rule_id == ""
+    assert sugg.action == "retire"
+    assert sugg.rationale == ("unparseable suggestion: expected 'key: value', "
+                              "got 'adjust the threshold'")
+
+
+def test_blank_and_comment_lines_are_skipped_in_reply_blocks():
+    rules, rejected = parse_rule_response(
+        "```rule\n# proposed after the jerk comparison\nid: R101\n\n"
+        "description: keeps jerk very low\n  # threshold from the AV cluster\n"
+        "condition: std_jerk < 0.3\n\ncategory: smoothness\n```")
+    assert rejected == []
+    assert [(r.id, r.description, r.predicate_text) for r in rules] == [
+        ("R101", "keeps jerk very low", "std_jerk < 0.3")]
+    (sugg,) = parse_refinement_response(
+        "```refinement\n\n# loosen slightly\nrule_id: R101\n\naction: adjust_threshold\n"
+        "# the old cap missed borderline drivers\ncondition: std_jerk < 0.33\n```")
+    assert (sugg.rule_id, sugg.action, sugg.rationale) == ("R101", "adjust_threshold", "")
+    assert dsl.to_dsl(sugg.new_predicate) == "std_jerk < 0.33"
 
 
 def completion(content):

@@ -294,6 +294,30 @@ def test_loop_oscillation_hits_iteration_budget():
     assert "(max_iterations)" in lib.provenance[-1]["detail"]
 
 
+def test_loop_applies_add_context_and_records_it():
+    # the rule holds in free flow; a congested HDV breaks it until its contexts narrow
+    lib = RuleLibrary(rules=[make_rule("C", "std_accel < 0.3")], theta=0.7)
+    samples = [
+        {**sample("av1", "AV", std_accel=0.2), "context": "free_flow"},
+        {**sample("hdv1", "HDV", std_accel=0.5), "context": "free_flow"},
+        {**sample("hdv2", "HDV", std_accel=0.1), "context": "congested"},
+    ]
+    backend = ScriptedBackend(["```refinement\nrule_id: C\naction: add_context\n"
+                               "contexts: free_flow\nrationale: congestion masks it\n```"])
+    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
+    assert (result.reason, result.iterations, backend.calls) == ("all_verified", 2, 1)
+    c = lib.get("C")
+    assert (c.state, c.contexts, c.confidence, c.revision) == (
+        "verified", frozenset({"free_flow"}), 1.0, 1)
+    assert c.predicate_text == "std_accel < 0.3"
+    (refined,) = [p for p in lib.provenance if p["event"] == "refined"]
+    # measured at version 2, replaced at 3, measured again at 4
+    assert lib.version == 4
+    assert refined == {"version": 3, "event": "refined", "rule_id": "C",
+                       "iteration": 1, "detail": "add_context: contexts -> ['free_flow'] "
+                                                 "(congestion masks it)"}
+
+
 def test_loop_all_verified_at_entry():
     lib = RuleLibrary(rules=[make_rule("G", "std_jerk < 0.3")], theta=0.7)
     samples = [
