@@ -138,7 +138,11 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     gen_cfg = build(GeneratorConfig, _cfg(args))
-    trajectories, manifest = generate_dataset(gen_cfg)
+    try:
+        trajectories, manifest = generate_dataset(gen_cfg)
+    except MemoryError:
+        frames = gen_cfg.duration_s * gen_cfg.frame_rate
+        raise InputError(f"cannot allocate {frames:g} frames per track") from None
     io.save_trajectories(trajectories, args.output)
     if args.manifest:
         io.dump_json(manifest, args.manifest)
@@ -201,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     library = load_library(args.library)
     if cfg.theta is not None:
         library.theta = cfg.theta
-    table = FeatureTable.from_rows(io.load_feature_rows(args.features))
+    table = FeatureTable(io.load_feature_rows(args.features))
     result = run_verification_loop(
         library, table, backend,
         max_iterations=cfg.max_iterations,
@@ -222,7 +226,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
     rows = io.load_feature_rows(args.features)
-    scores = score_table(library, FeatureTable.from_rows(rows))
+    scores = score_table(library, FeatureTable(rows))
     rule_weights = [(r.id, r.confidence or 0.0) for r in scores.rules]
     # vehicles with the same verdicts share one evidence list, which
     # io.dump_json then encodes once per distinct list
@@ -272,7 +276,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     library = load_library(args.library)
     vehicles = _prepared_tracks(args.input, cfg, args.task)
-    votes = vote_table(library, FeatureTable.from_rows([row for row, _ in vehicles]), args.task)
+    votes = vote_table(library, FeatureTable([row for row, _ in vehicles]), args.task)
     directions = TASK_DIRECTIONS[args.task]
     predict = predict_speed_change if args.task == "speed" else predict_lane_change
     predictions = []

@@ -127,11 +127,7 @@ def detect_lane_changes(
         return []
 
     events: list[LaneChangeEvent] = []
-    group_start = 0
-    for i in range(1, len(fired) + 1):
-        if i < len(fired) and fired[i] - fired[i - 1] <= window - 1:
-            continue
-        group = fired[group_start:i]
+    for group in np.split(fired, np.flatnonzero(np.diff(fired) > window - 1) + 1):
         rep = int(group[np.argmax(roll[group])])
         events.append(LaneChangeEvent(
             start_frame=int(traj.t[rep]),
@@ -139,7 +135,6 @@ def detect_lane_changes(
             cumulative_displacement=float(roll[rep]),
             direction="left" if net[rep] < 0 else "right",
         ))
-        group_start = i
     return events
 
 

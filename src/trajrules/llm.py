@@ -206,28 +206,21 @@ def prompt_kind(messages: Sequence[ChatMessage]) -> str:
 
 
 class MockBackend:
-    """Deterministic stand-in backend.
+    """Deterministic stand-in backend reading fixture files <dir>/<kind>.md.
 
-    Responses come either from an explicit {kind: text} mapping or from
-    fixture files <dir>/<kind>.md. The same prompt kind always yields the
-    same text, so pipelines driven by this backend are reproducible.
+    The same prompt kind always yields the same text, so pipelines driven by
+    this backend are reproducible.
     """
 
-    def __init__(self, fixture_dir: str | Path | None = None, responses: dict[str, str] | None = None):
-        if fixture_dir is None and responses is None:
-            raise ValueError("MockBackend needs a fixture_dir or a responses mapping")
-        self.fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
-        self.responses = dict(responses) if responses else {}
+    def __init__(self, fixture_dir: str | Path):
+        self.fixture_dir = Path(fixture_dir)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         kind = prompt_kind(messages)
-        if kind in self.responses:
-            return self.responses[kind]
-        if self.fixture_dir is not None:
-            path = self.fixture_dir / f"{kind}.md"
-            if path.exists():
-                return path.read_text(encoding="utf-8")
-        raise BackendError(f"mock backend has no fixture for prompt kind {kind!r}")
+        path = self.fixture_dir / f"{kind}.md"
+        if not path.exists():
+            raise BackendError(f"mock backend has no fixture for prompt kind {kind!r}")
+        return path.read_text(encoding="utf-8")
 
 
 # --- structured response blocks ---

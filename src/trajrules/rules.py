@@ -109,56 +109,30 @@ def _hits(pred: dsl.Predicate, table: FeatureTable) -> np.ndarray:
 class FeatureTable:
     """Feature rows as columns, for evaluating rules over many vehicles at once.
 
-    Each atom becomes one float64 array, NaN where a row lacks it, built on
-    first use; so does each label's boolean mask. Contexts are int8 indexes
-    into CONTEXTS (len(CONTEXTS) when unknown). A rule's verdict row is
-    computed once per (predicate, allowed contexts) and kept, so an unchanged
-    rule or a duplicate of another costs nothing. tests/oracles.py holds the
-    scalar evaluator every verdict is checked against.
+    rows are feature rows as io.load_feature_rows returns them: a
+    vehicle_id, a features mapping, and optional context, unit_system and
+    label. Each atom becomes one float64 array, NaN where a row lacks it,
+    built on first use; so does each label's boolean mask. Contexts are int8
+    indexes into CONTEXTS (len(CONTEXTS) when unknown). tests/oracles.py
+    holds the scalar evaluator every verdict is checked against.
     """
 
-    def __init__(
-        self,
-        features: Sequence[Mapping[str, float]],
-        contexts: Sequence[str],
-        *,
-        units: Sequence[str | None] | None = None,
-        ids: Sequence[str] | None = None,
-        labels: Sequence[str | None] | None = None,
-    ):
-        if len(contexts) != len(features):
-            raise ValueError(f"{len(features)} feature rows but {len(contexts)} contexts")
-        self.features = features
-        self.contexts = np.array([_CONTEXT_CODES.get(c, len(CONTEXTS)) for c in contexts],
-                                 dtype=np.int8)
-        self.units = list(units) if units is not None else [None] * len(features)
-        self.ids = ids
-        self.labels = list(labels) if labels is not None else [None] * len(features)
-        self._unit_systems = frozenset(self.units)
+    def __init__(self, rows: Sequence[Mapping]):
+        self.rows = rows
+        self.contexts = np.array([_CONTEXT_CODES.get(row.get("context", "any"), len(CONTEXTS))
+                                  for row in rows], dtype=np.int8)
+        self._unit_systems = frozenset(row.get("unit_system") for row in rows)
         self._columns: dict[str, np.ndarray] = {}
         self._label_masks: dict[str, np.ndarray] = {}
-        self._scopes: dict[frozenset[str], np.ndarray] = {}
-        self._verdicts: dict[tuple, np.ndarray] = {}
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[dict]) -> "FeatureTable":
-        """Table of feature rows as io.load_feature_rows returns them."""
-        return cls(
-            [row["features"] for row in rows],
-            [row.get("context", "any") for row in rows],
-            units=[row.get("unit_system") for row in rows],
-            ids=[row["vehicle_id"] for row in rows],
-            labels=[row.get("label") for row in rows],
-        )
 
     def __len__(self) -> int:
-        return len(self.contexts)
+        return len(self.rows)
 
     def column(self, atom: str) -> np.ndarray:
         col = self._columns.get(atom)
         if col is None:
             # a missing atom reads None, which float64 stores as NaN
-            col = np.array([f.get(atom) for f in self.features], dtype=np.float64)
+            col = np.array([row["features"].get(atom) for row in self.rows], dtype=np.float64)
             self._columns[atom] = col
         return col
 
@@ -166,7 +140,7 @@ class FeatureTable:
         """Boolean mask of the rows labeled label."""
         mask = self._label_masks.get(label)
         if mask is None:
-            mask = np.array([lab == label for lab in self.labels], dtype=bool)
+            mask = np.array([row.get("label") == label for row in self.rows], dtype=bool)
             self._label_masks[label] = mask
         return mask
 
@@ -174,36 +148,25 @@ class FeatureTable:
         """Raise UnitMismatchError naming the first row whose known units differ."""
         if library_units is None or self._unit_systems <= {None, library_units}:
             return
-        i = next(i for i, u in enumerate(self.units) if u not in (None, library_units))
-        where = f"vehicle {self.ids[i]!r}: " if self.ids is not None else ""
+        row = next(row for row in self.rows
+                   if row.get("unit_system") not in (None, library_units))
         raise UnitMismatchError(
-            f"{where}features are in {self.units[i]!r} units, library expects {library_units!r}"
+            f"vehicle {row['vehicle_id']!r}: features are in {row['unit_system']!r} units, "
+            f"library expects {library_units!r}"
         )
 
-    def _scope(self, allowed: frozenset[str]) -> np.ndarray:
-        mask = self._scopes.get(allowed)
-        if mask is None:
-            # a row in context "any" is in every scope; an unknown context only in "any"
-            allows = [c in allowed or "any" in allowed or c == "any" for c in CONTEXTS]
-            mask = np.array(allows + ["any" in allowed])[self.contexts]
-            self._scopes[allowed] = mask
-        return mask
-
     def verdicts(self, rule: Rule, *, library_units: str | None = None) -> np.ndarray:
-        """Read-only int8 verdict codes (see VERDICTS) of one rule for every row."""
+        """int8 verdict codes (see VERDICTS) of one rule for every row."""
         self.check_units(library_units)
-        key = (rule.predicate, rule.contexts)
-        row = self._verdicts.get(key)
-        if row is None:
-            applicable = self._scope(rule.contexts)
-            for atom in dsl.required_atoms(rule.predicate):
-                applicable = applicable & ~np.isnan(self.column(atom))
-            hit = _hits(rule.predicate, self)
-            row = np.where(applicable, np.where(hit, MATCHED_CODE, NOT_MATCHED_CODE),
-                           NOT_APPLICABLE_CODE).astype(np.int8)
-            row.flags.writeable = False
-            self._verdicts[key] = row
-        return row
+        # a row in context "any" is in every scope; an unknown context only in "any"
+        allowed = rule.contexts
+        allows = [c in allowed or "any" in allowed or c == "any" for c in CONTEXTS]
+        applicable = np.array(allows + ["any" in allowed])[self.contexts]
+        for atom in dsl.required_atoms(rule.predicate):
+            applicable = applicable & ~np.isnan(self.column(atom))
+        hit = _hits(rule.predicate, self)
+        return np.where(applicable, np.where(hit, MATCHED_CODE, NOT_MATCHED_CODE),
+                        NOT_APPLICABLE_CODE).astype(np.int8)
 
     def verdict_matrix(self, rules: Sequence[Rule], *,
                        library_units: str | None = None) -> np.ndarray:
@@ -224,10 +187,12 @@ def evaluate_rule(
 ) -> str:
     """One-vehicle case of FeatureTable.verdicts: MATCHED, NOT_MATCHED or NOT_APPLICABLE.
 
-    Raises UnitMismatchError when both unit systems are known and differ.
+    Raises UnitMismatchError, naming the vehicle '?', when both unit systems
+    are known and differ.
     """
-    table = FeatureTable([features], [context], units=[feature_units])
-    return VERDICTS[table.verdicts(rule, library_units=library_units)[0]]
+    row = {"vehicle_id": "?", "features": features, "context": context,
+           "unit_system": feature_units}
+    return VERDICTS[FeatureTable([row]).verdicts(rule, library_units=library_units)[0]]
 
 
 @dataclass

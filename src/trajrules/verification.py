@@ -31,9 +31,7 @@ from .prompts import (
     digest_sample,
 )
 from .rules import (
-    MATCHED,
     MATCHED_CODE,
-    NOT_APPLICABLE,
     NOT_APPLICABLE_CODE,
     VERDICTS,
     FeatureTable,
@@ -59,7 +57,7 @@ class RuleStats:
 
 @dataclass(frozen=True)
 class FailureCase:
-    vehicle_id: str | None  # None when the table has no ids
+    vehicle_id: str
     features: Mapping[str, float]
     label: str  # ground truth
     verdict: str
@@ -74,16 +72,6 @@ class VerificationResult:
     reason: str  # "all_verified" | "stalled" | "max_iterations"
 
 
-def implied_label(rule: Rule, verdict: str) -> str | None:
-    """Label a rule's verdict votes for, or None when not applicable."""
-    if verdict == NOT_APPLICABLE:
-        return None
-    hit = verdict == MATCHED
-    if rule.polarity == "AV_indicative":
-        return "AV" if hit else "HDV"
-    return "HDV" if hit else "AV"
-
-
 def _av_mask(table: FeatureTable) -> np.ndarray:
     """Rows labeled AV, once every row is known to be labeled AV or HDV.
 
@@ -95,12 +83,11 @@ def _av_mask(table: FeatureTable) -> np.ndarray:
     is_av = table.label_mask("AV")
     labeled = is_av | table.label_mask("HDV")
     if not labeled.all():
-        i = int(np.argmin(labeled))
-        row = f"feature row for {table.ids[i]!r}" if table.ids is not None else f"feature row {i}"
-        label = table.labels[i]
-        if label is None:
-            raise InputError(f"{row} has no label; verification needs ground truth")
-        raise InputError(f"{row} has label {label!r}; verification needs AV or HDV")
+        row = table.rows[int(np.argmin(labeled))]
+        where = f"feature row for {row['vehicle_id']!r}"
+        if row.get("label") is None:
+            raise InputError(f"{where} has no label; verification needs ground truth")
+        raise InputError(f"{where} has label {row['label']!r}; verification needs AV or HDV")
     return is_av
 
 
@@ -149,11 +136,10 @@ def collect_failures(
     verdicts, applicable, correct = _judge(rule, table, library_units)
     failures = []
     for i in np.flatnonzero(applicable & ~correct)[:max(limit, 0)].tolist():
-        verdict = VERDICTS[verdicts[i]]
-        failures.append(FailureCase(
-            table.ids[i] if table.ids is not None else None, table.features[i],
-            table.labels[i], verdict, implied_label(rule, verdict),
-        ))
+        row = table.rows[i]
+        # a wrong vote is always for the label the row does not carry
+        failures.append(FailureCase(row["vehicle_id"], row["features"], row["label"],
+                                    VERDICTS[verdicts[i]], "HDV" if row["label"] == "AV" else "AV"))
     return failures
 
 
@@ -213,8 +199,7 @@ def run_verification_loop(
     Between iterations every sub-threshold rule gets one reflection round
     and at most one applied suggestion. The library is mutated in place and
     also returned. Every row of the table must be labeled AV or HDV; that is
-    checked before the first iteration. A rule whose predicate and contexts
-    the table has seen before is not evaluated again.
+    checked before the first iteration.
     """
     _av_mask(table)
     if max_iterations < 1:

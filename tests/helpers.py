@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -57,14 +58,29 @@ def sigmoid_shift(n, shift, center, steepness=0.08):
 
 
 def score_one(library, features, context="any", *, feature_units=None):
-    """score_table over a one-row FeatureTable."""
-    return score_table(library, FeatureTable([features], [context], units=[feature_units]))
+    """score_table over a one-row FeatureTable of vehicle 'v'."""
+    row = {"vehicle_id": "v", "features": features, "context": context,
+           "unit_system": feature_units}
+    return score_table(library, FeatureTable([row]))
 
 
 def identify_column(scores, delta=0.5, j=0):
     """identify_vehicle on column j's sums: (decision, score, confidence)."""
     return identify_vehicle(float(scores.matched_weight[j]), float(scores.applicable_weight[j]),
                             int(scores.n_applicable[j]), delta)
+
+
+class ScriptedBackend:
+    """Returns canned responses, cycling when the script is shorter than the
+    number of calls."""
+
+    def __init__(self, responses):
+        self._iter = itertools.cycle(responses)
+        self.calls = 0
+
+    def complete(self, messages):
+        self.calls += 1
+        return next(self._iter)
 
 
 def assert_no_child_left():

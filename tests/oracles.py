@@ -1,7 +1,8 @@
 """The scalar rule evaluator, kept as the independent oracle of FeatureTable.
 
-These are the recursive predicate walk and the one-vehicle rule evaluation
-that rules.FeatureTable replaced with column masks. They share no code with
+These are the recursive predicate walk, the one-vehicle rule evaluation
+that rules.FeatureTable replaced with column masks, and the label a verdict
+votes for. They share no code with
 the table: the scope test, the missing/NaN test and the unit check are
 written out here again, so a test that compares the two is not comparing
 the table with itself.
@@ -85,6 +86,16 @@ def evaluate_rule(
         if value is None or value != value:  # missing or NaN
             return NOT_APPLICABLE
     return MATCHED if evaluate_predicate(rule.predicate, features) else NOT_MATCHED
+
+
+def implied_label(rule: Rule, verdict: str) -> str | None:
+    """Label a rule's verdict votes for, or None when not applicable."""
+    if verdict == NOT_APPLICABLE:
+        return None
+    hit = verdict == MATCHED
+    if rule.polarity == "AV_indicative":
+        return "AV" if hit else "HDV"
+    return "HDV" if hit else "AV"
 
 
 def _digest_lines(digests: Sequence[dict]) -> list[str]:

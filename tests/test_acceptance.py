@@ -4,7 +4,6 @@ One test per acceptance criterion. The first docstring line of each test is
 echoed as a PASS/FAIL line in the terminal summary (see conftest), and every
 test asserts its own wall-clock budget.
 """
-import itertools
 import json
 import math
 import time
@@ -22,7 +21,6 @@ from trajrules.kinematics import (
     extended_atoms,
     summarize_features,
 )
-from trajrules.llm import MockBackend
 from trajrules.metrics import compute_metrics, compute_roc_auc, f1_score
 from trajrules.rules import (
     MATCHED,
@@ -37,7 +35,7 @@ from trajrules.synth import GeneratorConfig, generate_dataset
 from trajrules.trajectory import smooth_trajectory, validate_trajectory
 from trajrules.verification import compute_confidence, run_verification_loop
 
-from helpers import identify_column, make_trajectory, score_one
+from helpers import ScriptedBackend, identify_column, make_trajectory, score_one
 from oracles import evaluate_rule
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
@@ -56,16 +54,6 @@ def make_rule(rid, text, *, state="verified", polarity="AV_indicative",
         state=state,
         confidence=confidence,
     )
-
-
-class ScriptedBackend:
-    def __init__(self, responses):
-        self._iter = itertools.cycle(responses)
-        self.calls = 0
-
-    def complete(self, messages):
-        self.calls += 1
-        return next(self._iter)
 
 
 def refinement(rule_id, condition):
@@ -273,7 +261,7 @@ def test_confidence_matches_recounts_and_loop_respects_theta():
         )
         rows = random_rows(rng, int(rng.integers(1, 25)))
         for strict in (False, True):
-            got = compute_confidence(rule, FeatureTable.from_rows(rows),
+            got = compute_confidence(rule, FeatureTable(rows),
                                      strict_denominator=strict)
             assert got.confidence == naive_confidence(rule, rows, strict), trial
     # the loop itself: whatever happens, no sub-threshold rule survives
@@ -288,8 +276,8 @@ def test_confidence_matches_recounts_and_loop_respects_theta():
             ))
         lib = RuleLibrary(rules=rules, theta=0.7)
         result = run_verification_loop(
-            lib, FeatureTable.from_rows(random_rows(rng, 30)),
-            MockBackend(responses={"reflection": "nothing to say"}),
+            lib, FeatureTable(random_rows(rng, 30)),
+            ScriptedBackend(["nothing to say"]),
             max_iterations=5,
         )
         assert result.reason in ("all_verified", "stalled", "max_iterations")
@@ -367,7 +355,7 @@ def test_refinement_loop_promotes_and_retires():
                              make_rule("B", "std_accel < 0.1", state="candidate", confidence=None)],
                       theta=0.7)
     backend = ScriptedBackend([refinement("B", "std_accel < 0.3")])
-    result = run_verification_loop(lib, FeatureTable.from_rows(LOOP_ROWS), backend,
+    result = run_verification_loop(lib, FeatureTable(LOOP_ROWS), backend,
                                    max_iterations=5)
     assert result.reason == "all_verified"
     assert result.iterations <= 2
@@ -379,7 +367,7 @@ def test_refinement_loop_promotes_and_retires():
     lib = RuleLibrary(rules=[make_rule("B", "std_accel < 0.1", state="candidate", confidence=None)],
                       theta=0.7)
     backend = ScriptedBackend([refinement("B", "std_accel < 0.1")])
-    result = run_verification_loop(lib, FeatureTable.from_rows(LOOP_ROWS), backend,
+    result = run_verification_loop(lib, FeatureTable(LOOP_ROWS), backend,
                                    max_iterations=5)
     assert result.reason == "stalled"
     assert result.iterations <= 5
@@ -391,7 +379,7 @@ def test_refinement_loop_promotes_and_retires():
                       theta=0.9)
     backend = ScriptedBackend([refinement("B", "std_accel < 0.22"),
                                refinement("B", "std_accel < 0.1")])
-    result = run_verification_loop(lib, FeatureTable.from_rows(LOOP_ROWS), backend,
+    result = run_verification_loop(lib, FeatureTable(LOOP_ROWS), backend,
                                    max_iterations=5)
     assert result.reason == "max_iterations"
     assert result.iterations == 5

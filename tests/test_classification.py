@@ -94,7 +94,7 @@ def test_av_rule_without_identification_task_does_not_vote():
         make_rule("L", "std_jerk > 0.1", tasks=("lane_change",), direction="left_LC"),
     )
     assert identify_column(score_one(lib, {"std_jerk": 0.5}))[1] == 0.0
-    scores = score_table(lib, FeatureTable([{"std_jerk": 0.5}], ["any"]))
+    scores = score_table(lib, FeatureTable([{"vehicle_id": "v", "features": {"std_jerk": 0.5}}]))
     assert [r.id for r in scores.rules] == ["A"]
     assert scores.matched_weight.tolist() == [0.0]
     assert scores.applicable_weight.tolist() == [0.5]
@@ -288,7 +288,8 @@ def kin_with_accel(accel, frame_rate=25.0):
 
 def votes_of(lib, features, task, context="any"):
     """One vehicle's column of vote_table, keyed by direction."""
-    column = vote_table(lib, FeatureTable([features], [context]), task)[:, 0].tolist()
+    row = {"vehicle_id": "v", "features": features, "context": context}
+    column = vote_table(lib, FeatureTable([row]), task)[:, 0].tolist()
     return dict(zip(TASK_DIRECTIONS[task], column))
 
 
@@ -364,8 +365,12 @@ def test_vote_table_sums_confidence_per_direction_and_vehicle():
         make_rule("D", "std_accel < 0.3", tasks=("speed",), direction="maintain", confidence=0.75,
                   contexts=("free_flow",)),
     )
-    table = FeatureTable([{"max_decel": 2.0, "std_accel": 0.1}, {"max_decel": 0.7},
-                          {"std_accel": 0.1}], ["congested", "free_flow", "free_flow"])
+    table = FeatureTable([
+        {"vehicle_id": "a", "features": {"max_decel": 2.0, "std_accel": 0.1},
+         "context": "congested"},
+        {"vehicle_id": "b", "features": {"max_decel": 0.7}, "context": "free_flow"},
+        {"vehicle_id": "c", "features": {"std_accel": 0.1}, "context": "free_flow"},
+    ])
     votes = vote_table(lib, table, "speed")
     assert votes.shape == (len(SPEED_DIRECTIONS), 3)
     assert votes.tolist() == [[0.0, 0.0, 0.0], [0.75, 0.5, 0.0], [0.0, 0.0, 0.75]]

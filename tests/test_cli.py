@@ -79,6 +79,8 @@ def test_synth_rejects_bad_population(tmp_path):
     (["--frame-rate", "1e308"], "duration_s * frame_rate is inf frames, beyond numpy's index range"),
     (["--duration-s", "1e18"],
      "duration_s * frame_rate is 2.5e+19 frames, beyond numpy's index range"),
+    # 2.5e16 int64 frames exceed the address space, so numpy fails before touching memory
+    (["--duration-s", "1e15"], "cannot allocate 2.5e+16 frames per track"),
 ])
 def test_synth_rejects_bad_settings(tmp_path, capsys, flags, message):
     out = tmp_path / "t.jsonl"

@@ -73,23 +73,12 @@ def test_prompt_kind_routing():
         prompt_kind(msg("no task header here"))
 
 
-def test_mock_backend_responses_take_priority(tmp_path):
-    (tmp_path / "discovery.md").write_text("from file", encoding="utf-8")
-    backend = MockBackend(fixture_dir=tmp_path, responses={"discovery": "from dict"})
-    assert backend.complete(msg(KIND_MARKERS["discovery"])) == "from dict"
-
-
 def test_mock_backend_fixture_file(tmp_path):
     (tmp_path / "reflection.md").write_text("fixture text", encoding="utf-8")
     backend = MockBackend(fixture_dir=tmp_path)
     assert backend.complete(msg(KIND_MARKERS["reflection"])) == "fixture text"
     with pytest.raises(BackendError):
         backend.complete(msg(KIND_MARKERS["discovery"]))
-
-
-def test_mock_backend_needs_a_source():
-    with pytest.raises(ValueError):
-        MockBackend()
 
 
 RULE_BLOCK = """

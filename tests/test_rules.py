@@ -10,11 +10,13 @@ from trajrules.errors import (
     LibraryValidationError,
     UnitMismatchError,
 )
-from trajrules.io import load_library, save_library
+from trajrules.io import load_feature_rows, load_library, save_feature_rows, save_library
 from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
     NOT_MATCHED,
+    VERDICTS,
+    FeatureTable,
     Rule,
     RuleLibrary,
     evaluate_rule,
@@ -73,7 +75,9 @@ def test_any_context_rule_applies_everywhere():
 
 def test_unit_mismatch_raises():
     rule = make_rule()
-    with pytest.raises(UnitMismatchError):
+    # the one-row table names its vehicle '?'
+    with pytest.raises(UnitMismatchError, match=r"^vehicle '\?': features are in 'pixel' units, "
+                                                r"library expects 'metric'$"):
         evaluate_rule(rule, {"std_jerk": 0.1}, "any",
                       feature_units="pixel", library_units="metric")
     # one side unknown: no error
@@ -81,6 +85,27 @@ def test_unit_mismatch_raises():
                          feature_units=None, library_units="metric") == MATCHED
     assert evaluate_rule(rule, {"std_jerk": 0.1}, "any",
                          feature_units="metric", library_units="metric") == MATCHED
+
+
+def test_feature_table_reads_loaded_rows(tmp_path):
+    # the keys a row may leave out: context reads "any", unit_system and label None
+    path = tmp_path / "f.jsonl"
+    save_feature_rows([
+        {"vehicle_id": "a", "features": {"std_jerk": 0.1}, "label": "AV"},
+        {"vehicle_id": "b", "features": {}, "context": "congested", "unit_system": "metric"},
+        {"vehicle_id": "c", "features": {"std_jerk": 0.9}, "context": "free_flow",
+         "unit_system": "pixel", "label": "HDV"},
+    ], path)
+    table = FeatureTable(load_feature_rows(path))
+    assert len(table) == 3
+    assert table.column("std_jerk").tolist()[::2] == [0.1, 0.9]
+    assert math.isnan(table.column("std_jerk")[1])
+    assert table.label_mask("AV").tolist() == [True, False, False]
+    rule = make_rule(contexts=("congested",))
+    assert [VERDICTS[c] for c in table.verdicts(rule)] == \
+        [MATCHED, NOT_APPLICABLE, NOT_APPLICABLE]
+    with pytest.raises(UnitMismatchError, match="^vehicle 'c': features are in 'pixel' units"):
+        table.verdicts(rule, library_units="metric")
 
 
 def test_context_constraint_allows():

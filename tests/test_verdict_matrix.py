@@ -43,11 +43,10 @@ from trajrules.verification import (
     RuleStats,
     collect_failures,
     compute_confidence,
-    implied_label,
 )
 
 from helpers import identify_column, score_one
-from oracles import evaluate_rule
+from oracles import evaluate_rule, implied_label
 
 # --- the per-vehicle loops, kept as the oracle --------------------------------
 
@@ -230,7 +229,7 @@ def test_verdict_matrix_matches_evaluate_rule():
     for trial in range(200):
         rules = [random_rule(rng, f"R{j}") for j in range(int(rng.integers(1, 8)))]
         rows = random_rows(rng, int(rng.integers(1, 15)))
-        table = FeatureTable.from_rows(rows)
+        table = FeatureTable(rows)
         matrix = table.verdict_matrix(rules, library_units="metric")
         assert matrix.shape == (len(rules), len(rows))
         for i, rule in enumerate(rules):
@@ -252,7 +251,7 @@ def test_reductions_equal_per_vehicle_loops():
         rules = [random_rule(rng, f"R{j}") for j in range(int(rng.integers(1, 10)))]
         library = RuleLibrary(rules=rules)
         rows = random_rows(rng, int(rng.integers(1, 30)))
-        shared = FeatureTable.from_rows(rows)
+        shared = FeatureTable(rows)
 
         # classification: one-vehicle calls and the batch over the whole table
         scores = score_table(library, shared)
@@ -280,13 +279,13 @@ def test_reductions_equal_per_vehicle_loops():
             for strict in (False, True):
                 expected = reference_compute_confidence(
                     rule, rows, library_units="metric", strict_denominator=strict)
-                for given in (FeatureTable.from_rows(rows), shared):
+                for given in (FeatureTable(rows), shared):
                     assert compute_confidence(rule, given, library_units="metric",
                                               strict_denominator=strict) == expected, trial
             for limit in (1, 3, 20):
                 expected = reference_collect_failures(rule, rows, library_units="metric",
                                                       limit=limit)
-                for given in (FeatureTable.from_rows(rows), shared):
+                for given in (FeatureTable(rows), shared):
                     assert collect_failures(rule, given, library_units="metric",
                                             limit=limit) == expected, trial
 
@@ -300,23 +299,24 @@ def test_unit_mismatch_raises_like_the_loops():
     with pytest.raises(UnitMismatchError):
         reference_compute_confidence(rule, rows, library_units="metric")
     with pytest.raises(UnitMismatchError, match="^vehicle 'b': features are in 'pixel' units"):
-        compute_confidence(rule, FeatureTable.from_rows(rows), library_units="metric")
-    with pytest.raises(UnitMismatchError, match="^features are in 'pixel' units"):
+        compute_confidence(rule, FeatureTable(rows), library_units="metric")
+    with pytest.raises(UnitMismatchError, match="^vehicle 'v': features are in 'pixel' units"):
         score_one(RuleLibrary(rules=[rule]), {"std_jerk": 0.1}, feature_units="pixel")
 
 
-def test_verdict_rows_are_cached_per_predicate_and_scope():
-    table = FeatureTable([{"std_jerk": 0.1}, {"std_jerk": 0.9}], ["free_flow", "congested"])
+def test_verdict_rows_follow_predicate_and_scope():
+    table = FeatureTable([
+        {"vehicle_id": "a", "features": {"std_jerk": 0.1}, "context": "free_flow"},
+        {"vehicle_id": "b", "features": {"std_jerk": 0.9}, "context": "congested"},
+    ])
     pred = dsl.parse_predicate("std_jerk < 0.3")
     anywhere = Rule(id="A", description="d", predicate=pred)
     twin = Rule(id="B", description="other text", predicate=dsl.parse_predicate("std_jerk < 0.3"))
     congested = Rule(id="C", description="d", predicate=pred,
                      contexts=frozenset({"congested"}))
-    row = table.verdicts(anywhere)
-    assert table.verdicts(twin) is row
-    assert [VERDICTS[c] for c in row] == ["matched", "not_matched"]
+    assert [VERDICTS[c] for c in table.verdicts(anywhere)] == ["matched", "not_matched"]
+    assert [VERDICTS[c] for c in table.verdicts(twin)] == ["matched", "not_matched"]
     assert [VERDICTS[c] for c in table.verdicts(congested)] == ["not_applicable", "not_matched"]
-    assert not row.flags.writeable
 
 
 # --- predict: one vote table against per-vehicle references -----------------------

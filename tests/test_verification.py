@@ -1,10 +1,8 @@
-import itertools
-
 import pytest
 
 from trajrules import dsl
 from trajrules.errors import EmptyValidationTableError, InputError
-from trajrules.llm import MockBackend, RefinementSuggestion
+from trajrules.llm import RefinementSuggestion
 from trajrules.rules import (
     MATCHED,
     NOT_APPLICABLE,
@@ -18,9 +16,11 @@ from trajrules.verification import (
     collect_failures,
     compute_confidence,
     discover_rules,
-    implied_label,
     run_verification_loop,
 )
+
+from helpers import ScriptedBackend
+from oracles import implied_label
 
 
 def make_rule(rid="R1", text="std_jerk < 0.3", polarity="AV_indicative",
@@ -44,10 +44,6 @@ def sample(vid, label, **features):
     return {"vehicle_id": vid, "label": label, "features": features}
 
 
-def table(rows):
-    return FeatureTable.from_rows(rows)
-
-
 FOUR = [
     sample("av1", "AV", std_jerk=0.2, std_accel=0.2),
     sample("av2", "AV", std_jerk=0.4, std_accel=0.25),
@@ -69,7 +65,7 @@ def test_implied_label_matrix():
 def test_compute_confidence_exact_fraction():
     # av1 matched (correct), av2 miss (wrong), hdv1 miss (correct),
     # hdv2 matched (wrong) -> 2/4
-    st = compute_confidence(make_rule(), table(FOUR))
+    st = compute_confidence(make_rule(), FeatureTable(FOUR))
     assert st.n_applicable == 4
     assert st.n_correct == 2
     assert st.confidence == pytest.approx(0.5)
@@ -77,20 +73,20 @@ def test_compute_confidence_exact_fraction():
 
 def test_compute_confidence_excludes_not_applicable():
     samples = FOUR + [sample("na1", "AV", std_accel=0.2)]  # std_jerk missing
-    st = compute_confidence(make_rule(), table(samples))
+    st = compute_confidence(make_rule(), FeatureTable(samples))
     assert st.n_applicable == 4
     assert st.confidence == pytest.approx(0.5)
 
 
 def test_compute_confidence_strict_denominator():
     samples = FOUR + [sample("na1", "AV", std_accel=0.2)]
-    st = compute_confidence(make_rule(), table(samples), strict_denominator=True)
+    st = compute_confidence(make_rule(), FeatureTable(samples), strict_denominator=True)
     assert st.n_applicable == 4
     assert st.confidence == pytest.approx(2 / 5)
 
 
 def test_compute_confidence_zero_applicable():
-    st = compute_confidence(make_rule(text="lane_change_angle < 10"), table(FOUR))
+    st = compute_confidence(make_rule(text="lane_change_angle < 10"), FeatureTable(FOUR))
     assert st.n_applicable == 0
     assert st.confidence == 0.0
 
@@ -101,25 +97,25 @@ def test_compute_confidence_context_scoping():
         {**sample("a", "AV", std_jerk=0.2), "context": "free_flow"},
         {**sample("b", "AV", std_jerk=0.2), "context": "congested"},
     ]
-    st = compute_confidence(rule, table(samples))
+    st = compute_confidence(rule, FeatureTable(samples))
     assert st.n_applicable == 1 and st.n_correct == 1
 
 
 def test_compute_confidence_hdv_polarity():
     rule = make_rule(text="std_accel > 0.4", polarity="HDV_indicative")
-    st = compute_confidence(rule, table(FOUR))
+    st = compute_confidence(rule, FeatureTable(FOUR))
     assert st.confidence == 1.0
 
 
 def test_compute_confidence_empty_samples():
     with pytest.raises(EmptyValidationTableError):
-        compute_confidence(make_rule(), table([]))
+        compute_confidence(make_rule(), FeatureTable([]))
 
 
 def test_collect_failures_order_and_limit():
     wrong = [sample(f"w{i}", "AV", std_jerk=0.9) for i in range(5)]
     right = [sample("ok", "AV", std_jerk=0.1)]
-    failures = collect_failures(make_rule(), table(right + wrong), limit=3)
+    failures = collect_failures(make_rule(), FeatureTable(right + wrong), limit=3)
     assert [f.vehicle_id for f in failures] == ["w0", "w1", "w2"]
     assert all(f.verdict == NOT_MATCHED and f.judged == "HDV" for f in failures)
     assert all(f.label == "AV" and f.features == {"std_jerk": 0.9} for f in failures)
@@ -178,26 +174,13 @@ category: following
 
 
 def test_discover_rules_parses_and_rejects():
-    backend = MockBackend(responses={"discovery": DISCOVERY_TEXT})
+    backend = ScriptedBackend([DISCOVERY_TEXT])
     av = [{"vehicle_id": "a", "features": {"std_jerk": 0.2}}]
     hdv = [{"vehicle_id": "h", "features": {"std_jerk": 0.5}}]
     rules, rejected = discover_rules(backend, av, hdv)
     assert [r.id for r in rules] == ["D1"]
     assert len(rejected) == 1
     assert "headway_variance" in rejected[0].reason
-
-
-class ScriptedBackend:
-    """Returns canned reflection responses, cycling when the script is shorter
-    than the number of calls."""
-
-    def __init__(self, responses):
-        self._iter = itertools.cycle(responses)
-        self.calls = 0
-
-    def complete(self, messages):
-        self.calls += 1
-        return next(self._iter)
 
 
 def refinement(rule_id, condition):
@@ -215,7 +198,7 @@ def test_loop_converges_with_helpful_backend():
         sample("hdv2", "HDV", std_jerk=0.6, std_accel=0.6),
     ]
     backend = ScriptedBackend([refinement("B", "std_accel < 0.3")])
-    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable(samples), backend, max_iterations=5)
     assert result.reason == "all_verified"
     assert result.iterations == 2
     assert backend.calls == 1
@@ -241,7 +224,7 @@ def test_loop_retires_zero_coverage_rules():
         sample("hdv1", "HDV", std_jerk=0.5),
     ]
     backend = ScriptedBackend(["no fences here"])
-    result = run_verification_loop(lib, table(samples), backend)
+    result = run_verification_loop(lib, FeatureTable(samples), backend)
     assert result.reason == "all_verified"
     assert result.iterations == 1
     assert backend.calls == 0
@@ -260,7 +243,7 @@ def test_loop_stalls_on_noop_refinement():
     ]
     # the backend keeps suggesting the threshold the rule already has
     backend = ScriptedBackend([refinement("B", "std_accel < 0.1")])
-    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable(samples), backend, max_iterations=5)
     assert result.reason == "stalled"
     assert result.iterations == 2
     b = lib.get("B")
@@ -286,7 +269,7 @@ def test_loop_oscillation_hits_iteration_budget():
         refinement("B", "std_accel < 0.22"),
         refinement("B", "std_accel < 0.1"),
     ])
-    result = run_verification_loop(lib, table(samples), backend, max_iterations=3)
+    result = run_verification_loop(lib, FeatureTable(samples), backend, max_iterations=3)
     assert result.reason == "max_iterations"
     assert result.iterations == 3
     assert backend.calls == 2
@@ -304,7 +287,7 @@ def test_loop_applies_add_context_and_records_it():
     ]
     backend = ScriptedBackend(["```refinement\nrule_id: C\naction: add_context\n"
                                "contexts: free_flow\nrationale: congestion masks it\n```"])
-    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable(samples), backend, max_iterations=5)
     assert (result.reason, result.iterations, backend.calls) == ("all_verified", 2, 1)
     c = lib.get("C")
     assert (c.state, c.contexts, c.confidence, c.revision) == (
@@ -325,7 +308,7 @@ def test_loop_all_verified_at_entry():
         sample("hdv1", "HDV", std_jerk=0.5),
     ]
     backend = ScriptedBackend(["unused"])
-    result = run_verification_loop(lib, table(samples), backend)
+    result = run_verification_loop(lib, FeatureTable(samples), backend)
     assert result.reason == "all_verified"
     assert result.iterations == 1
     assert backend.calls == 0
@@ -341,7 +324,7 @@ def test_loop_skips_rule_without_suggestion_then_stalls():
     ]
     # reflection answers about some other rule entirely
     backend = ScriptedBackend([refinement("OTHER", "std_accel < 0.3")])
-    result = run_verification_loop(lib, table(samples), backend, max_iterations=5)
+    result = run_verification_loop(lib, FeatureTable(samples), backend, max_iterations=5)
     assert result.reason == "stalled"
     assert result.iterations == 2
     assert backend.calls == 1
@@ -359,7 +342,7 @@ def test_loop_retires_candidates_without_failures():
         sample("na2", "HDV", std_accel=0.5),
     ]
     backend = ScriptedBackend(["unused"])
-    result = run_verification_loop(lib, table(samples), backend, strict_denominator=True)
+    result = run_verification_loop(lib, FeatureTable(samples), backend, strict_denominator=True)
     assert backend.calls == 0
     assert lib.get("T").state == "retired"
     entry = next(p for p in lib.provenance if p["rule_id"] == "T")
@@ -372,9 +355,9 @@ def test_loop_input_validation():
     lib = RuleLibrary(rules=[make_rule()])
     backend = ScriptedBackend(["x"])
     with pytest.raises(EmptyValidationTableError):
-        run_verification_loop(lib, table([]), backend)
+        run_verification_loop(lib, FeatureTable([]), backend)
     with pytest.raises(ValueError):
-        run_verification_loop(lib, table(FOUR), backend, max_iterations=0)
+        run_verification_loop(lib, FeatureTable(FOUR), backend, max_iterations=0)
 
 
 @pytest.mark.parametrize("label,message", [
@@ -384,16 +367,11 @@ def test_loop_input_validation():
 def test_every_row_needs_an_av_or_hdv_label(label, message):
     rows = [*FOUR, sample("x", label, std_jerk=0.2)]
     with pytest.raises(InputError, match=f"^{message}$"):
-        compute_confidence(make_rule(), table(rows))
+        compute_confidence(make_rule(), FeatureTable(rows))
     with pytest.raises(InputError, match=f"^{message}$"):
-        collect_failures(make_rule(), table(rows))
+        collect_failures(make_rule(), FeatureTable(rows))
     # checked before the first iteration, so it fails with no rule to score too
     lib = RuleLibrary(rules=[make_rule(state="retired")])
     backend = ScriptedBackend(["unused"])
     with pytest.raises(InputError, match=f"^{message}$"):
-        run_verification_loop(lib, table(rows), backend)
-    # a table without ids names the row by its index
-    unnamed = FeatureTable([r["features"] for r in rows], ["any"] * len(rows),
-                           labels=[r["label"] for r in rows])
-    with pytest.raises(InputError, match="^feature row 4 "):
-        compute_confidence(make_rule(), unnamed)
+        run_verification_loop(lib, FeatureTable(rows), backend)
