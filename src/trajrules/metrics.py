@@ -6,11 +6,11 @@ AV is the positive class throughout.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateLabelsError, EmptyInputError, LengthMismatchError
+from .errors import DegenerateLabelsError, EmptyInputError, LengthMismatchError, NonFiniteError
 
 UNDETERMINED = "undetermined"
 POSITIVE_LABEL = "AV"
@@ -67,21 +67,14 @@ def compute_metrics(
         raise EmptyInputError("no determined predictions to score")
 
     class_names = sorted({y for _, y in counted} | {p for p, _ in counted if p != UNDETERMINED})
-    index = {c: i for i, c in enumerate(class_names)}
-    counts = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
-    missed = np.zeros(len(class_names), dtype=np.int64)  # undetermined, charged against recall
-    for p, y in counted:
-        if p == UNDETERMINED:
-            missed[index[y]] += 1
-        else:
-            counts[index[y], index[p]] += 1
-    accuracy = int(np.trace(counts)) / len(counted)
+    pairs = Counter(counted)  # (predicted, true) -> count; undetermined ones are missed recall
+    accuracy = sum(pairs[c, c] for c in class_names) / len(counted)
 
     per_class: dict[str, dict[str, float]] = {}
-    for c, i in index.items():
-        predicted_c = int(counts[:, i].sum())
-        true_c = int(counts[i, :].sum()) + int(missed[i])
-        tp = int(counts[i, i])
+    for c in class_names:
+        predicted_c = sum(n for (p, _), n in pairs.items() if p == c)
+        true_c = sum(n for (_, y), n in pairs.items() if y == c)
+        tp = pairs[c, c]
         precision = tp / predicted_c if predicted_c else 0.0
         recall = tp / true_c if true_c else 0.0
         per_class[c] = {
@@ -90,18 +83,17 @@ def compute_metrics(
             "f1": f1_score(precision, recall),
         }
 
-    macro_precision = float(np.mean([m["precision"] for m in per_class.values()]))
-    macro_recall = float(np.mean([m["recall"] for m in per_class.values()]))
-    macro_f1 = float(np.mean([m["f1"] for m in per_class.values()]))
+    macro = {k: sum(m[k] for m in per_class.values()) / len(per_class)
+             for k in ("precision", "recall", "f1")}
     return MetricsReport(
         accuracy=accuracy,
         per_class=per_class,
-        macro_precision=macro_precision,
-        macro_recall=macro_recall,
-        macro_f1=macro_f1,
+        macro_precision=macro["precision"],
+        macro_recall=macro["recall"],
+        macro_f1=macro["f1"],
         confusion=ConfusionMatrix(
             labels=tuple(class_names),
-            counts=tuple(tuple(int(v) for v in row) for row in counts),
+            counts=tuple(tuple(pairs[p, y] for p in class_names) for y in class_names),
         ),
         n_samples=len(predictions),
         n_undetermined=n_undetermined,
@@ -112,21 +104,27 @@ def compute_roc_auc(scores: list[float], labels: list[str]) -> float:
     """Area under the ROC curve via average ranks (ties contribute one half).
 
     Equivalent to sweeping every threshold with trapezoidal interpolation.
-    Raises DegenerateLabelsError unless both classes are present.
+    Raises DegenerateLabelsError unless both classes are present, and
+    NonFiniteError for a NaN score, which has no rank.
     """
     if len(scores) != len(labels):
         raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
     if not scores:
         raise EmptyInputError("no scores to rank")
-    pos = np.array([y == POSITIVE_LABEL for y in labels], dtype=bool)
-    n_pos = int(pos.sum())
+    if any(map(math.isnan, scores)):
+        raise NonFiniteError("ROC-AUC needs scores that are not NaN")
+    positive = [y == POSITIVE_LABEL for y in labels]
+    n_pos = sum(positive)
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("ROC-AUC needs both classes present")
 
-    _, group, counts = np.unique(np.asarray(scores, dtype=np.float64),
-                                 return_inverse=True, return_counts=True)
-    # average 1-based rank of each group of tied scores
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
-    rank_sum = float(ranks[pos].sum())
+    tied = Counter(scores)
+    tied_pos = Counter(s for s, is_pos in zip(scores, positive) if is_pos)
+    rank_sum = 0.0
+    below = 0  # scores under the current group of tied scores
+    for score in sorted(tied):
+        # each tied score takes the group's average 1-based rank
+        rank_sum += (below + (tied[score] + 1) / 2.0) * tied_pos[score]
+        below += tied[score]
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -26,27 +26,17 @@ smooth one-lane sigmoid plus a faint in-lane sway.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleProfileError
-from .kinematics import (
-    LC_WINDOW,
-    compute_kinematics,
-    count_fluctuations,
-    detect_lane_changes,
-    extended_atoms,
-    summarize_features,
-)
-from .trajectory import LANE_CHANGE_THRESHOLDS, Trajectory
+from .kinematics import compute_kinematics
+from .trajectory import Trajectory
 
 JITTER_FRACTION = 0.05
 MIN_SPEED = 0.5
 LANE_WIDTH = 3.5  # meters
-
-# lane-change detection for the manifest's realized stats (window: kinematics.LC_WINDOW)
-LC_THRESHOLD = LANE_CHANGE_THRESHOLDS["metric"]  # meters of cumulative lateral displacement
 
 # jerk ripple calibration
 RIPPLE_NOMINAL_AMP = 0.08
@@ -457,17 +447,8 @@ def generate_trajectory(
     )
 
 
-def _realized_stats(traj: Trajectory) -> dict[str, float]:
-    kin = compute_kinematics(traj)
-    events = detect_lane_changes(traj, window=LC_WINDOW, threshold=LC_THRESHOLD)
-    stats = summarize_features(traj, kin, events)
-    stats.update(extended_atoms(traj, kin, events))
-    stats["fluctuation_count"] = float(count_fluctuations(kin.acceleration))
-    return {k: round(float(v), 6) for k, v in sorted(stats.items())}
-
-
-def generate_dataset(cfg: GeneratorConfig) -> tuple[list[Trajectory], dict]:
-    """Generate both populations plus a manifest of realized statistics.
+def generate_dataset(cfg: GeneratorConfig) -> list[Trajectory]:
+    """Generate both populations, the AVs first.
 
     Reproducible per trajectory: each one draws from its own stream keyed
     by (seed, population index, trajectory index), so resizing one
@@ -475,32 +456,10 @@ def generate_dataset(cfg: GeneratorConfig) -> tuple[list[Trajectory], dict]:
     """
     av_profile, hdv_profile = scale_profiles(AV_PROFILE, HDV_PROFILE, cfg.separation)
     trajectories: list[Trajectory] = []
-    rows: list[dict] = []
-    label_means: dict[str, dict[str, float]] = {}
     groups = (("AV", 0, cfg.n_av, av_profile), ("HDV", 1, cfg.n_hdv, hdv_profile))
     for label, label_idx, count, profile in groups:
-        sums: dict[str, float] = {}
-        hits: dict[str, int] = {}
         for i in range(count):
             seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(label_idx, i))
             rng = np.random.Generator(np.random.PCG64(seq))
-            vid = f"{label.lower()}_{i:04d}"
-            traj = generate_trajectory(profile, cfg, rng, vid)
-            trajectories.append(traj)
-            stats = _realized_stats(traj)
-            rows.append({"vehicle_id": vid, "label": label, "stats": stats})
-            for key, value in stats.items():
-                sums[key] = sums.get(key, 0.0) + value
-                hits[key] = hits.get(key, 0) + 1
-        if count:
-            label_means[label] = {
-                k: round(sums[k] / hits[k], 6) for k in sorted(sums)
-            }
-    manifest = {
-        **asdict(cfg),
-        "lane_change_window": LC_WINDOW,
-        "lane_change_threshold": LC_THRESHOLD,
-        "label_means": label_means,
-        "trajectories": rows,
-    }
-    return trajectories, manifest
+            trajectories.append(generate_trajectory(profile, cfg, rng, f"{label.lower()}_{i:04d}"))
+    return trajectories

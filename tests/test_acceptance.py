@@ -14,6 +14,7 @@ import pytest
 
 from trajrules import cli, dsl
 from trajrules.classification import infer_context
+from trajrules.config import RunConfig
 from trajrules.errors import NoApplicableRulesError
 from trajrules.kinematics import (
     compute_kinematics,
@@ -303,7 +304,8 @@ def test_synthetic_end_to_end_identification():
     """synthetic 100 AV / 400 HDV run: seed-library classification at delta 0.5 reaches accuracy >= 0.90 and AV recall >= 0.95, in under 60 s"""
     start = time.monotonic()
     cfg = GeneratorConfig(n_av=100, n_hdv=400, duration_s=60.0, seed=0, separation=1.0)
-    trajectories, manifest = generate_dataset(cfg)
+    trajectories = generate_dataset(cfg)
+    manifest = cli._manifest(cfg, RunConfig(), trajectories)
 
     # the generator's own books must show the populations on opposite sides
     # of the seed thresholds before classification gets any credit

@@ -51,6 +51,33 @@ def test_synth_writes_manifest(tmp_path, capsys):
     assert set(doc["label_means"]) == {"AV", "HDV"}
 
 
+@pytest.mark.parametrize("manifest", ["same.json", "./same.json"])
+def test_synth_rejects_a_manifest_over_its_output(tmp_path, monkeypatch, capsys, manifest):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["synth", "--output", "same.json", "--manifest", manifest,
+                   "--n-av", "1", "--n-hdv", "1", "--duration-s", "36"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "same.json").exists()
+
+
+def test_manifest_stats_are_the_feature_rows_features_writes(tmp_path):
+    # docs/schemas.md: the stats come from the extraction features --no-smoothing runs
+    trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
+    assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
+                     "--n-av", "2", "--n-hdv", "2", "--duration-s", "40", "--seed", "4"]) == 0
+    assert cli.main(["features", "--input", str(trajs), "--output", str(feats),
+                     "--no-smoothing"]) == 0
+    rows = {row["vehicle_id"]: row["features"] for row in load_feature_rows(feats)}
+    entries = json.loads(manifest.read_text())["trajectories"]
+    assert [e["vehicle_id"] for e in entries] == list(rows)
+    for entry in entries:
+        stats = dict(entry["stats"])
+        assert stats.pop("fluctuation_count") >= 0
+        assert stats == {atom: round(v, 6) for atom, v in rows[entry["vehicle_id"]].items()}
+
+
 def test_features_default_lane_change_threshold_follows_the_unit_system(tmp_path):
     # synth records lane changes with the metric threshold; default flags must agree
     trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"

@@ -8,6 +8,7 @@ from trajrules.errors import (
     DegenerateLabelsError,
     EmptyInputError,
     LengthMismatchError,
+    NonFiniteError,
 )
 from trajrules.metrics import (
     UNDETERMINED,
@@ -150,3 +151,11 @@ def test_auc_degenerate_labels():
         compute_roc_auc([0.1], ["AV", "HDV"])
     with pytest.raises(EmptyInputError):
         compute_roc_auc([], [])
+
+
+def test_auc_rejects_a_score_without_a_rank():
+    # a NaN compares false with everything, so no sort can place it
+    with pytest.raises(NonFiniteError):
+        compute_roc_auc([float("nan"), 0.2, 0.9, 0.5], ["AV", "HDV", "AV", "HDV"])
+    inf = float("inf")
+    assert compute_roc_auc([inf, 0.2, -inf, 0.5], ["AV", "HDV", "HDV", "AV"]) == 1.0

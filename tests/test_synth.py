@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_trajectory
+from trajrules import cli
+from trajrules.config import RunConfig
 from trajrules.errors import InfeasibleProfileError
 from trajrules.synth import (
     AV_PROFILE,
@@ -17,9 +19,15 @@ from trajrules.synth import (
 SMALL = GeneratorConfig(n_av=5, n_hdv=5, duration_s=60.0, seed=7)
 
 
+def dataset(cfg):
+    """The trajectories and the manifest `synth --manifest` writes for them."""
+    trajs = generate_dataset(cfg)
+    return trajs, cli._manifest(cfg, RunConfig(), trajs)
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
-    return generate_dataset(SMALL)
+    return dataset(SMALL)
 
 
 def rows_for(manifest, label):
@@ -28,8 +36,8 @@ def rows_for(manifest, label):
 
 def test_dataset_is_deterministic():
     cfg = GeneratorConfig(n_av=2, n_hdv=2, duration_s=36.0, seed=3)
-    trajs_a, manifest_a = generate_dataset(cfg)
-    trajs_b, manifest_b = generate_dataset(cfg)
+    trajs_a, manifest_a = dataset(cfg)
+    trajs_b, manifest_b = dataset(cfg)
     assert manifest_a == manifest_b
     for ta, tb in zip(trajs_a, trajs_b):
         assert_same_trajectory(ta, tb)
@@ -38,8 +46,8 @@ def test_dataset_is_deterministic():
 def test_population_resizing_keeps_existing_streams():
     cfg = GeneratorConfig(n_av=2, n_hdv=3, duration_s=36.0, seed=3)
     bigger = replace(cfg, n_hdv=5)
-    _, small_manifest = generate_dataset(cfg)
-    _, big_manifest = generate_dataset(bigger)
+    _, small_manifest = dataset(cfg)
+    _, big_manifest = dataset(bigger)
     assert small_manifest["trajectories"] == big_manifest["trajectories"][:5]
 
 
@@ -148,13 +156,13 @@ def test_short_durations_stay_feasible():
     for duration in (36.0, 42.0, 48.0):
         for seed in (0, 1):
             cfg = GeneratorConfig(n_av=2, n_hdv=2, duration_s=duration, seed=seed)
-            trajs, _ = generate_dataset(cfg)
+            trajs = generate_dataset(cfg)
             assert len(trajs) == 4
 
 
 def test_smaller_separation_narrows_the_gap():
-    wide = generate_dataset(GeneratorConfig(n_av=2, n_hdv=2, seed=1))[1]
-    narrow = generate_dataset(
+    wide = dataset(GeneratorConfig(n_av=2, n_hdv=2, seed=1))[1]
+    narrow = dataset(
         GeneratorConfig(n_av=2, n_hdv=2, seed=1, separation=0.4)
     )[1]
 
