@@ -196,6 +196,8 @@ def _split_by_label(rows: list[dict]) -> tuple[_Digests, _Digests]:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
+    if args.library_in and args.seed_rules:
+        raise InputError("--library-in and --seed-rules each choose the starting library; give one")
     cfg = _cfg(args)
     backend = _backend(cfg)
     rows = io.load_feature_rows(args.features)

@@ -60,6 +60,11 @@ KIND_MARKERS = {
 
 REFINEMENT_ACTIONS = ("adjust_threshold", "add_context", "combine_features", "retire")
 
+#: Seconds before the first retry; each later retry waits twice as long.
+RETRY_BACKOFF_S = 0.5
+#: Environment variable holding the bearer token, if any.
+TOKEN_ENV = "TRAJRULES_API_TOKEN"
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -81,8 +86,6 @@ class BackendConfig:
     max_output_tokens: int = 2000
     timeout_s: float = 60.0
     max_retries: int = 3
-    retry_backoff_s: float = 0.5
-    token_env: str = "TRAJRULES_API_TOKEN"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
@@ -93,8 +96,6 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive")
-        if not self.retry_backoff_s >= 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if not self.endpoint.startswith(("http://", "https://")):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
 
@@ -144,7 +145,7 @@ def complete(cfg: BackendConfig, messages: Sequence[ChatMessage]) -> str:
     """
     if not messages:
         raise EmptySampleSetError("no messages to send")
-    token = os.environ.get(cfg.token_env, "")
+    token = os.environ.get(TOKEN_ENV, "")
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
@@ -158,7 +159,7 @@ def complete(cfg: BackendConfig, messages: Sequence[ChatMessage]) -> str:
     last: BackendError | None = None
     for attempt in range(cfg.max_retries + 1):
         if attempt:
-            time.sleep(cfg.retry_backoff_s * 2 ** (attempt - 1))
+            time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
         try:
             status, text = _post(cfg.endpoint, body, headers, cfg.timeout_s)
         except TimeoutError as exc:

@@ -24,12 +24,7 @@ from .llm import (
     parse_refinement_response,
     parse_rule_response,
 )
-from .prompts import (
-    PROMPT_CHAR_BUDGET,
-    build_discovery_prompt,
-    build_reflection_prompt,
-    digest_sample,
-)
+from .prompts import build_discovery_prompt, build_reflection_prompt, digest_sample
 from .rules import (
     MATCHED_CODE,
     NOT_APPLICABLE_CODE,
@@ -171,11 +166,9 @@ def discover_rules(
     backend: Backend,
     av_samples: Sequence[dict],
     hdv_samples: Sequence[dict],
-    *,
-    budget: int = PROMPT_CHAR_BUDGET,
 ) -> tuple[list[Rule], list[RejectedBlock]]:
     """One discovery round: digests in, compiled candidate rules out."""
-    messages = build_discovery_prompt(av_samples, hdv_samples, budget=budget)
+    messages = build_discovery_prompt(av_samples, hdv_samples)
     return parse_rule_response(backend.complete(messages))
 
 

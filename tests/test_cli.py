@@ -25,7 +25,7 @@ def workdir(tmp_path_factory):
     feats = root / "f.jsonl"
     rc = cli.main([
         "synth", "--output", str(trajs), "--n-av", "2", "--n-hdv", "2",
-        "--duration-s", "36", "--seed", "5",
+        "--duration-s", "43", "--seed", "5",
     ])
     assert rc == 0
     rc = cli.main([
@@ -41,7 +41,7 @@ def test_synth_writes_manifest(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     rc = cli.main([
         "synth", "--output", str(out), "--manifest", str(manifest),
-        "--n-av", "1", "--n-hdv", "1", "--duration-s", "36", "--seed", "0",
+        "--n-av", "1", "--n-hdv", "1", "--duration-s", "43", "--seed", "0",
     ])
     assert rc == 0
     assert "generated 1 AV and 1 HDV" in capsys.readouterr().out
@@ -55,7 +55,7 @@ def test_synth_writes_manifest(tmp_path, capsys):
 def test_synth_rejects_a_manifest_over_its_output(tmp_path, monkeypatch, capsys, manifest):
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["synth", "--output", "same.json", "--manifest", manifest,
-                   "--n-av", "1", "--n-hdv", "1", "--duration-s", "36"])
+                   "--n-av", "1", "--n-hdv", "1", "--duration-s", "43"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -66,7 +66,7 @@ def test_manifest_stats_are_the_feature_rows_features_writes(tmp_path):
     # docs/schemas.md: the stats come from the extraction features --no-smoothing runs
     trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
     assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
-                     "--n-av", "2", "--n-hdv", "2", "--duration-s", "40", "--seed", "4"]) == 0
+                     "--n-av", "2", "--n-hdv", "2", "--duration-s", "43", "--seed", "4"]) == 0
     assert cli.main(["features", "--input", str(trajs), "--output", str(feats),
                      "--no-smoothing"]) == 0
     rows = {row["vehicle_id"]: row["features"] for row in load_feature_rows(feats)}
@@ -82,7 +82,7 @@ def test_features_default_lane_change_threshold_follows_the_unit_system(tmp_path
     # synth records lane changes with the metric threshold; default flags must agree
     trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
     assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
-                     "--n-av", "2", "--n-hdv", "3", "--duration-s", "40", "--seed", "3"]) == 0
+                     "--n-av", "2", "--n-hdv", "3", "--duration-s", "43", "--seed", "3"]) == 0
     assert cli.main(["features", "--input", str(trajs), "--output", str(feats)]) == 0
     expected = {t["vehicle_id"]: t["stats"]["lane_change_count"]
                 for t in json.loads(manifest.read_text())["trajectories"]}
@@ -108,11 +108,12 @@ def test_synth_rejects_bad_population(tmp_path):
      "duration_s * frame_rate is 2.5e+19 frames, beyond numpy's index range"),
     # 2.5e16 int64 frames exceed the address space, so numpy fails before touching memory
     (["--duration-s", "1e15"], "cannot allocate 2.5e+16 frames per track"),
+    (["--frame-rate", "11"], "frame_rate below 12 fps is too coarse to calibrate every vehicle"),
 ])
 def test_synth_rejects_bad_settings(tmp_path, capsys, flags, message):
     out = tmp_path / "t.jsonl"
     rc = cli.main(["synth", "--output", str(out), "--n-av", "1", "--n-hdv", "1",
-                   "--duration-s", "36", *flags])
+                   "--duration-s", "43", *flags])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -358,6 +359,20 @@ def test_theta_reaches_a_loaded_library(workdir, tmp_path, command, source):
         "--output", str(out), "--mock-dir", MOCK_DIR, *setting,
     ]) == 0
     assert load_library(out).theta == (0.8 if source == "neither" else 0.55)
+
+
+def test_discover_rejects_library_in_with_seed_rules(workdir, tmp_path, capsys):
+    library = tmp_path / "in.json"
+    save_library(seed_library(), library)
+    out = tmp_path / "out.json"
+    rc = cli.main([
+        "discover", "--features", str(workdir / "f.jsonl"), "--output", str(out),
+        "--library-in", str(library), "--seed-rules", "--mock-dir", MOCK_DIR,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --library-in and --seed-rules each choose the starting library; give one\n")
+    assert not out.exists()
 
 
 def test_discover_without_fixture_fails(workdir, tmp_path):

@@ -1,18 +1,13 @@
 import contextlib
 import json
-import os
 import socket
-import subprocess
-import sys
 import threading
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
-import trajrules
 from trajrules import dsl
 from trajrules.errors import (
     BackendError,
@@ -58,9 +53,6 @@ def test_backend_config_validation():
     for timeout in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="timeout_s must be positive"):
             BackendConfig(timeout_s=timeout)
-    with pytest.raises(ValueError, match="retry_backoff_s must be >= 0"):
-        BackendConfig(retry_backoff_s=-0.1)
-    BackendConfig(retry_backoff_s=0.0)
     for endpoint in ("file:///etc/passwd", "api.test/v1/chat", ""):
         with pytest.raises(ValueError, match="endpoint must be an http:// or https:// URL"):
             BackendConfig(endpoint=endpoint)
@@ -348,7 +340,7 @@ def test_complete_retries_429_then_succeeds(monkeypatch, no_sleep):
     responses = [(429, "slow down"), (200, completion("ok"))]
 
     monkeypatch.setattr("trajrules.llm._post", lambda *a, **k: responses.pop(0))
-    out = complete(BackendConfig(retry_backoff_s=0.5), [ChatMessage("user", "hi")])
+    out = complete(BackendConfig(), [ChatMessage("user", "hi")])
     assert out == "ok"
     assert no_sleep == [0.5]
 
@@ -361,7 +353,8 @@ def test_complete_persistent_500_exhausts_retries(monkeypatch, no_sleep):
         return (500, "boom")
 
     monkeypatch.setattr("trajrules.llm._post", fake_post)
-    cfg = BackendConfig(max_retries=2, retry_backoff_s=1.0)
+    monkeypatch.setattr("trajrules.llm.RETRY_BACKOFF_S", 1.0)
+    cfg = BackendConfig(max_retries=2)
     with pytest.raises(RetriesExhaustedError) as exc_info:
         complete(cfg, [ChatMessage("user", "hi")])
     assert n["calls"] == 3
@@ -511,7 +504,7 @@ def loopback(direct):
 def test_loopback_429_then_200(loopback, no_sleep, monkeypatch):
     monkeypatch.setenv("TRAJRULES_API_TOKEN", "sk-loop")
     loopback.script += [(429, "slow down"), (200, completion("ok"))]
-    cfg = BackendConfig(endpoint=loopback.url, model="m1", retry_backoff_s=0.5)
+    cfg = BackendConfig(endpoint=loopback.url, model="m1")
     assert complete(cfg, [ChatMessage("user", "hi")]) == "ok"
     assert no_sleep == [0.5]
     assert len(loopback.received) == 2
@@ -540,32 +533,32 @@ def test_loopback_400_fails_fast(loopback, no_sleep):
 
 def test_loopback_5xx_exhausts_retries(loopback, no_sleep):
     loopback.script += [(500, "boom"), (503, "busy")]
-    cfg = BackendConfig(endpoint=loopback.url, max_retries=1, retry_backoff_s=0.25)
+    cfg = BackendConfig(endpoint=loopback.url, max_retries=1)
     with pytest.raises(RetriesExhaustedError) as info:
         complete(cfg, [ChatMessage("user", "hi")])
     assert info.value.status == 503
     assert info.value.__cause__.body == "busy"
     assert len(loopback.received) == 2
-    assert no_sleep == [0.25]
+    assert no_sleep == [0.5]
 
 
 def test_loopback_timeout_exhausts_retries(loopback, no_sleep):
     loopback.script += [(HANG, ""), (HANG, "")]
-    cfg = BackendConfig(endpoint=loopback.url, timeout_s=0.2, max_retries=1, retry_backoff_s=0.1)
+    cfg = BackendConfig(endpoint=loopback.url, timeout_s=0.2, max_retries=1)
     with pytest.raises(RetriesExhaustedError) as info:
         complete(cfg, [ChatMessage("user", "hi")])
     assert isinstance(info.value.__cause__, BackendTimeoutError)
     assert info.value.status is None
     assert len(loopback.received) == 2
-    assert no_sleep == [0.1]
+    assert no_sleep == [0.5]
 
 
 @pytest.mark.parametrize("broken", [GARBAGE, TRUNCATED], ids=["status_line", "truncated_body"])
 def test_loopback_broken_response_is_retried(loopback, no_sleep, broken):
     loopback.script += [(broken, "partial"), (200, completion("ok"))]
-    cfg = BackendConfig(endpoint=loopback.url, retry_backoff_s=0.1)
+    cfg = BackendConfig(endpoint=loopback.url)
     assert complete(cfg, [ChatMessage("user", "hi")]) == "ok"
-    assert no_sleep == [0.1]
+    assert no_sleep == [0.5]
 
 
 def test_loopback_non_json_body_is_malformed(loopback, no_sleep):
@@ -607,12 +600,11 @@ def test_loopback_refused_connection_is_retried(direct, no_sleep):
     with socket.socket() as sock:  # bound, never listening, then closed: the port refuses
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    cfg = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat", max_retries=2,
-                        retry_backoff_s=0.1)
+    cfg = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat", max_retries=2)
     with pytest.raises(RetriesExhaustedError, match="connection failed") as info:
         complete(cfg, [ChatMessage("user", "hi")])
     assert info.value.status is None
-    assert no_sleep == [0.1, 0.2]
+    assert no_sleep == [0.5, 1.0]
 
 
 def test_post_unwraps_a_connect_timeout(monkeypatch):
@@ -624,13 +616,3 @@ def test_post_unwraps_a_connect_timeout(monkeypatch):
     with pytest.raises(TimeoutError):
         _post("http://127.0.0.1:9/v1/chat", b"{}", {}, 0.2)
 
-
-def test_cli_import_loads_no_http_stack():
-    """Only a request loads urllib.request; importing the CLI must not."""
-    src = Path(trajrules.__file__).resolve().parent.parent
-    code = ("import sys, trajrules.cli; print([m for m in "
-            "('requests', 'urllib.request', 'http.client', 'ssl') if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"

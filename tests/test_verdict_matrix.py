@@ -348,7 +348,7 @@ def fleet(tmp_path_factory):
     root = tmp_path_factory.mktemp("predict")
     tracks = root / "t.jsonl"
     assert cli.main(["synth", "--output", str(tracks), "--n-av", "3", "--n-hdv", "3",
-                     "--duration-s", "36", "--seed", "11"]) == 0
+                     "--duration-s", "43", "--seed", "11"]) == 0
     assert cli.main(["features", "--input", str(tracks), "--output", str(root / "f.jsonl")]) == 0
     with open(root / "f.jsonl") as fh:
         speeds = sorted(json.loads(line)["features"]["mean_speed"] for line in fh)
