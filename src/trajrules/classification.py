@@ -37,14 +37,6 @@ LATERAL_DEADBAND = 0.05
 CONGESTION_SPEED_THRESHOLD = 5.0
 
 
-@dataclass(frozen=True)
-class TaskPrediction:
-    task: str  # "speed" or "lane_change"
-    direction: str
-    scores: Mapping[str, float]
-    vehicle_id: str | None = None
-
-
 def infer_context(mean_speed: float, congestion_speed_threshold: float = CONGESTION_SPEED_THRESHOLD) -> str:
     """Coarse traffic context from mean speed alone."""
     return "congested" if mean_speed < congestion_speed_threshold else "free_flow"
@@ -176,27 +168,21 @@ def _pick(scores: dict[str, float], directions: tuple[str, ...], neutral: str) -
     return max((neutral, *directions), key=scores.__getitem__)
 
 
-def predict_speed_change(
-    votes: Mapping[str, float], prior: str, vehicle_id: str | None = None,
-) -> TaskPrediction:
-    """Predict accelerate / decelerate / maintain for the next horizon.
+def predict_speed_change(votes: Mapping[str, float], prior: str) -> tuple[str, dict[str, float]]:
+    """Predicted direction (accelerate / decelerate / maintain) and each direction's score.
 
     votes is one vehicle's column of vote_table(..., "speed") keyed by
     direction; its distribution is averaged with the one-hot speed_prior.
     """
     scores = _blend(votes, prior, SPEED_DIRECTIONS)
-    return TaskPrediction("speed", _pick(scores, SPEED_DIRECTIONS, "maintain"), scores, vehicle_id)
+    return _pick(scores, SPEED_DIRECTIONS, "maintain"), scores
 
 
-def predict_lane_change(
-    votes: Mapping[str, float], prior: str, vehicle_id: str | None = None,
-) -> TaskPrediction:
-    """Predict left / right / keep-lane from rule votes plus recent lateral drift.
+def predict_lane_change(votes: Mapping[str, float], prior: str) -> tuple[str, dict[str, float]]:
+    """Predicted direction (left_LC / right_LC / keep_lane) and each direction's score.
 
     votes is one vehicle's column of vote_table(..., "lane_change") keyed by
     direction; its distribution is averaged with the one-hot lane_prior.
     """
     scores = _blend(votes, prior, LANE_DIRECTIONS)
-    return TaskPrediction(
-        "lane_change", _pick(scores, LANE_DIRECTIONS, "keep_lane"), scores, vehicle_id,
-    )
+    return _pick(scores, LANE_DIRECTIONS, "keep_lane"), scores

@@ -15,6 +15,8 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from . import io, workers
 from .classification import (
     TASK_DIRECTIONS,
@@ -56,7 +58,11 @@ def _cfg(args: argparse.Namespace) -> RunConfig:
 
 def _backend(cfg: RunConfig):
     settings = build(BackendConfig, cfg)  # with --mock-dir too, so a bad setting fails everywhere
-    return MockBackend(fixture_dir=cfg.mock_dir) if cfg.mock_dir else HttpBackend(settings)
+    if not cfg.mock_dir:
+        return HttpBackend(settings)
+    if not os.path.isdir(cfg.mock_dir):
+        raise InputError(f"mock_dir {cfg.mock_dir!r} is not a directory")
+    return MockBackend(fixture_dir=cfg.mock_dir)
 
 
 def _extract(t: Trajectory, cfg: RunConfig):
@@ -86,7 +92,9 @@ def _prepare(path: str, cfg: RunConfig, task: str | None,
     for i, traj in enumerate(trajectories):
         trajectories[i] = validate_trajectory(traj)
     if not cfg.no_smoothing:
-        trajectories = smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
+        # a track whose differences overflow smooths to NaN, which _extract rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            trajectories = smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
     vehicles = []
     for t in trajectories:
         kin, feats = _extract(t, cfg)
@@ -309,12 +317,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predict = predict_speed_change if args.task == "speed" else predict_lane_change
     predictions = []
     for (row, prior), column in zip(vehicles, votes.T.tolist()):
-        pred = predict(dict(zip(directions, column)), prior, row["vehicle_id"])
-        predictions.append({
-            "vehicle_id": row["vehicle_id"],
-            "direction": pred.direction,
-            "scores": dict(pred.scores),
-        })
+        direction, scores = predict(dict(zip(directions, column)), prior)
+        predictions.append({"vehicle_id": row["vehicle_id"], "direction": direction,
+                            "scores": scores})
     io.dump_json({"task": args.task, "predictions": predictions}, args.output)
     print(f"predicted {args.task} for {len(predictions)} vehicles")
     return 0

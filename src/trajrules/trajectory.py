@@ -132,7 +132,11 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
 def _gains(n: int, dt: float, q: float, r: float) -> tuple[list[float], list[float]]:
     """Kalman gains kx[k], kv[k] for steps 1..n-1; the recursion never reads the data."""
     p00, p01, p11 = r, r / dt, 2.0 * r / (dt * dt)  # two-point differencing covariance
-    q00, q01, q11 = q * dt ** 4 / 4.0, q * dt ** 3 / 2.0, q * dt * dt
+    try:
+        q00, q01 = q * dt ** 4 / 4.0, q * dt ** 3 / 2.0
+    except OverflowError:  # a frame rate under about 1e-77: the gains, and so the track, are NaN
+        q00 = q01 = math.inf
+    q11 = q * dt * dt
     kx, kv = [0.0], [0.0]
     for _ in range(1, n):
         p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00  # predict

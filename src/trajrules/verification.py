@@ -11,8 +11,8 @@ remaining sub-threshold rules are retired rather than left in limbo.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +48,6 @@ class RuleStats:
     n_applicable: int
     n_correct: int
     confidence: float
-
-
-@dataclass(frozen=True)
-class FailureCase:
-    vehicle_id: str
-    features: Mapping[str, float]
-    label: str  # ground truth
-    verdict: str
-    judged: str  # label the rule's verdict implied
 
 
 @dataclass(frozen=True)
@@ -126,15 +117,19 @@ def collect_failures(
     *,
     library_units: str | None = None,
     limit: int = MAX_FAILURES_PER_RULE,
-) -> list[FailureCase]:
-    """Applicable rows the rule judged wrongly, in table order, at most limit."""
+) -> list[dict]:
+    """Reflection digests of the applicable rows the rule judged wrongly, in
+    table order, at most limit: each row's digest_sample with its label, plus
+    the rule's verdict and the label that verdict implied."""
     verdicts, applicable, correct = _judge(rule, table, library_units)
     failures = []
     for i in np.flatnonzero(applicable & ~correct)[:max(limit, 0)].tolist():
         row = table.rows[i]
+        digest = digest_sample(row["vehicle_id"], row["features"], label=row["label"])
+        digest["rule_verdict"] = VERDICTS[verdicts[i]]
         # a wrong vote is always for the label the row does not carry
-        failures.append(FailureCase(row["vehicle_id"], row["features"], row["label"],
-                                    VERDICTS[verdicts[i]], "HDV" if row["label"] == "AV" else "AV"))
+        digest["rule_judged"] = "HDV" if row["label"] == "AV" else "AV"
+        failures.append(digest)
     return failures
 
 
@@ -150,16 +145,6 @@ def apply_suggestion(rule: Rule, suggestion: RefinementSuggestion) -> Rule:
               else {"predicate": suggestion.new_predicate})  # adjust_threshold, combine_features
     return replace(rule, **change, state="candidate", confidence=None,
                    revision=rule.revision + 1)
-
-
-def _failure_digests(failures: Sequence[FailureCase]) -> list[dict]:
-    digests = []
-    for f in failures:
-        d = digest_sample(f.vehicle_id, f.features, label=f.label)
-        d["rule_verdict"] = f.verdict
-        d["rule_judged"] = f.judged
-        digests.append(d)
-    return digests
 
 
 def discover_rules(
@@ -246,13 +231,7 @@ def run_verification_loop(
                 retire(rule, "no failure cases to reflect on")
                 library.version += 1
                 continue
-            st = stats[rule.id]
-            messages = build_reflection_prompt(
-                rule,
-                {"confidence": st.confidence, "n_applicable": st.n_applicable,
-                 "n_correct": st.n_correct},
-                _failure_digests(failures),
-            )
+            messages = build_reflection_prompt(rule, asdict(stats[rule.id]), failures)
             suggestions = parse_refinement_response(backend.complete(messages))
             chosen = next((s for s in suggestions if s.rule_id == rule.id), None)
             if chosen is None:

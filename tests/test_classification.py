@@ -303,9 +303,9 @@ def test_speed_prior_reads_trailing_second():
     assert speed_prior(kin_with_accel(np.concatenate([old, recent]))) == "maintain"
     assert speed_prior(kin_with_accel(np.full(30, 0.5))) == "accelerate"
     # no direction rules: the prior decides alone
-    pred = predict_speed_change(NO_SPEED_VOTES, "accelerate")
-    assert pred.direction == "accelerate"
-    assert pred.scores["accelerate"] == 1.0
+    direction, scores = predict_speed_change(NO_SPEED_VOTES, "accelerate")
+    assert direction == "accelerate"
+    assert scores["accelerate"] == 1.0
     assert speed_prior(kin_with_accel(np.full(30, -0.5))) == "decelerate"
     # deadband: anything within +-0.1 reads as holding speed
     assert speed_prior(kin_with_accel(np.full(30, 0.09))) == "maintain"
@@ -321,11 +321,11 @@ def test_speed_votes_blend_with_prior():
     rule = make_rule("S1", "max_decel > 1.0", tasks=("speed",), direction="decelerate")
     votes = votes_of(library(rule), {"max_decel": 2.0}, "speed")
     assert votes == {"accelerate": 0.0, "decelerate": 1.0, "maintain": 0.0}
-    pred = predict_speed_change(votes, speed_prior(kin_with_accel(np.full(30, -0.5))))
+    direction, scores = predict_speed_change(votes, speed_prior(kin_with_accel(np.full(30, -0.5))))
     # matched vote and prior agree
-    assert pred.direction == "decelerate"
-    assert pred.scores["decelerate"] == 1.0
-    assert pred.scores["accelerate"] == 0.0
+    assert direction == "decelerate"
+    assert scores["decelerate"] == 1.0
+    assert scores["accelerate"] == 0.0
 
 
 def test_speed_vote_against_prior_ties_resolve_in_listed_order():
@@ -333,11 +333,11 @@ def test_speed_vote_against_prior_ties_resolve_in_listed_order():
     votes = votes_of(library(rule), {"max_decel": 2.0}, "speed")
     prior = speed_prior(kin_with_accel(np.full(30, 0.5)))
     assert prior == "accelerate"
-    pred = predict_speed_change(votes, prior)
-    assert pred.scores["accelerate"] == 0.5
-    assert pred.scores["decelerate"] == 0.5
+    direction, scores = predict_speed_change(votes, prior)
+    assert scores["accelerate"] == 0.5
+    assert scores["decelerate"] == 0.5
     # neither is the neutral option; first listed direction wins the tie
-    assert pred.direction == "accelerate"
+    assert direction == "accelerate"
 
 
 def test_speed_votes_filtered():
@@ -351,9 +351,9 @@ def test_speed_votes_filtered():
     for rule in cases:
         votes = votes_of(library(rule), {"max_decel": 2.0}, "speed")
         assert votes == NO_SPEED_VOTES, rule.id
-        pred = predict_speed_change(votes, prior)
-        assert pred.direction == "maintain", rule.id
-        assert pred.scores["decelerate"] == 0.0
+        direction, scores = predict_speed_change(votes, prior)
+        assert direction == "maintain", rule.id
+        assert scores["decelerate"] == 0.0
 
 
 def test_vote_table_sums_confidence_per_direction_and_vehicle():
@@ -385,10 +385,8 @@ def test_lane_prior_directions():
     drift_right = [0.0] * 50 + [0.2 * (i + 1) / rate for i in range(26)]
     prior = lane_prior(make_trajectory(xs, flat, frame_rate=rate))
     assert prior == "keep_lane"
-    pred = predict_lane_change(NO_LANE_VOTES, prior, "veh")
-    assert pred.task == "lane_change"
-    assert pred.direction == "keep_lane"
-    assert pred.vehicle_id == "veh"
+    direction, _ = predict_lane_change(NO_LANE_VOTES, prior)
+    assert direction == "keep_lane"
     assert lane_prior(make_trajectory(xs, drift_left, frame_rate=rate)) == "left_LC"
     assert lane_prior(make_trajectory(xs, drift_right, frame_rate=rate)) == "right_LC"
 
@@ -415,9 +413,9 @@ def test_lane_vote_tie_resolves_to_neutral():
     n, rate = 76, 25.0
     xs = [10.0 * i / rate for i in range(n)]
     prior = lane_prior(make_trajectory(xs, [0.0] * n, frame_rate=rate))
-    pred = predict_lane_change(votes_of(library(rule), {"lane_change_rate": 1.0}, "lane_change"),
-                               prior)
-    assert pred.scores["left_LC"] == 0.5
-    assert pred.scores["keep_lane"] == 0.5
+    direction, scores = predict_lane_change(
+        votes_of(library(rule), {"lane_change_rate": 1.0}, "lane_change"), prior)
+    assert scores["left_LC"] == 0.5
+    assert scores["keep_lane"] == 0.5
     # the neutral option wins ties even though left_LC is listed first
-    assert pred.direction == "keep_lane"
+    assert direction == "keep_lane"

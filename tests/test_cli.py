@@ -290,11 +290,18 @@ def test_a_track_no_longer_than_the_window_has_no_lane_atoms(tmp_path, command):
     ({"frame_rate": 1e160}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
     ({"frame_rate": 0}, "v0: frame_rate must be positive, got 0.0"),
     ({"frame_rate": 25.0, "unit_scale": -1}, "v0: unit_scale must be positive, got -1.0"),
-], ids=["step_squared_underflows", "features_overflow", "frame_rate_zero", "unit_scale_negative"])
+    # the Kalman gains overflow; --no-smoothing still writes these rows
+    ({"frame_rate": 1e-78}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+    ({"frame_rate": 1e-300}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+    # the differences overflow; the suite's warnings-as-errors filter fails any numpy warning
+    ({"frame_rate": 25.0, "points": [[i, 0.6 * i, 1e307 * (i % 2)] for i in range(200)]},
+     "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+], ids=["step_squared_underflows", "features_overflow", "frame_rate_zero", "unit_scale_negative",
+        "gains_overflow", "gains_overflow_far", "coordinate_differences_overflow"])
 def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, metadata, message):
     trajs = tmp_path / "t.jsonl"
     points = [[t, 0.5 * t, 0.0] for t in range(200)]
-    trajs.write_text(json.dumps({"vehicle_id": "v0", **metadata, "points": points}) + "\n")
+    trajs.write_text(json.dumps({"vehicle_id": "v0", "points": points, **metadata}) + "\n")
     library = tmp_path / "lib.json"
     save_library(seed_library(), library)
     extra = ["--library", str(library), "--task", "speed"] if command == "predict" else []
@@ -393,8 +400,10 @@ def test_discover_without_fixture_fails(workdir, tmp_path):
     (["--endpoint", "file:///etc/passwd"],
      "endpoint must be an http:// or https:// URL, got 'file:///etc/passwd'"),
     (["--timeout-s", "0", "--mock-dir", MOCK_DIR], "timeout_s must be positive"),
+    (["--mock-dir", f"{MOCK_DIR}/discovery.md"],
+     f"mock_dir '{MOCK_DIR}/discovery.md' is not a directory"),
 ], ids=["temperature", "max_retries", "max_output_tokens", "timeout_s", "endpoint",
-        "with_mock_dir"])
+        "with_mock_dir", "mock_dir_a_file"])
 def test_discover_rejects_bad_backend_settings(workdir, tmp_path, capsys, monkeypatch, flags,
                                                message):
     def no_request(*args):
@@ -407,6 +416,30 @@ def test_discover_rejects_bad_backend_settings(workdir, tmp_path, capsys, monkey
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_verify_rejects_a_mock_dir_that_is_not_a_directory(workdir, tmp_path, capsys):
+    # an empty library verifies without a single completion, so only the
+    # setting check can reject the fixture path
+    library = tmp_path / "empty.json"
+    save_library(RuleLibrary(), library)
+    out = tmp_path / "verified.json"
+    missing = str(tmp_path / "no_such_dir")
+    rc = cli.main(["verify", "--features", str(workdir / "f.jsonl"), "--library", str(library),
+                   "--output", str(out), "--mock-dir", missing])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: mock_dir {missing!r} is not a directory\n"
+    assert not out.exists()
+
+
+def test_tiny_frame_rate_without_smoothing_writes_its_row(tmp_path):
+    # test_extreme_frame_rate_is_an_input_error's gains_overflow track, unsmoothed
+    trajs = tmp_path / "t.jsonl"
+    points = [[t, 0.5 * t, 0.0] for t in range(200)]
+    trajs.write_text(json.dumps({"vehicle_id": "v0", "frame_rate": 1e-78, "points": points}) + "\n")
+    out = tmp_path / "f.jsonl"
+    assert cli.main(["features", "--input", str(trajs), "--output", str(out), "--no-smoothing"]) == 0
+    assert [row["vehicle_id"] for row in load_feature_rows(out)] == ["v0"]
 
 
 def test_verify_then_classify_then_evaluate(workdir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +9,17 @@ import oracles
 from trajrules import cli, io, prompts
 from trajrules.errors import EmptySampleSetError
 from trajrules.kinematics import ATOMS
-from trajrules.llm import KIND_MARKERS
+from trajrules.llm import KIND_MARKERS, MockBackend, prompt_kind
 from trajrules.prompts import (
     PROMPT_CHAR_BUDGET,
     build_discovery_prompt,
     build_reflection_prompt,
     digest_sample,
 )
-from trajrules.rules import seed_library
+from trajrules.rules import FeatureTable, seed_library
+from trajrules.verification import run_verification_loop
+
+MOCK_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "mock"
 
 
 def make_digests(prefix, n, label):
@@ -105,6 +109,8 @@ def test_discovery_budget_ties_drop_hdv_first():
 # sha256 of the prompt test_seed_42_discovery_prompt_bytes_are_pinned builds,
 # taken with the builder that digested every row before dropping any
 PINNED_PROMPT_SHA256 = "0c43c2e083f8b45f2631ef1c352cd3d0ee3aaee70bb74a40247338000de8edee"
+# sha256 of the reflection prompts test_seed_42_reflection_prompt_bytes_are_pinned records
+PINNED_REFLECTION_SHA256 = "9b0f26e037381bd14037ff9fe73c34b28b970e8179011ea260a3f21f728fbfb8"
 
 
 class CountingDigests(Sequence):
@@ -156,9 +162,8 @@ def test_fit_to_budget_equals_the_oracle_with_either_group_empty(n_av, n_hdv):
         assert prompts._fit_to_budget(100, av, hdv, budget) == expected, budget
 
 
-def test_seed_42_discovery_prompt_bytes_are_pinned(tmp_path):
-    # the mock backend ignores the prompt, so no pipeline output would show a
-    # change in these bytes; 400 rows overflow the budget, so digests drop
+def seed_42_rows(tmp_path):
+    """400 labeled rows of random features, as the CLI reads them back."""
     rng = random.Random(42)
     rows = [{"vehicle_id": f"v{i:03d}", "label": "AV" if rng.random() < 0.5 else "HDV",
              "context": "free_flow", "unit_system": "metric",
@@ -166,10 +171,40 @@ def test_seed_42_discovery_prompt_bytes_are_pinned(tmp_path):
             for i in range(400)]
     path = tmp_path / "rows.jsonl"
     io.save_feature_rows(rows, path)
-    messages = build_discovery_prompt(*cli._split_by_label(io.load_feature_rows(path)))
+    return io.load_feature_rows(path)
+
+
+def test_seed_42_discovery_prompt_bytes_are_pinned(tmp_path):
+    # the mock backend ignores the prompt, so no pipeline output would show a
+    # change in these bytes; 400 rows overflow the budget, so digests drop
+    messages = build_discovery_prompt(*cli._split_by_label(seed_42_rows(tmp_path)))
     assert "[102 AV and 122 HDV digests omitted" in user_text(messages)
     digest = hashlib.sha256("\0".join(f"{m.role}\n{m.content}" for m in messages).encode())
     assert digest.hexdigest() == PINNED_PROMPT_SHA256
+
+
+class RecordingMock(MockBackend):
+    """The mock backend, keeping every message list it is sent."""
+
+    def __init__(self):
+        super().__init__(MOCK_DIR)
+        self.sent = []
+
+    def complete(self, messages):
+        self.sent.append(messages)
+        return super().complete(messages)
+
+
+def test_seed_42_reflection_prompt_bytes_are_pinned(tmp_path):
+    # the same blind spot for the failure digests the verify loop sends: on
+    # random rows every seed rule sits below theta and fails more than the limit
+    backend = RecordingMock()
+    run_verification_loop(seed_library(), FeatureTable(seed_42_rows(tmp_path)), backend)
+    assert [prompt_kind(m) for m in backend.sent] == ["reflection"] * 11
+    digest = hashlib.sha256()
+    for messages in backend.sent:
+        digest.update("\0".join(f"{m.role}\n{m.content}" for m in messages).encode() + b"\1")
+    assert digest.hexdigest() == PINNED_REFLECTION_SHA256
 
 
 def test_discovery_no_note_when_under_budget():

@@ -5,7 +5,7 @@ matching score, compute_confidence, collect_failures and the per-vehicle
 direction votes as they were before those became reductions over
 rules.FeatureTable verdicts.
 They call the scalar evaluate_rule of oracles.py once per (rule, vehicle)
-and serve as the oracle: every score, evidence list, RuleStats, FailureCase list and
+and serve as the oracle: every score, evidence list, RuleStats, failure digest list and
 vote dict must come out exactly equal, floats included.
 """
 import json
@@ -27,6 +27,7 @@ from trajrules.classification import (
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
 from trajrules.io import load_library, load_trajectories, save_library
 from trajrules.metrics import UNDETERMINED
+from trajrules.prompts import digest_sample
 from trajrules.rules import (
     DIRECTIONS,
     MATCHED,
@@ -39,7 +40,6 @@ from trajrules.rules import (
 )
 from trajrules.trajectory import smooth_trajectories, validate_trajectory
 from trajrules.verification import (
-    FailureCase,
     RuleStats,
     collect_failures,
     compute_confidence,
@@ -115,8 +115,8 @@ def reference_collect_failures(rule, rows, *, library_units=None, limit=20):
         )
         judged = implied_label(rule, verdict)
         if judged is not None and judged != row["label"]:
-            failures.append(FailureCase(row["vehicle_id"], row["features"], row["label"],
-                                        verdict, judged))
+            digest = digest_sample(row["vehicle_id"], row["features"], label=row["label"])
+            failures.append({**digest, "rule_verdict": verdict, "rule_judged": judged})
             if len(failures) >= limit:
                 break
     return failures
@@ -285,9 +285,11 @@ def test_reductions_equal_per_vehicle_loops():
             for limit in (1, 3, 20):
                 expected = reference_collect_failures(rule, rows, library_units="metric",
                                                       limit=limit)
+                # as JSON, the form the reflection prompt sends: a digest rounds a
+                # NaN feature to a new NaN object, which == cannot match
                 for given in (FeatureTable(rows), shared):
-                    assert collect_failures(rule, given, library_units="metric",
-                                            limit=limit) == expected, trial
+                    got = collect_failures(rule, given, library_units="metric", limit=limit)
+                    assert json.dumps(got) == json.dumps(expected), trial
 
 
 def test_unit_mismatch_raises_like_the_loops():

@@ -116,9 +116,9 @@ def test_collect_failures_order_and_limit():
     wrong = [sample(f"w{i}", "AV", std_jerk=0.9) for i in range(5)]
     right = [sample("ok", "AV", std_jerk=0.1)]
     failures = collect_failures(make_rule(), FeatureTable(right + wrong), limit=3)
-    assert [f.vehicle_id for f in failures] == ["w0", "w1", "w2"]
-    assert all(f.verdict == NOT_MATCHED and f.judged == "HDV" for f in failures)
-    assert all(f.label == "AV" and f.features == {"std_jerk": 0.9} for f in failures)
+    assert [f["vehicle_id"] for f in failures] == ["w0", "w1", "w2"]
+    assert all(f["rule_verdict"] == NOT_MATCHED and f["rule_judged"] == "HDV" for f in failures)
+    assert all(f["label"] == "AV" and f["features"] == {"std_jerk": 0.9} for f in failures)
 
 
 def test_apply_suggestion_retire_keeps_revision():
