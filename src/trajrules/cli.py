@@ -34,7 +34,6 @@ from .errors import DegenerateLabelsError, InputError, NoApplicableRulesError, T
 from .io import load_library, save_library  # bare name: perfbench/spans.py patches load_library
 from .kinematics import (
     compute_kinematics,
-    count_fluctuations,
     detect_lane_changes,
     extended_atoms,
     summarize_features,
@@ -44,7 +43,7 @@ from .metrics import UNDETERMINED, compute_metrics, compute_roc_auc
 from .prompts import digest_sample
 from .rules import STATES, VERDICTS, FeatureTable, RuleLibrary, seed_library
 from .synth import GeneratorConfig, generate_dataset
-from .trajectory import LABELS, LANE_CHANGE_THRESHOLDS, Trajectory, smooth_trajectories, validate_trajectory
+from .trajectory import LABELS, Trajectory, smooth_trajectories, validate_trajectory
 from .trajectory import smooth_trajectory  # not called here; perfbench/spans.py patches it
 from .verification import discover_rules, run_verification_loop
 
@@ -145,41 +144,15 @@ def cmd_features(args: argparse.Namespace) -> int:
     return 0
 
 
-def _manifest(gen_cfg: GeneratorConfig, cfg: RunConfig, trajectories: list[Trajectory]) -> dict:
-    """Each track's feature row as `features --no-smoothing` measures it, plus its
-    fluctuation_count, and each label's mean of every stat, all to 6 decimals."""
-    rows = []
-    values: dict[str, dict[str, list[float]]] = {}  # label -> stat -> per-track values
-    for t in trajectories:
-        kin, feats = _extract(t, cfg)
-        feats["fluctuation_count"] = float(count_fluctuations(kin.acceleration))
-        stats = {k: round(float(v), 6) for k, v in sorted(feats.items())}
-        rows.append({"vehicle_id": t.vehicle_id, "label": t.label, "stats": stats})
-        for key, value in stats.items():
-            values.setdefault(t.label, {}).setdefault(key, []).append(value)
-    return {
-        **asdict(gen_cfg),
-        "lane_change_window": cfg.lc_window,
-        "lane_change_threshold": cfg.lc_threshold or LANE_CHANGE_THRESHOLDS["metric"],
-        "label_means": {label: {k: round(sum(v) / len(v), 6) for k, v in sorted(by_stat.items())}
-                        for label, by_stat in values.items()},
-        "trajectories": rows,
-    }
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
     gen_cfg = build(GeneratorConfig, cfg)
-    if args.manifest and os.path.realpath(args.manifest) == os.path.realpath(args.output):
-        raise InputError(f"--manifest {args.manifest} would overwrite --output {args.output}")
     try:
         trajectories = generate_dataset(gen_cfg)
     except MemoryError:
         frames = gen_cfg.duration_s * gen_cfg.frame_rate
         raise InputError(f"cannot allocate {frames:g} frames per track") from None
     io.save_trajectories(trajectories, args.output)
-    if args.manifest:
-        io.dump_json(_manifest(gen_cfg, cfg, trajectories), args.manifest)
     print(f"generated {gen_cfg.n_av} AV and {gen_cfg.n_hdv} HDV trajectories "
           f"(seed {gen_cfg.seed}) to {args.output}")
     return 0
@@ -404,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic two-population dataset")
     p.add_argument("--output", required=True, help="trajectory JSONL file to write")
-    p.add_argument("--manifest", help="also write realized statistics as JSON")
     _add_settings(p, "seed", "separation", "n_av", "n_hdv", "duration_s", "frame_rate")
     p.set_defaults(func=cmd_synth)
 

@@ -57,6 +57,44 @@ def sigmoid_shift(n, shift, center, steepness=0.08):
     return shift / (1.0 + np.exp(-steepness * (idx - center)))
 
 
+def rounded(features):
+    """A feature mapping with sorted keys and every value to 6 decimals."""
+    return {k: round(float(v), 6) for k, v in sorted(features.items())}
+
+
+def label_means(rows):
+    """Each label's mean of every feature over its rows, to 6 decimals."""
+    values = {}  # label -> atom -> per-row values
+    for row in rows:
+        for atom, value in row["features"].items():
+            values.setdefault(row["label"], {}).setdefault(atom, []).append(value)
+    return {label: {atom: round(sum(v) / len(v), 6) for atom, v in by_atom.items()}
+            for label, by_atom in values.items()}
+
+
+ORACLE_ATOMS = ("mean_speed", "std_speed", "std_accel", "std_jerk", "max_decel")
+
+
+def random_clause(rng):
+    """One random comparison or range clause over ORACLE_ATOMS, as a tuple
+    that clause_text writes and oracles.clause_eval evaluates."""
+    atom = ORACLE_ATOMS[rng.integers(len(ORACLE_ATOMS))]
+    if rng.random() < 0.3:
+        lo = round(float(rng.uniform(0, 4)), 2)
+        return ("in", atom, lo, round(lo + float(rng.uniform(0, 3)), 2))
+    op = ("<", "<=", ">", ">=", "=")[rng.integers(5)]
+    return ("cmp", atom, op, round(float(rng.uniform(0, 5)), 2), bool(rng.random() < 0.2))
+
+
+def clause_text(c):
+    """The DSL text of a random_clause tuple."""
+    if c[0] == "in":
+        return f"{c[1]} IN {c[2]}..{c[3]}"
+    _, atom, op, val, neg = c
+    text = f"{atom} {op} {val}"
+    return f"NOT {text}" if neg else text
+
+
 def score_one(library, features, context="any", *, feature_units=None):
     """score_table over a one-row FeatureTable of vehicle 'v'."""
     row = {"vehicle_id": "v", "features": features, "context": context,

@@ -1,4 +1,10 @@
-"""The scalar rule evaluator, kept as the independent oracle of FeatureTable.
+"""Independent oracles of the package's numeric layers.
+
+Kinematics, lane-change detection and the matching score are written out
+as plain loops over points and clauses, sharing no code with the numpy
+versions they check.
+
+The scalar rule evaluator is kept as the independent oracle of FeatureTable.
 
 These are the recursive predicate walk, the one-vehicle rule evaluation
 that rules.FeatureTable replaced with column masks, and the label a verdict
@@ -31,6 +37,95 @@ from trajrules.prompts import (
 )
 from trajrules.rules import CONTEXTS, MATCHED, NOT_APPLICABLE, NOT_MATCHED, Rule
 from trajrules.trajectory import LABELS, UNIT_SYSTEMS
+
+
+def naive_kinematics(traj):
+    """Plain-loop central differences, scaled coordinates first."""
+    xs = [x * traj.unit_scale for x in traj.x.tolist()]
+    ys = [y * traj.unit_scale for y in traj.y.tolist()]
+    dt2 = 2.0 / traj.frame_rate
+    v = [
+        math.sqrt((xs[i + 1] - xs[i - 1]) ** 2 + (ys[i + 1] - ys[i - 1]) ** 2) / dt2
+        for i in range(1, len(xs) - 1)
+    ]
+    a = [(v[i + 1] - v[i - 1]) / dt2 for i in range(1, len(v) - 1)]
+    j = [(a[i + 1] - a[i - 1]) / dt2 for i in range(1, len(a) - 1)]
+    return v, a, j
+
+
+def naive_lane_changes(traj, window, threshold):
+    """Lane-change events as (start_frame, end_frame, displacement, direction).
+
+    Each window start sums |dy| over its next *window* steps; it fires when
+    that sum exceeds threshold and the net lateral move exceeds threshold/2.
+    Firing windows that share a step merge, and each merged run is reported
+    by its window with the largest sum, the earliest on ties.
+    """
+    ys = [y * traj.unit_scale for y in traj.y.tolist()]
+    frames = traj.t.tolist()
+    fired = []  # (start, sum, net) of each firing window
+    for start in range(len(ys) - window):
+        total = 0.0
+        for i in range(start, start + window):
+            total += abs(ys[i + 1] - ys[i])
+        net = ys[start + window] - ys[start]
+        if total > threshold and abs(net) > threshold / 2.0:
+            fired.append((start, total, net))
+    runs = []
+    for window_fired in fired:
+        if runs and window_fired[0] - runs[-1][-1][0] <= window - 1:
+            runs[-1].append(window_fired)
+        else:
+            runs.append([window_fired])
+    events = []
+    for run in runs:
+        best = run[0]
+        for candidate in run[1:]:
+            if candidate[1] > best[1]:
+                best = candidate
+        start, total, net = best
+        events.append((frames[start], frames[start + window - 1], total,
+                       "left" if net < 0 else "right"))
+    return events
+
+
+def clause_eval(c, feats):
+    """A clause built by helpers.random_clause on a feature mapping; None when
+    its atom is missing or NaN."""
+    value = feats.get(c[1])
+    if value is None or value != value:
+        return None
+    if c[0] == "in":
+        return c[2] <= value <= c[3]
+    _, _, op, val, neg = c
+    hit = {"<": value < val, "<=": value <= val, ">": value > val,
+           ">=": value >= val, "=": value == val}[op]
+    return (not hit) if neg else hit
+
+
+def oracle_score(specs, feats, context):
+    """The matching score recounted from rule specs
+    (clauses, joiner, contexts, state, polarity, confidence); None when no
+    verified AV-indicative rule applies with positive weight."""
+    matched_w = applicable_w = 0.0
+    n_applicable = 0
+    for clauses, joiner, contexts, state, polarity, conf in specs:
+        if state != "verified" or polarity != "AV_indicative":
+            continue
+        if context != "any" and "any" not in contexts and context not in contexts:
+            continue
+        values = [clause_eval(c, feats) for c in clauses]
+        if any(v is None for v in values):
+            continue
+        hit = all(values) if joiner == "AND" else any(values)
+        n_applicable += 1
+        weight = conf or 0.0
+        applicable_w += weight
+        if hit:
+            matched_w += weight
+    if n_applicable == 0 or applicable_w <= 0.0:
+        return None
+    return matched_w / applicable_w
 
 
 def evaluate_predicate(pred: dsl.Predicate, features: Mapping[str, float]) -> bool:

@@ -7,6 +7,7 @@ test asserts its own wall-clock budget.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,7 @@ from trajrules import cli, dsl
 from trajrules.classification import infer_context
 from trajrules.config import RunConfig
 from trajrules.errors import NoApplicableRulesError
-from trajrules.kinematics import (
-    compute_kinematics,
-    detect_lane_changes,
-    extended_atoms,
-    summarize_features,
-)
+from trajrules.kinematics import compute_kinematics
 from trajrules.metrics import compute_metrics, compute_roc_auc, f1_score
 from trajrules.rules import (
     MATCHED,
@@ -33,11 +29,21 @@ from trajrules.rules import (
     seed_library,
 )
 from trajrules.synth import GeneratorConfig, generate_dataset
-from trajrules.trajectory import smooth_trajectory, validate_trajectory
+from trajrules.trajectory import LANE_CHANGE_THRESHOLDS, smooth_trajectory
 from trajrules.verification import compute_confidence, run_verification_loop
 
-from helpers import ScriptedBackend, identify_column, make_trajectory, score_one
-from oracles import evaluate_rule
+from helpers import (
+    ORACLE_ATOMS,
+    ScriptedBackend,
+    clause_text,
+    identify_column,
+    label_means,
+    make_trajectory,
+    random_clause,
+    rounded,
+    score_one,
+)
+from oracles import evaluate_rule, naive_kinematics, oracle_score
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -73,20 +79,6 @@ def test_f1_recovers_reported_value():
 
 # ---------------------------------------------------------------- criterion 2
 
-def naive_kinematics(traj):
-    """Plain-Python central differences, scaled coordinates first."""
-    scale = traj.unit_scale
-    xs = [x * scale for x in traj.x.tolist()]
-    ys = [y * scale for y in traj.y.tolist()]
-    dt2 = 2.0 / traj.frame_rate
-    n = len(xs)
-    v = [math.hypot(xs[i + 1] - xs[i - 1], ys[i + 1] - ys[i - 1]) / dt2
-         for i in range(1, n - 1)]
-    a = [(v[i + 1] - v[i - 1]) / dt2 for i in range(1, len(v) - 1)]
-    j = [(a[i + 1] - a[i - 1]) / dt2 for i in range(1, len(a) - 1)]
-    return v, a, j
-
-
 def test_kinematics_match_naive_oracle():
     """velocity/acceleration/jerk match a naive central-difference oracle to 1e-9 relative on 1000 random trajectories, in under 10 s"""
     start = time.monotonic()
@@ -114,38 +106,6 @@ def test_kinematics_match_naive_oracle():
 
 # ---------------------------------------------------------------- criterion 3
 
-ORACLE_ATOMS = ("mean_speed", "std_speed", "std_accel", "std_jerk", "max_decel")
-
-
-def random_clause(rng):
-    atom = ORACLE_ATOMS[rng.integers(len(ORACLE_ATOMS))]
-    if rng.random() < 0.3:
-        lo = round(float(rng.uniform(0, 4)), 2)
-        return ("in", atom, lo, round(lo + float(rng.uniform(0, 3)), 2))
-    op = ("<", "<=", ">", ">=", "=")[rng.integers(5)]
-    return ("cmp", atom, op, round(float(rng.uniform(0, 5)), 2), bool(rng.random() < 0.2))
-
-
-def clause_text(c):
-    if c[0] == "in":
-        return f"{c[1]} IN {c[2]}..{c[3]}"
-    _, atom, op, val, neg = c
-    text = f"{atom} {op} {val}"
-    return f"NOT {text}" if neg else text
-
-
-def clause_eval(c, feats):
-    value = feats.get(c[1])
-    if value is None or value != value:
-        return None
-    if c[0] == "in":
-        return c[2] <= value <= c[3]
-    _, _, op, val, neg = c
-    hit = {"<": value < val, "<=": value <= val, ">": value > val,
-           ">=": value >= val, "=": value == val}[op]
-    return (not hit) if neg else hit
-
-
 def random_fixture(rng, trial):
     context_pool = (("any",), ("free_flow",), ("congested",), ("free_flow", "congested"))
     specs, rules = [], []
@@ -168,28 +128,6 @@ def random_fixture(rng, trial):
             continue
         feats[atom] = float("nan") if roll < 0.25 else round(float(rng.uniform(0, 5)), 3)
     return specs, rules, feats
-
-
-def oracle_score(specs, feats, context):
-    matched_w = applicable_w = 0.0
-    n_applicable = 0
-    for clauses, joiner, contexts, state, polarity, conf in specs:
-        if state != "verified" or polarity != "AV_indicative":
-            continue
-        if context != "any" and "any" not in contexts and context not in contexts:
-            continue
-        values = [clause_eval(c, feats) for c in clauses]
-        if any(v is None for v in values):
-            continue
-        hit = all(values) if joiner == "AND" else any(values)
-        n_applicable += 1
-        weight = conf or 0.0
-        applicable_w += weight
-        if hit:
-            matched_w += weight
-    if n_applicable == 0 or applicable_w <= 0.0:
-        return None
-    return matched_w / applicable_w
 
 
 def test_matching_score_equals_brute_force():
@@ -291,25 +229,20 @@ def test_confidence_matches_recounts_and_loop_respects_theta():
 
 # ---------------------------------------------------------------- criterion 5
 
-def extract_features(traj, window, threshold):
-    t = validate_trajectory(traj)
-    kin = compute_kinematics(t)
-    events = detect_lane_changes(t, window=window, threshold=threshold)
-    feats = summarize_features(t, kin, events)
-    feats.update(extended_atoms(t, kin, events))
-    return feats
-
-
 def test_synthetic_end_to_end_identification():
     """synthetic 100 AV / 400 HDV run: seed-library classification at delta 0.5 reaches accuracy >= 0.90 and AV recall >= 0.95, in under 60 s"""
     start = time.monotonic()
     cfg = GeneratorConfig(n_av=100, n_hdv=400, duration_s=60.0, seed=0, separation=1.0)
     trajectories = generate_dataset(cfg)
-    manifest = cli._manifest(cfg, RunConfig(), trajectories)
+    # RunConfig's lane-change window, and the metric threshold synth lays lane changes out in
+    run_cfg = replace(RunConfig(), lc_threshold=LANE_CHANGE_THRESHOLDS["metric"])
+    features = [cli._extract(traj, run_cfg)[1] for traj in trajectories]
 
-    # the generator's own books must show the populations on opposite sides
-    # of the seed thresholds before classification gets any credit
-    av, hdv = manifest["label_means"]["AV"], manifest["label_means"]["HDV"]
+    # the feature rows of the generated tracks must show the populations on
+    # opposite sides of the seed thresholds before classification gets any credit
+    means = label_means([{"label": traj.label, "features": rounded(feats)}
+                         for traj, feats in zip(trajectories, features)])
+    av, hdv = means["AV"], means["HDV"]
     assert av["max_decel"] < 0.6 < hdv["max_decel"]
     assert av["std_jerk"] < 0.3 < hdv["std_jerk"]
     assert hdv["speed_fluctuation_rate"] < 2.4 < av["speed_fluctuation_rate"]
@@ -318,10 +251,7 @@ def test_synthetic_end_to_end_identification():
 
     lib = seed_library()
     predictions, labels, scores = [], [], []
-    for traj in trajectories:
-        feats = extract_features(
-            traj, manifest["lane_change_window"], manifest["lane_change_threshold"],
-        )
+    for traj, feats in zip(trajectories, features):
         context = infer_context(feats["mean_speed"])
         try:
             decision, score, _ = identify_column(

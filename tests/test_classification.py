@@ -25,7 +25,15 @@ from trajrules.rules import (
     RuleLibrary,
 )
 
-from helpers import identify_column, make_trajectory, score_one
+from helpers import (
+    ORACLE_ATOMS,
+    clause_text,
+    identify_column,
+    make_trajectory,
+    random_clause,
+    score_one,
+)
+from oracles import oracle_score
 
 
 def make_rule(rid, text, *, state="verified", polarity="AV_indicative",
@@ -121,62 +129,6 @@ def test_matching_score_context_gate():
     # unknown sample context leaves every rule in scope
     _, score, _ = identify_column(score_one(lib, {"std_jerk": 0.2}, context="any"))
     assert score == 1.0
-
-
-ORACLE_ATOMS = ("mean_speed", "std_speed", "std_accel", "std_jerk", "max_decel")
-
-
-def random_clause(rng):
-    atom = ORACLE_ATOMS[rng.integers(len(ORACLE_ATOMS))]
-    if rng.random() < 0.3:
-        lo = round(float(rng.uniform(0, 4)), 2)
-        return ("in", atom, lo, round(lo + float(rng.uniform(0, 3)), 2))
-    op = ("<", "<=", ">", ">=", "=")[rng.integers(5)]
-    return ("cmp", atom, op, round(float(rng.uniform(0, 5)), 2), bool(rng.random() < 0.2))
-
-
-def clause_text(c):
-    if c[0] == "in":
-        return f"{c[1]} IN {c[2]}..{c[3]}"
-    _, atom, op, val, neg = c
-    text = f"{atom} {op} {val}"
-    return f"NOT {text}" if neg else text
-
-
-def clause_eval(c, feats):
-    value = feats.get(c[1])
-    if value is None or value != value:
-        return None
-    if c[0] == "in":
-        return c[2] <= value <= c[3]
-    _, _, op, val, neg = c
-    hit = {"<": value < val, "<=": value <= val, ">": value > val,
-           ">=": value >= val, "=": value == val}[op]
-    return (not hit) if neg else hit
-
-
-def oracle_score(rules, feats, context):
-    """Independent reimplementation of the matching score."""
-    matched_w = applicable_w = 0.0
-    n_applicable = 0
-    for spec in rules:
-        clauses, joiner, contexts, state, polarity, conf = spec
-        if state != "verified" or polarity != "AV_indicative":
-            continue
-        if context != "any" and "any" not in contexts and context not in contexts:
-            continue
-        values = [clause_eval(c, feats) for c in clauses]
-        if any(v is None for v in values):
-            continue
-        hit = all(values) if joiner == "AND" else any(values)
-        n_applicable += 1
-        weight = conf or 0.0
-        applicable_w += weight
-        if hit:
-            matched_w += weight
-    if n_applicable == 0 or applicable_w <= 0.0:
-        return None
-    return matched_w / applicable_w
 
 
 def test_matching_score_against_brute_force_oracle():

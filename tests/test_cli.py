@@ -36,59 +36,42 @@ def workdir(tmp_path_factory):
     return root
 
 
-def test_synth_writes_manifest(tmp_path, capsys):
+def test_synth_writes_tracks(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
-    manifest = tmp_path / "m.json"
     rc = cli.main([
-        "synth", "--output", str(out), "--manifest", str(manifest),
+        "synth", "--output", str(out),
         "--n-av", "1", "--n-hdv", "1", "--duration-s", "43", "--seed", "0",
     ])
     assert rc == 0
     assert "generated 1 AV and 1 HDV" in capsys.readouterr().out
     assert len(load_trajectories(out)) == 2
-    doc = json.loads(manifest.read_text())
-    assert doc["seed"] == 0
-    assert set(doc["label_means"]) == {"AV", "HDV"}
 
 
-@pytest.mark.parametrize("manifest", ["same.json", "./same.json"])
-def test_synth_rejects_a_manifest_over_its_output(tmp_path, monkeypatch, capsys, manifest):
-    monkeypatch.chdir(tmp_path)
-    rc = cli.main(["synth", "--output", "same.json", "--manifest", manifest,
-                   "--n-av", "1", "--n-hdv", "1", "--duration-s", "43"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "same.json").exists()
+def test_synth_has_no_manifest_flag(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--output", str(out), "--manifest", str(tmp_path / "m.json"),
+                  "--n-av", "1", "--n-hdv", "1", "--duration-s", "43"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --manifest" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_manifest_stats_are_the_feature_rows_features_writes(tmp_path):
-    # docs/schemas.md: the stats come from the extraction features --no-smoothing runs
-    trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
-    assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
-                     "--n-av", "2", "--n-hdv", "2", "--duration-s", "43", "--seed", "4"]) == 0
-    assert cli.main(["features", "--input", str(trajs), "--output", str(feats),
-                     "--no-smoothing"]) == 0
-    rows = {row["vehicle_id"]: row["features"] for row in load_feature_rows(feats)}
-    entries = json.loads(manifest.read_text())["trajectories"]
-    assert [e["vehicle_id"] for e in entries] == list(rows)
-    for entry in entries:
-        stats = dict(entry["stats"])
-        assert stats.pop("fluctuation_count") >= 0
-        assert stats == {atom: round(v, 6) for atom, v in rows[entry["vehicle_id"]].items()}
+def lane_change_counts(path):
+    return {row["vehicle_id"]: row["features"]["lane_change_count"]
+            for row in load_feature_rows(path)}
 
 
 def test_features_default_lane_change_threshold_follows_the_unit_system(tmp_path):
-    # synth records lane changes with the metric threshold; default flags must agree
-    trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
-    assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
+    # synth lays lane changes out in meters; default flags must find them with smoothing on
+    trajs, truth, feats = tmp_path / "t.jsonl", tmp_path / "truth.jsonl", tmp_path / "f.jsonl"
+    assert cli.main(["synth", "--output", str(trajs),
                      "--n-av", "2", "--n-hdv", "3", "--duration-s", "43", "--seed", "3"]) == 0
+    assert cli.main(["features", "--input", str(trajs), "--output", str(truth),
+                     "--no-smoothing"]) == 0
     assert cli.main(["features", "--input", str(trajs), "--output", str(feats)]) == 0
-    expected = {t["vehicle_id"]: t["stats"]["lane_change_count"]
-                for t in json.loads(manifest.read_text())["trajectories"]}
-    got = {row["vehicle_id"]: row["features"]["lane_change_count"]
-           for row in load_feature_rows(feats)}
-    assert got == expected
+    expected = lane_change_counts(truth)
+    assert lane_change_counts(feats) == expected
     assert set(expected.values()) == {1.0}
 
 
@@ -130,15 +113,15 @@ def test_synth_long_tracks_raise_no_numpy_warning(tmp_path):
 
 def test_features_finds_every_lane_change_of_a_long_synth_track(tmp_path):
     # at 120 s each AV gets two lane changes and each HDV one
-    trajs, manifest, feats = tmp_path / "t.jsonl", tmp_path / "m.json", tmp_path / "f.jsonl"
-    assert cli.main(["synth", "--output", str(trajs), "--manifest", str(manifest),
+    trajs, truth, feats = tmp_path / "t.jsonl", tmp_path / "truth.jsonl", tmp_path / "f.jsonl"
+    assert cli.main(["synth", "--output", str(trajs),
                      "--n-av", "2", "--n-hdv", "2", "--duration-s", "120", "--seed", "1"]) == 0
+    assert cli.main(["features", "--input", str(trajs), "--output", str(truth),
+                     "--no-smoothing"]) == 0
     assert cli.main(["features", "--input", str(trajs), "--output", str(feats)]) == 0
     expected = {"av_0000": 2.0, "av_0001": 2.0, "hdv_0000": 1.0, "hdv_0001": 1.0}
-    assert {t["vehicle_id"]: t["stats"]["lane_change_count"]
-            for t in json.loads(manifest.read_text())["trajectories"]} == expected
-    assert {row["vehicle_id"]: row["features"]["lane_change_count"]
-            for row in load_feature_rows(feats)} == expected
+    assert lane_change_counts(truth) == expected
+    assert lane_change_counts(feats) == expected
 
 
 def test_features_rows_carry_label_and_context(workdir):

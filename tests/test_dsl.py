@@ -134,7 +134,7 @@ def test_print_parse_fixpoint_on_corpus():
         assert to_dsl(parse_predicate(printed)) == printed
 
 
-def random_clause(rng):
+def random_leaf(rng):
     atom = str(rng.choice(ATOMS))
     if rng.random() < 0.3:
         lo = float(np.round(rng.normal(0, 10), 4))
@@ -149,15 +149,15 @@ def random_clause(rng):
 def random_predicate(rng):
     roll = rng.random()
     if roll < 0.4:
-        return random_clause(rng)
+        return random_leaf(rng)
     if roll < 0.7:
-        return And(tuple(random_clause(rng) for _ in range(rng.integers(2, 4))))
+        return And(tuple(random_leaf(rng) for _ in range(rng.integers(2, 4))))
     branches = []
     for _ in range(rng.integers(2, 4)):
         if rng.random() < 0.5:
-            branches.append(And(tuple(random_clause(rng) for _ in range(2))))
+            branches.append(And(tuple(random_leaf(rng) for _ in range(2))))
         else:
-            branches.append(random_clause(rng))
+            branches.append(random_leaf(rng))
     return Or(tuple(branches))
 
 

@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from helpers import make_trajectory, random_walk_trajectory, sigmoid_shift
+from oracles import naive_kinematics, naive_lane_changes
 from trajrules.errors import TooShortError, WindowTooLongError
 from trajrules.kinematics import (
     CORE_ATOMS,
@@ -13,20 +12,7 @@ from trajrules.kinematics import (
     extended_atoms,
     summarize_features,
 )
-
-
-def naive_kinematics(traj):
-    """Plain-loop central differences, written independently of the package."""
-    xs = [x * traj.unit_scale for x in traj.x.tolist()]
-    ys = [y * traj.unit_scale for y in traj.y.tolist()]
-    dt2 = 2.0 / traj.frame_rate
-    v = [
-        math.sqrt((xs[i + 1] - xs[i - 1]) ** 2 + (ys[i + 1] - ys[i - 1]) ** 2) / dt2
-        for i in range(1, len(xs) - 1)
-    ]
-    a = [(v[i + 1] - v[i - 1]) / dt2 for i in range(1, len(v) - 1)]
-    j = [(a[i + 1] - a[i - 1]) / dt2 for i in range(1, len(a) - 1)]
-    return v, a, j
+from trajrules.synth import GeneratorConfig, generate_dataset
 
 
 def test_kinematics_match_naive_loops():
@@ -138,6 +124,63 @@ def test_lane_change_window_validation():
         detect_lane_changes(traj, window=1, threshold=1.0)
     with pytest.raises(ValueError):
         detect_lane_changes(traj, window=10, threshold=0.0)
+
+
+def lateral_walk(rng, unit_scale):
+    """A track whose lateral position wanders and makes up to three lane-width
+    moves of random steepness, stored in units of unit_scale meters."""
+    n = int(rng.integers(60, 400))
+    ys = np.cumsum(rng.normal(0.0, 0.03, n))
+    for center in rng.uniform(0.0, n, size=int(rng.integers(0, 4))):
+        ys += sigmoid_shift(n, float(rng.choice([-3.5, 3.5])), center,
+                            steepness=float(rng.uniform(0.05, 0.5)))
+    xs = 15.0 * np.arange(n) * 0.04
+    unit_system = "metric" if unit_scale == 1.0 else "pixel"
+    return make_trajectory(xs / unit_scale, ys / unit_scale, frames=np.arange(n) + 1000,
+                           unit_system=unit_system, unit_scale=unit_scale)
+
+
+def assert_events_match_naive_loops(traj, window, threshold):
+    """detect_lane_changes equals oracles.naive_lane_changes; returns the event count."""
+    got = detect_lane_changes(traj, window=window, threshold=threshold)
+    want = naive_lane_changes(traj, window, threshold)
+    assert [(e.start_frame, e.end_frame, e.direction) for e in got] == \
+        [(start, end, direction) for start, end, _, direction in want]
+    for event, (_, _, displacement, _) in zip(got, want):
+        assert event.cumulative_displacement == pytest.approx(displacement, rel=1e-9, abs=0)
+    return len(got)
+
+
+def test_lane_changes_match_naive_loops():
+    rng = np.random.default_rng(19)
+    counts = []
+    for trial in range(40):
+        traj = lateral_walk(rng, (1.0, 0.05, 0.3)[trial % 3])
+        for window in (8, 25, 50):
+            if window < len(traj):
+                for threshold in (0.5, 2.0, 3.0):
+                    counts.append(assert_events_match_naive_loops(traj, window, threshold))
+    for trial in range(20):
+        traj = random_walk_trajectory(rng)
+        for window in (5, 20):
+            if window < len(traj):
+                for threshold in (0.02, 0.1):
+                    counts.append(assert_events_match_naive_loops(traj, window, threshold))
+    fleet = generate_dataset(GeneratorConfig(n_av=2, n_hdv=2, duration_s=43.0, seed=2))
+    for traj in fleet:
+        for window, threshold in ((120, 2.0), (60, 1.0), (200, 3.0)):
+            counts.append(assert_events_match_naive_loops(traj, window, threshold))
+    assert max(counts) >= 2 and counts.count(0) < len(counts) / 2
+
+
+def test_lane_change_ties_go_to_the_earliest_window():
+    # steps 9..38 are exactly 0.5 m, so the windows starting at 9..29 all sum to exactly 5.0
+    ys = np.concatenate([np.zeros(10), 0.5 * np.arange(1, 31), np.full(20, 15.0)])
+    traj = make_trajectory(np.arange(len(ys)) * 0.5, ys, frames=np.arange(len(ys)) + 100)
+    events = detect_lane_changes(traj, window=10, threshold=2.0)
+    assert [(e.start_frame, e.end_frame, e.cumulative_displacement, e.direction)
+            for e in events] == [(109, 118, 5.0, "right")]
+    assert naive_lane_changes(traj, 10, 2.0) == [(109, 118, 5.0, "right")]
 
 
 def test_summarize_uses_population_std():

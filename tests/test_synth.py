@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import assert_same_trajectory
+from helpers import assert_same_trajectory, label_means, rounded
 from trajrules import cli
 from trajrules.config import RunConfig
 from trajrules.errors import InfeasibleProfileError
@@ -22,9 +22,11 @@ SMALL = GeneratorConfig(n_av=5, n_hdv=5, duration_s=60.0, seed=7)
 
 
 def dataset(cfg):
-    """The trajectories and the manifest `synth --manifest` writes for them."""
+    """The trajectories, and each one's features as `features --no-smoothing`
+    measures them (cli._extract), every value to 6 decimals."""
     trajs = generate_dataset(cfg)
-    return trajs, cli._manifest(cfg, RunConfig(), trajs)
+    return trajs, [{"vehicle_id": t.vehicle_id, "label": t.label,
+                    "features": rounded(cli._extract(t, RunConfig())[1])} for t in trajs]
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +34,15 @@ def small_dataset():
     return dataset(SMALL)
 
 
-def rows_for(manifest, label):
-    return [r for r in manifest["trajectories"] if r["label"] == label]
+def rows_for(rows, label):
+    return [r for r in rows if r["label"] == label]
 
 
 def test_dataset_is_deterministic():
     cfg = GeneratorConfig(n_av=2, n_hdv=2, duration_s=43.0, seed=3)
-    trajs_a, manifest_a = dataset(cfg)
-    trajs_b, manifest_b = dataset(cfg)
-    assert manifest_a == manifest_b
+    trajs_a, rows_a = dataset(cfg)
+    trajs_b, rows_b = dataset(cfg)
+    assert rows_a == rows_b
     for ta, tb in zip(trajs_a, trajs_b):
         assert_same_trajectory(ta, tb)
 
@@ -48,13 +50,13 @@ def test_dataset_is_deterministic():
 def test_population_resizing_keeps_existing_streams():
     cfg = GeneratorConfig(n_av=2, n_hdv=3, duration_s=43.0, seed=3)
     bigger = replace(cfg, n_hdv=5)
-    _, small_manifest = dataset(cfg)
-    _, big_manifest = dataset(bigger)
-    assert small_manifest["trajectories"] == big_manifest["trajectories"][:5]
+    _, small_rows = dataset(cfg)
+    _, big_rows = dataset(bigger)
+    assert small_rows == big_rows[:5]
 
 
 def test_trajectory_shape_and_metadata(small_dataset):
-    trajs, manifest = small_dataset
+    trajs, rows = small_dataset
     assert len(trajs) == 10
     expected_n = int(SMALL.duration_s * SMALL.frame_rate) + 1
     for traj in trajs:
@@ -64,14 +66,13 @@ def test_trajectory_shape_and_metadata(small_dataset):
         assert traj.label in ("AV", "HDV")
     assert trajs[0].vehicle_id == "av_0000"
     assert trajs[5].vehicle_id == "hdv_0000"
-    assert manifest["seed"] == 7
-    assert set(manifest["label_means"]) == {"AV", "HDV"}
+    assert set(label_means(rows)) == {"AV", "HDV"}
 
 
 def test_av_rows_sit_inside_the_rule_envelope(small_dataset):
-    _, manifest = small_dataset
-    for row in rows_for(manifest, "AV"):
-        s = row["stats"]
+    _, rows = small_dataset
+    for row in rows_for(rows, "AV"):
+        s = row["features"]
         assert s["max_decel"] < 0.6, row["vehicle_id"]
         assert s["speed_fluctuation_rate"] > 2.4, row["vehicle_id"]
         assert 0.2 <= s["pre_lane_change_decel"] <= 0.3, row["vehicle_id"]
@@ -82,9 +83,9 @@ def test_av_rows_sit_inside_the_rule_envelope(small_dataset):
 
 
 def test_hdv_rows_sit_outside_the_rule_envelope(small_dataset):
-    _, manifest = small_dataset
-    for row in rows_for(manifest, "HDV"):
-        s = row["stats"]
+    _, rows = small_dataset
+    for row in rows_for(rows, "HDV"):
+        s = row["features"]
         assert s["max_decel"] > 0.6, row["vehicle_id"]
         assert s["speed_fluctuation_rate"] < 2.4, row["vehicle_id"]
         assert s["std_speed"] > 2.0, row["vehicle_id"]
@@ -94,9 +95,8 @@ def test_hdv_rows_sit_outside_the_rule_envelope(small_dataset):
 
 
 def test_label_means_track_profile_targets(small_dataset):
-    _, manifest = small_dataset
-    av = manifest["label_means"]["AV"]
-    hdv = manifest["label_means"]["HDV"]
+    means = label_means(small_dataset[1])
+    av, hdv = means["AV"], means["HDV"]
     assert av["mean_speed"] == pytest.approx(15.0, rel=0.1)
     assert hdv["mean_speed"] == pytest.approx(12.0, rel=0.1)
     assert av["speed_fluctuation_rate"] == pytest.approx(3.0, abs=1.0)
@@ -171,8 +171,8 @@ def test_smaller_separation_narrows_the_gap():
         GeneratorConfig(n_av=2, n_hdv=2, seed=1, separation=0.4)
     )[1]
 
-    def gap(manifest, key):
-        means = manifest["label_means"]
+    def gap(rows, key):
+        means = label_means(rows)
         return abs(means["AV"][key] - means["HDV"][key])
 
     for key in ("std_jerk", "max_decel", "speed_fluctuation_rate"):
