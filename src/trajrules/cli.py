@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-
-import numpy as np
 
 from . import io, workers
 from .classification import (
@@ -75,10 +72,6 @@ def _extract(t: Trajectory, cfg: RunConfig):
     feats.update(extended_atoms(t, kin, events))
     if short:
         del feats["lane_change_count"], feats["lane_change_rate"]
-    for atom, value in feats.items():
-        if not math.isfinite(value):  # a frame rate so high that the differences overflow
-            raise InputError(f"vehicle {t.vehicle_id!r}: feature {atom!r} is {value}, "
-                             "not a finite number")
     return kin, feats
 
 
@@ -91,9 +84,7 @@ def _prepare(path: str, cfg: RunConfig, task: str | None,
     for i, traj in enumerate(trajectories):
         trajectories[i] = validate_trajectory(traj)
     if not cfg.no_smoothing:
-        # a track whose differences overflow smooths to NaN, which _extract rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            trajectories = smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
+        trajectories = smooth_trajectories(trajectories, cfg.process_noise, cfg.measurement_noise)
     vehicles = []
     for t in trajectories:
         kin, feats = _extract(t, cfg)

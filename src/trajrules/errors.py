@@ -26,7 +26,11 @@ class NonFiniteError(InputError):
 
 
 class NonPositiveError(InputError):
-    """frame_rate or unit_scale is zero or negative."""
+    """A smoothing noise setting is zero, negative or not finite."""
+
+
+class ImplausibleTrackError(InputError):
+    """A frame rate, unit_scale or step between frames that no recorded vehicle has."""
 
 
 class DuplicateFrameError(InputError):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InfeasibleProfileError
 from .kinematics import compute_kinematics
-from .trajectory import Trajectory
+from .trajectory import FRAME_RATE_RANGE, Trajectory
 
 JITTER_FRACTION = 0.05
 MIN_SPEED = 0.5
@@ -128,6 +128,8 @@ class GeneratorConfig:
         if not frames < np.iinfo(np.intp).max:
             raise ValueError(f"duration_s * frame_rate is {frames:g} frames, "
                              "beyond numpy's index range")
+        if self.frame_rate > FRAME_RATE_RANGE[1]:
+            raise ValueError(f"frame_rate above {FRAME_RATE_RANGE[1]:g} fps is too high to read back")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         try:  # here rather than part way through generate_dataset

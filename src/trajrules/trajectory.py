@@ -3,7 +3,8 @@
 Positions are stored in native coordinates (pixels or meters); unit_scale
 converts native lengths into the unit system the features are reported in.
 All downstream math assumes a validated trajectory: strictly increasing,
-contiguous frame indices and finite coordinates.
+contiguous frame indices, a frame rate and unit_scale in range, and finite
+coordinates that move no faster than MAX_STEP_SPEED, so that none overflows.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DuplicateFrameError,
+    ImplausibleTrackError,
     NonFiniteError,
     NonPositiveError,
     SchemaError,
@@ -26,6 +28,11 @@ MAX_GAP_FRAMES = 3
 LABELS = ("AV", "HDV")
 UNIT_SYSTEMS = ("pixel", "metric")
 LANE_CHANGE_THRESHOLDS = {"pixel": 50.0, "metric": 2.0}  # default, lateral travel per window
+FRAME_RATE_RANGE = (0.1, 1000.0)  # fps, inclusive; the Kalman filter takes dt ** 4
+UNIT_SCALE_RANGE = (1e-6, 1e6)  # inclusive; smoothing runs on the unscaled coordinates
+#: fastest step between frames in scaled units/s: 100 m/s, pixels by the thresholds' ratio
+MAX_STEP_SPEED = {system: 100.0 * threshold / LANE_CHANGE_THRESHOLDS["metric"]
+                  for system, threshold in LANE_CHANGE_THRESHOLDS.items()}
 DEFAULT_PROCESS_NOISE = 1e-2  # Kalman smoothing defaults
 DEFAULT_MEASUREMENT_NOISE = 1.0
 
@@ -57,16 +64,10 @@ class Trajectory:
 
 
 def _check_metadata(traj: Trajectory) -> None:
-    if not math.isfinite(traj.frame_rate) or traj.frame_rate <= 0:
-        raise NonPositiveError(
-            f"{traj.vehicle_id}: frame_rate must be positive, got {traj.frame_rate}")
-    if traj.dt * traj.dt == 0.0:  # the Kalman filter and the kinematics divide by it
-        raise NonPositiveError(
-            f"{traj.vehicle_id}: frame_rate {traj.frame_rate} is too high: "
-            "its squared time step is 0")
-    if not math.isfinite(traj.unit_scale) or traj.unit_scale <= 0:
-        raise NonPositiveError(
-            f"{traj.vehicle_id}: unit_scale must be positive, got {traj.unit_scale}")
+    for name, (low, high) in (("frame_rate", FRAME_RATE_RANGE), ("unit_scale", UNIT_SCALE_RANGE)):
+        if not low <= getattr(traj, name) <= high:
+            raise ImplausibleTrackError(
+                f"{traj.vehicle_id}: {name} {getattr(traj, name)} is outside {low:g}-{high:g}")
     if traj.unit_system not in UNIT_SYSTEMS:
         raise ValueError(f"unit_system must be one of {UNIT_SYSTEMS}, got {traj.unit_system!r}")
     if traj.label is not None and traj.label not in LABELS:
@@ -80,9 +81,9 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
     are filled by linear interpolation; longer gaps split the trajectory and
     the longest contiguous segment (first on ties) is kept.
 
-    Raises NonPositiveError, NonFiniteError, SchemaError (negative frame),
-    DuplicateFrameError, or TooShortError (fewer than MIN_POINTS points after
-    repair).
+    Raises ImplausibleTrackError (a rate or scale out of range, a step over
+    MAX_STEP_SPEED), NonFiniteError, SchemaError (negative frame),
+    DuplicateFrameError, or TooShortError (under MIN_POINTS points repaired).
     """
     _check_metadata(traj)
     if not len(traj):
@@ -112,6 +113,14 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
         )
     seg = slice(first[best], last[best] + 1)
     st = t[seg]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite coordinates can overflow here
+        speed = np.hypot(np.diff(x[seg] * traj.unit_scale), np.diff(y[seg] * traj.unit_scale))
+        speed *= traj.frame_rate / np.diff(st)  # a filled gap moves at its average speed
+    slow = speed <= MAX_STEP_SPEED[traj.unit_system]
+    if not slow.all():
+        i = int(np.argmin(slow))
+        raise ImplausibleTrackError(f"{traj.vehicle_id}: moves {speed[i]:g} scaled units/s into "
+                                    f"frame {st[i + 1]}, over {MAX_STEP_SPEED[traj.unit_system]:g}")
     frames = np.arange(st[0], st[-1] + 1)
     hole = np.ones(len(frames), dtype=bool)
     hole[st - st[0]] = False
@@ -132,10 +141,7 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
 def _gains(n: int, dt: float, q: float, r: float) -> tuple[list[float], list[float]]:
     """Kalman gains kx[k], kv[k] for steps 1..n-1; the recursion never reads the data."""
     p00, p01, p11 = r, r / dt, 2.0 * r / (dt * dt)  # two-point differencing covariance
-    try:
-        q00, q01 = q * dt ** 4 / 4.0, q * dt ** 3 / 2.0
-    except OverflowError:  # a frame rate under about 1e-77: the gains, and so the track, are NaN
-        q00 = q01 = math.inf
+    q00, q01 = q * dt ** 4 / 4.0, q * dt ** 3 / 2.0
     q11 = q * dt * dt
     kx, kv = [0.0], [0.0]
     for _ in range(1, n):

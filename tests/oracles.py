@@ -1,8 +1,8 @@
 """Independent oracles of the package's numeric layers.
 
-Kinematics, lane-change detection and the matching score are written out
-as plain loops over points and clauses, sharing no code with the numpy
-versions they check.
+Validation, Kalman smoothing, kinematics, lane-change detection and the
+matching score are written out as plain loops over points and clauses,
+sharing no code with the numpy versions they check.
 
 The scalar rule evaluator is kept as the independent oracle of FeatureTable.
 
@@ -11,11 +11,15 @@ that rules.FeatureTable replaced with column masks, and the label a verdict
 votes for. They share no code with
 the table: the scope test, the missing/NaN test and the unit check are
 written out here again, so a test that compares the two is not comparing
-the table with itself.
+the table with itself. The reference_* loops over rules and vehicles built
+on it (the matching score, compute_confidence, collect_failures, the
+direction votes, and the classify and predict outputs) are the loop bodies
+those became reductions over FeatureTable verdicts.
 
 The full-digest discovery prompt and the line-by-line feature-row loader
 are kept the same way: prompts and io replaced them with code that reads
 only the digests a prompt keeps and checks a feature file as a whole.
+io.dump_json's oracle is the standard library encoder.
 """
 from __future__ import annotations
 
@@ -24,19 +28,137 @@ import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from trajrules import dsl
-from trajrules.errors import EmptySampleSetError, SchemaError, UnitMismatchError
-from trajrules.io import _read_jsonl
+import numpy as np
+
+from trajrules import cli, dsl
+from trajrules.classification import TASK_DIRECTIONS, _blend, _pick, lane_prior, speed_prior
+from trajrules.errors import (
+    DuplicateFrameError,
+    EmptySampleSetError,
+    ImplausibleTrackError,
+    NoApplicableRulesError,
+    NonFiniteError,
+    SchemaError,
+    TooShortError,
+    UnitMismatchError,
+)
+from trajrules.io import _read_jsonl, load_trajectories
 from trajrules.llm import KIND_MARKERS, ChatMessage
+from trajrules.metrics import UNDETERMINED
 from trajrules.prompts import (
     _ANALYSIS_DIMENSIONS,
     _DSL_HELP,
     _RULE_FORMAT,
     DISCOVERY_ROLE,
     PROMPT_CHAR_BUDGET,
+    digest_sample,
 )
 from trajrules.rules import CONTEXTS, MATCHED, NOT_APPLICABLE, NOT_MATCHED, Rule
-from trajrules.trajectory import LABELS, UNIT_SYSTEMS
+from trajrules.trajectory import (
+    LABELS,
+    MAX_GAP_FRAMES,
+    MIN_POINTS,
+    UNIT_SYSTEMS,
+    smooth_trajectories,
+    validate_trajectory,
+)
+from trajrules.verification import RuleStats
+
+
+def reference_validate(traj):
+    """Point-by-point sort, checks, gap fill and split: the oracle for validate_trajectory.
+
+    Returns the kept segment as (t, x, y) arrays, or raises what
+    validate_trajectory raises (the unit system and label checks aside).
+    The frame rate must lie in 0.1-1000 fps and unit_scale in 1e-6-1e6. Each
+    step between observed points of the kept segment, scaled, per second and
+    spread over its gap, must be at most 100 for a metric track and 2,500 for
+    a pixel track (NaN and infinity fail).
+    """
+    vid = traj.vehicle_id
+    for name, low, high in (("frame_rate", 0.1, 1000.0), ("unit_scale", 1e-6, 1e6)):
+        value = getattr(traj, name)
+        if not low <= value <= high:
+            raise ImplausibleTrackError(f"{vid}: {name} {value} is outside {low:g}-{high:g}")
+    pts = sorted(zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()), key=lambda p: p[0])
+    for t, x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFiniteError(f"{vid}: non-finite position at frame {t}")
+        if t < 0:
+            raise SchemaError(f"{vid}: negative frame index {t}")
+    for a, b in zip(pts, pts[1:]):
+        if a[0] == b[0]:
+            raise DuplicateFrameError(f"{vid}: duplicate frame {a[0]}")
+
+    segments = [[pts[0]]] if pts else [[]]
+    for prev, cur in zip(pts, pts[1:]):
+        missing = cur[0] - prev[0] - 1
+        if missing == 0:
+            segments[-1].append(cur)
+        elif missing <= MAX_GAP_FRAMES:
+            for k in range(1, missing + 1):
+                frac = k / (missing + 1)
+                segments[-1].append((
+                    prev[0] + k,
+                    prev[1] + frac * (cur[1] - prev[1]),
+                    prev[2] + frac * (cur[2] - prev[2]),
+                ))
+            segments[-1].append(cur)
+        else:
+            segments.append([cur])
+
+    best = max(segments, key=len)
+    if len(best) < MIN_POINTS:
+        raise TooShortError(f"{vid}: {len(best)} points after repair, need {MIN_POINTS}")
+    limit = {"metric": 100.0, "pixel": 2500.0}[traj.unit_system]
+    scale, rate = traj.unit_scale, traj.frame_rate
+    seen = [p for p in pts if best[0][0] <= p[0] <= best[-1][0]]
+    for a, b in zip(seen, seen[1:]):
+        speed = math.hypot(b[1] * scale - a[1] * scale, b[2] * scale - a[2] * scale)
+        speed *= rate / (b[0] - a[0])  # Python floats overflow to inf without a warning
+        if not speed <= limit:
+            raise ImplausibleTrackError(
+                f"{vid}: moves {speed:g} scaled units/s into frame {b[0]}, over {limit:g}")
+    t, x, y = zip(*best)
+    return np.array(t, dtype=np.int64), np.array(x), np.array(y)
+
+
+def reference_filter_axis(z: np.ndarray, dt: float, q: float, r: float) -> np.ndarray:
+    """Constant-velocity Kalman filter along one axis; returns position estimates.
+
+    State is [position, velocity], initialized by two-point differencing so
+    exactly linear input passes through unchanged. q scales the white-noise
+    acceleration spectral density; r is the measurement variance.
+    """
+    n = len(z)
+    out = np.empty(n, dtype=np.float64)
+    out[0] = x = float(z[0])
+    v = (float(z[1]) - float(z[0])) / dt
+    # two-point differencing initial covariance
+    p00 = r
+    p01 = r / dt
+    p11 = 2.0 * r / (dt * dt)
+    q00 = q * dt ** 4 / 4.0
+    q01 = q * dt ** 3 / 2.0
+    q11 = q * dt * dt
+    for k in range(1, n):
+        # predict
+        x = x + v * dt
+        p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
+        p01 = p01 + dt * p11 + q01
+        p11 = p11 + q11
+        # update
+        s = p00 + r
+        kx = p00 / s
+        kv = p01 / s
+        innov = float(z[k]) - x
+        x += kx * innov
+        v += kv * innov
+        p11 = p11 - kv * p01
+        p01 = (1.0 - kx) * p01
+        p00 = (1.0 - kx) * p00
+        out[k] = x
+    return out
 
 
 def naive_kinematics(traj):
@@ -193,6 +315,153 @@ def implied_label(rule: Rule, verdict: str) -> str | None:
     return "HDV" if hit else "AV"
 
 
+def naive_confidence(rule, rows, strict):
+    n_applicable = n_correct = 0
+    for row in rows:
+        verdict = evaluate_rule(rule, row["features"], row["context"],
+                                feature_units=row.get("unit_system"))
+        if verdict == NOT_APPLICABLE:
+            continue
+        av_side = rule.polarity == "AV_indicative"
+        if verdict == MATCHED:
+            judged = "AV" if av_side else "HDV"
+        else:
+            judged = "HDV" if av_side else "AV"
+        n_applicable += 1
+        n_correct += int(judged == row["label"])
+    denom = len(rows) if strict else n_applicable
+    return n_correct / denom if denom else 0.0
+
+
+def reference_matching_score(library, features, context="any", *, feature_units=None):
+    evidence = []
+    matched_weight = 0.0
+    applicable_weight = 0.0
+    n_applicable = 0
+    for rule in library.rules:
+        if (rule.state != "verified" or rule.polarity != "AV_indicative"
+                or "identification" not in rule.tasks):
+            continue
+        verdict = evaluate_rule(
+            rule, features, context,
+            feature_units=feature_units, library_units=library.units,
+        )
+        weight = rule.confidence or 0.0
+        evidence.append((rule.id, rule.description, verdict, weight))
+        if verdict == NOT_APPLICABLE:
+            continue
+        n_applicable += 1
+        applicable_weight += weight
+        if verdict == MATCHED:
+            matched_weight += weight
+    if n_applicable == 0:
+        raise NoApplicableRulesError("no verified AV-indicative rule applies to this vehicle")
+    if applicable_weight <= 0.0:
+        raise NoApplicableRulesError("applicable rules carry zero total confidence weight")
+    return matched_weight / applicable_weight, evidence
+
+
+def reference_compute_confidence(rule, rows, *, library_units=None, strict_denominator=False):
+    n_applicable = 0
+    n_correct = 0
+    for row in rows:
+        verdict = evaluate_rule(
+            rule, row["features"], row["context"],
+            feature_units=row["unit_system"], library_units=library_units,
+        )
+        judged = implied_label(rule, verdict)
+        if judged is None:
+            continue
+        n_applicable += 1
+        if judged == row["label"]:
+            n_correct += 1
+    denom = len(rows) if strict_denominator else n_applicable
+    confidence = n_correct / denom if denom else 0.0
+    return RuleStats(rule.id, n_applicable, n_correct, confidence)
+
+
+def reference_collect_failures(rule, rows, *, library_units=None, limit=20):
+    failures = []
+    for row in rows:
+        verdict = evaluate_rule(
+            rule, row["features"], row["context"],
+            feature_units=row["unit_system"], library_units=library_units,
+        )
+        judged = implied_label(rule, verdict)
+        if judged is not None and judged != row["label"]:
+            digest = digest_sample(row["vehicle_id"], row["features"], label=row["label"])
+            failures.append({**digest, "rule_verdict": verdict, "rule_judged": judged})
+            if len(failures) >= limit:
+                break
+    return failures
+
+
+def reference_direction_votes(library, features, context, task, directions, feature_units):
+    votes = dict.fromkeys(directions, 0.0)
+    for rule in library.rules:
+        if (rule.state != "verified" or rule.direction not in votes
+                or task not in rule.tasks):
+            continue
+        verdict = evaluate_rule(
+            rule, features, context,
+            feature_units=feature_units, library_units=library.units,
+        )
+        if verdict == MATCHED:
+            votes[rule.direction] += rule.confidence or 0.0
+    return votes
+
+
+def reference_predict(library, args, task):
+    """cmd_predict's output built one vehicle at a time from the oracle votes."""
+    cfg = cli._cfg(cli.build_parser().parse_args(args))
+    directions = TASK_DIRECTIONS[task]
+    neutral = "maintain" if task == "speed" else "keep_lane"
+    predictions, contexts, all_votes = [], set(), set()
+    tracks = [validate_trajectory(t) for t in load_trajectories(args[args.index("--input") + 1])]
+    if not cfg.no_smoothing:
+        tracks = smooth_trajectories(tracks, cfg.process_noise, cfg.measurement_noise)
+    for t in tracks:
+        kin, feats = cli._extract(t, cfg)
+        context = cli._context_for(feats, cfg)
+        votes = reference_direction_votes(library, feats, context, task, directions,
+                                          t.unit_system)
+        prior = speed_prior(kin) if task == "speed" else lane_prior(t)
+        scores = _blend(votes, prior, directions)
+        predictions.append({"vehicle_id": t.vehicle_id,
+                            "direction": _pick(scores, directions, neutral),
+                            "scores": scores})
+        contexts.add(context)
+        all_votes.add(tuple(votes.values()))
+    return {"task": task, "predictions": predictions}, contexts, all_votes
+
+
+def reference_report(library, rows, delta):
+    """cmd_classify's report built one vehicle at a time from the oracle scores,
+    each determined vehicle with an evidence list of its own."""
+    results = []
+    for row in rows:
+        entry = {"vehicle_id": row["vehicle_id"]}
+        try:
+            score, evidence = reference_matching_score(
+                library, row["features"], row.get("context", "any"),
+                feature_units=row.get("unit_system"))
+        except NoApplicableRulesError as exc:
+            entry.update(decision=UNDETERMINED, reason=str(exc))
+        else:
+            if score >= delta:
+                decision, confidence = "AV", (score - delta) / (1.0 - delta)
+            else:
+                decision, confidence = "HDV", (delta - score) / delta
+            entry.update(decision=decision, score=score, confidence=confidence, evidence=[
+                {"rule_id": rule_id, "verdict": verdict, "weight": weight}
+                for rule_id, _, verdict, weight in evidence])
+        if "label" in row:
+            entry["label"] = row["label"]
+        results.append(entry)
+    return {"delta": delta, "library_version": library.version, "theta": library.theta,
+            "results": results}
+
+
 def _digest_lines(digests: Sequence[dict]) -> list[str]:
     return [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in digests]
 
@@ -299,3 +568,7 @@ def load_feature_rows(path: str | Path) -> list[dict]:
             raise SchemaError(f"label must be one of {LABELS}, got {label!r}", lineno)
         rows.append(doc)
     return rows
+
+
+def oracle_bytes(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")

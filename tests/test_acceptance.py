@@ -4,7 +4,6 @@ One test per acceptance criterion. The first docstring line of each test is
 echoed as a PASS/FAIL line in the terminal summary (see conftest), and every
 test asserts its own wall-clock budget.
 """
-import json
 import math
 import time
 from dataclasses import replace
@@ -20,9 +19,6 @@ from trajrules.errors import NoApplicableRulesError
 from trajrules.kinematics import compute_kinematics
 from trajrules.metrics import compute_metrics, compute_roc_auc, f1_score
 from trajrules.rules import (
-    MATCHED,
-    NOT_APPLICABLE,
-    NOT_MATCHED,
     FeatureTable,
     Rule,
     RuleLibrary,
@@ -43,7 +39,7 @@ from helpers import (
     rounded,
     score_one,
 )
-from oracles import evaluate_rule, naive_kinematics, oracle_score
+from oracles import naive_confidence, naive_kinematics, oracle_score
 
 MOCK_DIR = str(Path(__file__).resolve().parent.parent / "fixtures" / "mock")
 
@@ -149,24 +145,6 @@ def test_matching_score_equals_brute_force():
 
 
 # ---------------------------------------------------------------- criterion 4
-
-def naive_confidence(rule, rows, strict):
-    n_applicable = n_correct = 0
-    for row in rows:
-        verdict = evaluate_rule(rule, row["features"], row["context"],
-                                feature_units=row.get("unit_system"))
-        if verdict == NOT_APPLICABLE:
-            continue
-        av_side = rule.polarity == "AV_indicative"
-        if verdict == MATCHED:
-            judged = "AV" if av_side else "HDV"
-        else:
-            judged = "HDV" if av_side else "AV"
-        n_applicable += 1
-        n_correct += int(judged == row["label"])
-    denom = len(rows) if strict else n_applicable
-    return n_correct / denom if denom else 0.0
-
 
 def random_rows(rng, count):
     rows = []

@@ -92,6 +92,7 @@ def test_synth_rejects_bad_population(tmp_path):
     # 2.5e16 int64 frames exceed the address space, so numpy fails before touching memory
     (["--duration-s", "1e15"], "cannot allocate 2.5e+16 frames per track"),
     (["--frame-rate", "11"], "frame_rate below 12 fps is too coarse to calibrate every vehicle"),
+    (["--frame-rate", "2000"], "frame_rate above 1000 fps is too high to read back"),
 ])
 def test_synth_rejects_bad_settings(tmp_path, capsys, flags, message):
     out = tmp_path / "t.jsonl"
@@ -267,20 +268,30 @@ def test_a_track_no_longer_than_the_window_has_no_lane_atoms(tmp_path, command):
         assert "lane_change_count" in with_short["v0"]["features"]
 
 
+FLIP = [[i, 0.6 * i, 5.0 if i == 100 else 0.0] for i in range(200)]  # a tracker ID swap
+
+
 @pytest.mark.parametrize("command", ["features", "predict"])
 @pytest.mark.parametrize("metadata,message", [
-    ({"frame_rate": 1e308}, "v0: frame_rate 1e+308 is too high: its squared time step is 0"),
-    ({"frame_rate": 1e160}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
-    ({"frame_rate": 0}, "v0: frame_rate must be positive, got 0.0"),
-    ({"frame_rate": 25.0, "unit_scale": -1}, "v0: unit_scale must be positive, got -1.0"),
-    # the Kalman gains overflow; --no-smoothing still writes these rows
-    ({"frame_rate": 1e-78}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
-    ({"frame_rate": 1e-300}, "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+    ({"frame_rate": 1e308}, "v0: frame_rate 1e+308 is outside 0.1-1000"),
+    ({"frame_rate": 1e160}, "v0: frame_rate 1e+160 is outside 0.1-1000"),
+    ({"frame_rate": 0}, "v0: frame_rate 0.0 is outside 0.1-1000"),
+    ({"frame_rate": 25.0, "unit_scale": -1}, "v0: unit_scale -1.0 is outside 1e-06-1e+06"),
+    # the Kalman filter's process noise would overflow
+    ({"frame_rate": 1e-78}, "v0: frame_rate 1e-78 is outside 0.1-1000"),
+    ({"frame_rate": 1e-300}, "v0: frame_rate 1e-300 is outside 0.1-1000"),
     # the differences overflow; the suite's warnings-as-errors filter fails any numpy warning
     ({"frame_rate": 25.0, "points": [[i, 0.6 * i, 1e307 * (i % 2)] for i in range(200)]},
-     "vehicle 'v0': feature 'mean_speed' is nan, not a finite number"),
+     "v0: moves inf scaled units/s into frame 1, over 100"),
+    ({"frame_rate": 0.05}, "v0: frame_rate 0.05 is outside 0.1-1000"),
+    ({"frame_rate": 2000}, "v0: frame_rate 2000.0 is outside 0.1-1000"),
+    # central differences span two frames, so unsmoothed this flip reads as a smooth track
+    ({"frame_rate": 25.0, "points": FLIP},
+     "v0: moves 125.897 scaled units/s into frame 100, over 100"),
+    ({"frame_rate": 25.0, "unit_scale": 1e300}, "v0: unit_scale 1e+300 is outside 1e-06-1e+06"),
 ], ids=["step_squared_underflows", "features_overflow", "frame_rate_zero", "unit_scale_negative",
-        "gains_overflow", "gains_overflow_far", "coordinate_differences_overflow"])
+        "gains_overflow", "gains_overflow_far", "coordinate_differences_overflow",
+        "frame_rate_low", "frame_rate_high", "two_frame_flip", "unit_scale_huge"])
 def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, metadata, message):
     trajs = tmp_path / "t.jsonl"
     points = [[t, 0.5 * t, 0.0] for t in range(200)]
@@ -289,10 +300,11 @@ def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, metadat
     save_library(seed_library(), library)
     extra = ["--library", str(library), "--task", "speed"] if command == "predict" else []
     out = tmp_path / "out"
-    rc = cli.main([command, "--input", str(trajs), "--output", str(out), *extra])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    for smoothing in ([], ["--no-smoothing"]):  # validation decides before either path
+        rc = cli.main([command, "--input", str(trajs), "--output", str(out), *extra, *smoothing])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_discover_with_mock_backend(workdir, tmp_path, capsys):
@@ -413,16 +425,6 @@ def test_verify_rejects_a_mock_dir_that_is_not_a_directory(workdir, tmp_path, ca
     assert rc == 2
     assert capsys.readouterr().err == f"error: mock_dir {missing!r} is not a directory\n"
     assert not out.exists()
-
-
-def test_tiny_frame_rate_without_smoothing_writes_its_row(tmp_path):
-    # test_extreme_frame_rate_is_an_input_error's gains_overflow track, unsmoothed
-    trajs = tmp_path / "t.jsonl"
-    points = [[t, 0.5 * t, 0.0] for t in range(200)]
-    trajs.write_text(json.dumps({"vehicle_id": "v0", "frame_rate": 1e-78, "points": points}) + "\n")
-    out = tmp_path / "f.jsonl"
-    assert cli.main(["features", "--input", str(trajs), "--output", str(out), "--no-smoothing"]) == 0
-    assert [row["vehicle_id"] for row in load_feature_rows(out)] == ["v0"]
 
 
 def test_verify_then_classify_then_evaluate(workdir, tmp_path, capsys):

@@ -410,10 +410,6 @@ def random_document(rng, depth, shared):
     return obj
 
 
-def oracle_bytes(obj):
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def test_dump_json_equals_json_dumps_on_random_documents(tmp_path):
     rng = np.random.default_rng(909)
     path = tmp_path / "r.json"
@@ -421,13 +417,13 @@ def test_dump_json_equals_json_dumps_on_random_documents(tmp_path):
         shared = []
         doc = random_document(rng, 0, shared)
         dump_json(doc, path)
-        assert path.read_bytes() == oracle_bytes(doc), trial
+        assert path.read_bytes() == oracles.oracle_bytes(doc), trial
     # one object at several depths, flat and nested, and non-string keys at each level
     flat = {1: "x", 2.5: math.nan, False: None}
     nested = {0: [flat], math.inf: (flat, [flat, {}]), -1: {"a": []}}
     doc = [flat, {"k": nested, "l": [[flat]], "m": {None: nested}}, nested, ()]
     dump_json(doc, path)
-    assert path.read_bytes() == oracle_bytes(doc)
+    assert path.read_bytes() == oracles.oracle_bytes(doc)
 
 
 def test_dump_json_with_tiny_batches_equals_json_dumps(tmp_path, monkeypatch):
@@ -438,7 +434,7 @@ def test_dump_json_with_tiny_batches_equals_json_dumps(tmp_path, monkeypatch):
     for trial in range(200):
         doc = random_document(rng, 0, [])
         dump_json(doc, path)
-        assert path.read_bytes() == oracle_bytes(doc), trial
+        assert path.read_bytes() == oracles.oracle_bytes(doc), trial
 
 
 @pytest.mark.parametrize("batch", [io._BATCH, 2], ids=["default_batch", "tiny_batch"])
@@ -450,7 +446,7 @@ def test_dump_json_shared_nested_list_at_two_depths(tmp_path, monkeypatch, batch
     doc = {"a": shared, "b": [shared, shared, {"c": shared}], "d": [{0.0: shared}, {-0.0: 1}]}
     path = tmp_path / "r.json"
     dump_json(doc, path)
-    assert path.read_bytes() == oracle_bytes(doc)
+    assert path.read_bytes() == oracles.oracle_bytes(doc)
 
 
 def test_dump_json_encodes_a_shared_nested_list_once(tmp_path, monkeypatch):
@@ -468,7 +464,7 @@ def test_dump_json_encodes_a_shared_nested_list_once(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_write_value", counting)
     path = tmp_path / "r.json"
     dump_json(doc, path)
-    assert path.read_bytes() == oracle_bytes(doc)
+    assert path.read_bytes() == oracles.oracle_bytes(doc)
     # each entry: itself, its id and its evidence, plus the evidence's dicts once
     assert calls == 2 + 3 * 100 + 10
 
@@ -484,7 +480,7 @@ def test_dump_json_memory_stays_below_file_size(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert path.read_bytes() == oracle_bytes(doc)
+    assert path.read_bytes() == oracles.oracle_bytes(doc)
     assert peak < path.stat().st_size
 
 

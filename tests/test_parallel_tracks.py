@@ -172,6 +172,15 @@ def bad_last_record(docs):
     return {**docs[-1], "vehicle_id": "bad", "points": [[0, 1.0]]}
 
 
+def flipped(doc):
+    """doc with y moved 5 m for one frame between two observed neighbours: a tracker ID swap."""
+    points = [list(p) for p in doc["points"]]
+    k = next(k for k in range(len(points) // 2, len(points) - 1)
+             if points[k + 1][0] - points[k - 1][0] == 2)
+    points[k][2] += 5.0
+    return {**doc, "points": points}
+
+
 # each case: (records to write, bytes after them); the error is in the last chunk
 # unless the case says otherwise
 ERROR_CASES = {
@@ -185,6 +194,7 @@ ERROR_CASES = {
     "not_utf8": lambda docs: (docs, b'{"vehicle_id": "\xff"}\r\n'),
     "non_finite_feature": lambda docs: ([*docs, {**docs[-1], "vehicle_id": "fast",
                                                  "frame_rate": 1e160}], b""),
+    "two_frame_flip": lambda docs: ([*docs[:-1], flipped(docs[-1])], b""),
 }
 
 

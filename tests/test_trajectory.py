@@ -6,19 +6,19 @@ import pytest
 from helpers import make_trajectory
 from trajrules.errors import (
     DuplicateFrameError,
+    ImplausibleTrackError,
     NonFiniteError,
     NonPositiveError,
     SchemaError,
     TooShortError,
 )
 from trajrules.trajectory import (
-    MAX_GAP_FRAMES,
-    MIN_POINTS,
     Trajectory,
     smooth_trajectories,
     smooth_trajectory,
     validate_trajectory,
 )
+from oracles import reference_filter_axis, reference_validate
 
 
 def at_frames(frames, xs=None, ys=None):
@@ -96,11 +96,11 @@ def test_split_below_minimum_rejected():
 def test_bad_metadata_rejected():
     traj = make_trajectory(np.arange(6.0), np.zeros(6))
     cols = {"t": traj.t, "x": traj.x, "y": traj.y}
-    with pytest.raises(NonPositiveError):
+    with pytest.raises(ImplausibleTrackError):
         validate_trajectory(
             Trajectory("v", **cols, frame_rate=0.0)
         )
-    with pytest.raises(NonPositiveError):
+    with pytest.raises(ImplausibleTrackError):
         validate_trajectory(
             Trajectory("v", **cols, frame_rate=10.0, unit_scale=-1.0)
         )
@@ -114,49 +114,67 @@ def test_bad_metadata_rejected():
         )
 
 
-def reference_validate(traj):
-    """Point-by-point sort, checks, gap fill and split: the oracle for validate_trajectory.
+@pytest.mark.parametrize("frame_rate,unit_scale,message", [
+    # both ranges are inclusive
+    (0.1, 1.0, None), (1000.0, 1.0, None), (25.0, 1e-6, None), (25.0, 1e6, None),
+    (0.0999, 1.0, "frame_rate 0.0999 is outside 0.1-1000"),
+    (1000.5, 1.0, "frame_rate 1000.5 is outside 0.1-1000"),
+    (math.nan, 1.0, "frame_rate nan is outside 0.1-1000"),
+    (-25.0, 1.0, "frame_rate -25.0 is outside 0.1-1000"),
+    (25.0, 9e-7, "unit_scale 9e-07 is outside 1e-06-1e+06"),
+    (25.0, 1.5e6, "unit_scale 1500000.0 is outside 1e-06-1e+06"),
+    (25.0, math.inf, "unit_scale inf is outside 1e-06-1e+06"),
+])
+def test_frame_rate_and_unit_scale_ranges(frame_rate, unit_scale, message):
+    traj = make_trajectory(np.zeros(6), np.zeros(6), frame_rate=frame_rate, unit_scale=unit_scale,
+                           vehicle_id="v")
+    if message is None:
+        validate_trajectory(traj)
+        return
+    with pytest.raises(ImplausibleTrackError) as exc:
+        validate_trajectory(traj)
+    assert str(exc.value) == f"v: {message}"
 
-    Returns the kept segment as (t, x, y) arrays, or raises what
-    validate_trajectory raises (metadata checks aside).
-    """
-    vid = traj.vehicle_id
-    pts = sorted(zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()), key=lambda p: p[0])
-    for t, x, y in pts:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NonFiniteError(f"{vid}: non-finite position at frame {t}")
-        if t < 0:
-            raise SchemaError(f"{vid}: negative frame index {t}")
-    for a, b in zip(pts, pts[1:]):
-        if a[0] == b[0]:
-            raise DuplicateFrameError(f"{vid}: duplicate frame {a[0]}")
 
-    segments = [[pts[0]]] if pts else [[]]
-    for prev, cur in zip(pts, pts[1:]):
-        missing = cur[0] - prev[0] - 1
-        if missing == 0:
-            segments[-1].append(cur)
-        elif missing <= MAX_GAP_FRAMES:
-            for k in range(1, missing + 1):
-                frac = k / (missing + 1)
-                segments[-1].append((
-                    prev[0] + k,
-                    prev[1] + frac * (cur[1] - prev[1]),
-                    prev[2] + frac * (cur[2] - prev[2]),
-                ))
-            segments[-1].append(cur)
-        else:
-            segments.append([cur])
+def flip(n, at, lateral):
+    """A 15 m/s track at 25 fps whose y jumps to lateral at frame at and back: an ID swap."""
+    return np.arange(n) * 0.6, np.where(np.arange(n) == at, lateral, 0.0)
 
-    best = max(segments, key=len)
-    if len(best) < MIN_POINTS:
-        raise TooShortError(f"{vid}: {len(best)} points after repair, need {MIN_POINTS}")
-    t, x, y = zip(*best)
-    return np.array(t, dtype=np.int64), np.array(x), np.array(y)
+
+@pytest.mark.parametrize("xs,ys,frames,kwargs,message", [
+    # 25 fps: a 4.0 m step is exactly 100 m/s
+    (np.arange(8) * 4.0, np.zeros(8), None, {}, None),
+    (np.arange(8) * 4.01, np.zeros(8), None, {},
+     "moves 100.25 scaled units/s into frame 1, over 100"),
+    # pixel tracks: 100 times the lane-change thresholds' ratio, 2,500 scaled units/s
+    (np.arange(8) * 100.0, np.zeros(8), None, {"unit_system": "pixel"}, None),
+    (np.arange(8) * 200.0, np.zeros(8), None, {"unit_system": "pixel", "unit_scale": 0.5}, None),
+    (np.arange(8) * 100.04, np.zeros(8), None, {"unit_system": "pixel"},
+     "moves 2501 scaled units/s into frame 1, over 2500"),
+    # a filled gap moves at its average speed: 8 m over 2 frames is 100 m/s
+    ([0.0, 4.0, 8.0, 16.0, 20.0, 24.0], np.zeros(6), [0, 1, 2, 4, 5, 6], {}, None),
+    ([0.0, 4.0, 8.0, 16.2, 20.2, 24.2], np.zeros(6), [0, 1, 2, 4, 5, 6], {},
+     "moves 102.5 scaled units/s into frame 4, over 100"),
+    (*flip(200, 100, 5.0), None, {}, "moves 125.897 scaled units/s into frame 100, over 100"),
+    (*flip(200, 100, 1e307), None, {}, "moves inf scaled units/s into frame 100, over 100"),
+    # each coordinate is finite, but not once scaled as the kinematics scale it
+    (np.full(6, 1e305), np.zeros(6), None, {"unit_scale": 1e6},
+     "moves nan scaled units/s into frame 1, over 100"),
+], ids=["metric_bound", "metric_over", "pixel_bound", "pixel_scaled_bound", "pixel_over",
+        "gap_bound", "gap_over", "two_frame_flip", "flip_overflows", "scaled_overflow"])
+def test_step_speed_bound(xs, ys, frames, kwargs, message):
+    traj = make_trajectory(xs, ys, vehicle_id="v", frames=frames, **kwargs)
+    if message is None:
+        validate_trajectory(traj)
+        return
+    with pytest.raises(ImplausibleTrackError) as exc:
+        validate_trajectory(traj)
+    assert str(exc.value) == f"v: {message}"
 
 
 def random_track(rng):
-    """Shuffled frames with fillable and splitting gaps, sometimes NaN, duplicate or negative."""
+    """Shuffled frames with fillable and splitting gaps over a random walk in frame order;
+    sometimes NaN, duplicate or negative, a step over 100 m/s or a rate over 1000 fps."""
     frames, start = [], int(rng.integers(0, 5))
     span = int(rng.integers(2, 16))
     for _ in range(int(rng.integers(1, 4))):
@@ -170,15 +188,18 @@ def random_track(rng):
     frames = rng.permutation(frames)
     if rng.random() < 0.05:
         frames = frames - int(rng.integers(1, 3))
-    xs = rng.normal(0.0, 50.0, len(frames))
-    ys = rng.normal(0.0, 5.0, len(frames))
+    # at 10 fps a step of x ~ N(0, 4) m passes the 10 m of 100 m/s about once in 80
+    rank = np.argsort(np.argsort(frames))
+    xs = rng.normal(0.0, 4.0, len(frames)).cumsum()[rank]
+    ys = rng.normal(0.0, 1.0, len(frames)).cumsum()[rank]
     if rng.random() < 0.1:
         frames = np.append(frames, rng.choice(frames))
         xs, ys = np.append(xs, 1.0), np.append(ys, 2.0)
     if rng.random() < 0.1:
         (xs if rng.random() < 0.5 else ys)[rng.integers(len(xs))] = rng.choice(
             [np.nan, np.inf, -np.inf])
-    return make_trajectory(xs, ys, frame_rate=10.0, vehicle_id="v", frames=frames)
+    frame_rate = 2000.0 if rng.random() < 0.02 else 10.0
+    return make_trajectory(xs, ys, frame_rate=frame_rate, vehicle_id="v", frames=frames)
 
 
 def test_validate_matches_pointwise_reference():
@@ -188,7 +209,8 @@ def test_validate_matches_pointwise_reference():
         traj = random_track(rng)
         try:
             expected = reference_validate(traj)
-        except (NonFiniteError, SchemaError, DuplicateFrameError, TooShortError) as exc:
+        except (NonFiniteError, SchemaError, DuplicateFrameError, TooShortError,
+                ImplausibleTrackError) as exc:
             with pytest.raises(type(exc)) as got:
                 validate_trajectory(traj)
             assert str(got.value) == str(exc)
@@ -201,6 +223,7 @@ def test_validate_matches_pointwise_reference():
         outcomes["kept"] = outcomes.get("kept", 0) + 1
     assert set(outcomes) == {
         "kept", "NonFiniteError", "SchemaError", "DuplicateFrameError", "TooShortError",
+        "ImplausibleTrackError",
     }, outcomes
 
 
@@ -249,44 +272,6 @@ def test_smoothing_rejects_bad_noise():
                  (math.inf, 1.0), (1e-2, math.inf)]:
         with pytest.raises(NonPositiveError, match="must be positive and finite"):
             smooth_trajectories([traj], q, r)
-
-
-def reference_filter_axis(z: np.ndarray, dt: float, q: float, r: float) -> np.ndarray:
-    """Constant-velocity Kalman filter along one axis; returns position estimates.
-
-    State is [position, velocity], initialized by two-point differencing so
-    exactly linear input passes through unchanged. q scales the white-noise
-    acceleration spectral density; r is the measurement variance.
-    """
-    n = len(z)
-    out = np.empty(n, dtype=np.float64)
-    out[0] = x = float(z[0])
-    v = (float(z[1]) - float(z[0])) / dt
-    # two-point differencing initial covariance
-    p00 = r
-    p01 = r / dt
-    p11 = 2.0 * r / (dt * dt)
-    q00 = q * dt ** 4 / 4.0
-    q01 = q * dt ** 3 / 2.0
-    q11 = q * dt * dt
-    for k in range(1, n):
-        # predict
-        x = x + v * dt
-        p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
-        p01 = p01 + dt * p11 + q01
-        p11 = p11 + q11
-        # update
-        s = p00 + r
-        kx = p00 / s
-        kv = p01 / s
-        innov = float(z[k]) - x
-        x += kx * innov
-        v += kv * innov
-        p11 = p11 - kv * p01
-        p01 = (1.0 - kx) * p01
-        p00 = (1.0 - kx) * p00
-        out[k] = x
-    return out
 
 
 def random_fleet(rng):

@@ -1,9 +1,9 @@
 """The verdict matrix against the per-vehicle loops it replaced.
 
-The reference_* functions below are the loop bodies of the one-vehicle
-matching score, compute_confidence, collect_failures and the per-vehicle
-direction votes as they were before those became reductions over
-rules.FeatureTable verdicts.
+The reference_* functions of oracles.py are the loop bodies of the
+one-vehicle matching score, compute_confidence, collect_failures and the
+per-vehicle direction votes as they were before those became reductions
+over rules.FeatureTable verdicts.
 They call the scalar evaluate_rule of oracles.py once per (rule, vehicle)
 and serve as the oracle: every score, evidence list, RuleStats, failure digest list and
 vote dict must come out exactly equal, floats included.
@@ -15,68 +15,31 @@ import pytest
 
 from trajrules import cli, dsl
 from trajrules import rules as rules_module
-from trajrules.classification import (
-    TASK_DIRECTIONS,
-    _blend,
-    _pick,
-    lane_prior,
-    score_table,
-    speed_prior,
-    vote_table,
-)
+from trajrules.classification import TASK_DIRECTIONS, score_table, vote_table
 from trajrules.errors import NoApplicableRulesError, UnitMismatchError
-from trajrules.io import load_library, load_trajectories, save_library
-from trajrules.metrics import UNDETERMINED
-from trajrules.prompts import digest_sample
+from trajrules.io import load_library, save_library
 from trajrules.rules import (
     DIRECTIONS,
-    MATCHED,
-    NOT_APPLICABLE,
     TASKS,
     VERDICTS,
     FeatureTable,
     Rule,
     RuleLibrary,
 )
-from trajrules.trajectory import smooth_trajectories, validate_trajectory
-from trajrules.verification import (
-    RuleStats,
-    collect_failures,
-    compute_confidence,
-)
+from trajrules.verification import collect_failures, compute_confidence
 
 from helpers import identify_column, score_one
-from oracles import evaluate_rule, implied_label
+from oracles import (
+    evaluate_rule,
+    reference_collect_failures,
+    reference_compute_confidence,
+    reference_direction_votes,
+    reference_matching_score,
+    reference_predict,
+    reference_report,
+)
 
-# --- the per-vehicle loops, kept as the oracle --------------------------------
-
-
-def reference_matching_score(library, features, context="any", *, feature_units=None):
-    evidence = []
-    matched_weight = 0.0
-    applicable_weight = 0.0
-    n_applicable = 0
-    for rule in library.rules:
-        if (rule.state != "verified" or rule.polarity != "AV_indicative"
-                or "identification" not in rule.tasks):
-            continue
-        verdict = evaluate_rule(
-            rule, features, context,
-            feature_units=feature_units, library_units=library.units,
-        )
-        weight = rule.confidence or 0.0
-        evidence.append((rule.id, rule.description, verdict, weight))
-        if verdict == NOT_APPLICABLE:
-            continue
-        n_applicable += 1
-        applicable_weight += weight
-        if verdict == MATCHED:
-            matched_weight += weight
-    if n_applicable == 0:
-        raise NoApplicableRulesError("no verified AV-indicative rule applies to this vehicle")
-    if applicable_weight <= 0.0:
-        raise NoApplicableRulesError("applicable rules carry zero total confidence weight")
-    return matched_weight / applicable_weight, evidence
+# --- one vehicle through the verdict table ------------------------------------
 
 
 def one_vehicle(library, features, context, *, feature_units):
@@ -85,56 +48,6 @@ def one_vehicle(library, features, context, *, feature_units):
     _, score, _ = identify_column(scores)
     return score, [(rule.id, rule.description, VERDICTS[code], rule.confidence or 0.0)
                    for rule, code in zip(scores.rules, scores.verdicts[:, 0].tolist())]
-
-
-def reference_compute_confidence(rule, rows, *, library_units=None, strict_denominator=False):
-    n_applicable = 0
-    n_correct = 0
-    for row in rows:
-        verdict = evaluate_rule(
-            rule, row["features"], row["context"],
-            feature_units=row["unit_system"], library_units=library_units,
-        )
-        judged = implied_label(rule, verdict)
-        if judged is None:
-            continue
-        n_applicable += 1
-        if judged == row["label"]:
-            n_correct += 1
-    denom = len(rows) if strict_denominator else n_applicable
-    confidence = n_correct / denom if denom else 0.0
-    return RuleStats(rule.id, n_applicable, n_correct, confidence)
-
-
-def reference_collect_failures(rule, rows, *, library_units=None, limit=20):
-    failures = []
-    for row in rows:
-        verdict = evaluate_rule(
-            rule, row["features"], row["context"],
-            feature_units=row["unit_system"], library_units=library_units,
-        )
-        judged = implied_label(rule, verdict)
-        if judged is not None and judged != row["label"]:
-            digest = digest_sample(row["vehicle_id"], row["features"], label=row["label"])
-            failures.append({**digest, "rule_verdict": verdict, "rule_judged": judged})
-            if len(failures) >= limit:
-                break
-    return failures
-
-
-def reference_direction_votes(library, features, context, task, directions, feature_units):
-    votes = dict.fromkeys(directions, 0.0)
-    for rule in library.rules:
-        if (rule.state != "verified" or rule.direction not in votes
-                or task not in rule.tasks):
-            continue
-        verdict = evaluate_rule(
-            rule, features, context,
-            feature_units=feature_units, library_units=library.units,
-        )
-        if verdict == MATCHED:
-            votes[rule.direction] += rule.confidence or 0.0
-    return votes
 
 
 # --- random fixtures ----------------------------------------------------------
@@ -364,57 +277,6 @@ def fleet(tmp_path_factory):
     ]
     save_library(RuleLibrary(rules=rules), root / "lib.json")
     return tracks, root / "lib.json", threshold
-
-
-def reference_predict(library, args, task):
-    """cmd_predict's output built one vehicle at a time from the oracle votes."""
-    cfg = cli._cfg(cli.build_parser().parse_args(args))
-    directions = TASK_DIRECTIONS[task]
-    neutral = "maintain" if task == "speed" else "keep_lane"
-    predictions, contexts, all_votes = [], set(), set()
-    tracks = [validate_trajectory(t) for t in load_trajectories(args[args.index("--input") + 1])]
-    if not cfg.no_smoothing:
-        tracks = smooth_trajectories(tracks, cfg.process_noise, cfg.measurement_noise)
-    for t in tracks:
-        kin, feats = cli._extract(t, cfg)
-        context = cli._context_for(feats, cfg)
-        votes = reference_direction_votes(library, feats, context, task, directions,
-                                          t.unit_system)
-        prior = speed_prior(kin) if task == "speed" else lane_prior(t)
-        scores = _blend(votes, prior, directions)
-        predictions.append({"vehicle_id": t.vehicle_id,
-                            "direction": _pick(scores, directions, neutral),
-                            "scores": scores})
-        contexts.add(context)
-        all_votes.add(tuple(votes.values()))
-    return {"task": task, "predictions": predictions}, contexts, all_votes
-
-
-def reference_report(library, rows, delta):
-    """cmd_classify's report built one vehicle at a time from the oracle scores,
-    each determined vehicle with an evidence list of its own."""
-    results = []
-    for row in rows:
-        entry = {"vehicle_id": row["vehicle_id"]}
-        try:
-            score, evidence = reference_matching_score(
-                library, row["features"], row.get("context", "any"),
-                feature_units=row.get("unit_system"))
-        except NoApplicableRulesError as exc:
-            entry.update(decision=UNDETERMINED, reason=str(exc))
-        else:
-            if score >= delta:
-                decision, confidence = "AV", (score - delta) / (1.0 - delta)
-            else:
-                decision, confidence = "HDV", (delta - score) / delta
-            entry.update(decision=decision, score=score, confidence=confidence, evidence=[
-                {"rule_id": rule_id, "verdict": verdict, "weight": weight}
-                for rule_id, _, verdict, weight in evidence])
-        if "label" in row:
-            entry["label"] = row["label"]
-        results.append(entry)
-    return {"delta": delta, "library_version": library.version, "theta": library.theta,
-            "results": results}
 
 
 def printable_rule(rng, rid):
