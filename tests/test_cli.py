@@ -307,6 +307,16 @@ def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, metadat
         assert not out.exists()
 
 
+def test_tiny_frame_rate_without_smoothing_writes_its_row(tmp_path):
+    # the lowest accepted rate; the gains_overflow case above is the same track below it
+    trajs = tmp_path / "t.jsonl"
+    points = [[t, 0.5 * t, 0.0] for t in range(200)]
+    trajs.write_text(json.dumps({"vehicle_id": "v0", "frame_rate": 0.1, "points": points}) + "\n")
+    out = tmp_path / "f.jsonl"
+    assert cli.main(["features", "--input", str(trajs), "--output", str(out), "--no-smoothing"]) == 0
+    assert [row["vehicle_id"] for row in load_feature_rows(out)] == ["v0"]
+
+
 def test_discover_with_mock_backend(workdir, tmp_path, capsys):
     out = tmp_path / "lib.json"
     rc = cli.main([
