@@ -19,7 +19,7 @@ from .kinematics import LC_WINDOW
 from .llm import BackendConfig
 from .rules import CONTEXTS
 from .synth import GeneratorConfig
-from .trajectory import DEFAULT_MEASUREMENT_NOISE, DEFAULT_PROCESS_NOISE
+from .trajectory import DEFAULT_MEASUREMENT_NOISE, DEFAULT_PROCESS_NOISE, NOISE_RANGE
 from .verification import DEFAULT_MAX_ITERATIONS, DEFAULT_STALL_EPSILON
 
 
@@ -67,8 +67,9 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
         for name in ("process_noise", "measurement_noise"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+            if not NOISE_RANGE[0] <= getattr(self, name) <= NOISE_RANGE[1]:
+                raise InputError(f"{name} {getattr(self, name)} is outside "
+                                 f"{NOISE_RANGE[0]:g}-{NOISE_RANGE[1]:g}")
         if self.lc_window < 2:
             raise InputError(f"lc_window must be at least 2, got {self.lc_window}")
         if self.lc_threshold is not None and self.lc_threshold <= 0:

@@ -26,7 +26,7 @@ class NonFiniteError(InputError):
 
 
 class NonPositiveError(InputError):
-    """A smoothing noise setting is zero, negative or not finite."""
+    """A smoothing noise setting outside NOISE_RANGE: zero, negative and NaN included."""
 
 
 class ImplausibleTrackError(InputError):

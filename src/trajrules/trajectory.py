@@ -4,11 +4,10 @@ Positions are stored in native coordinates (pixels or meters); unit_scale
 converts native lengths into the unit system the features are reported in.
 All downstream math assumes a validated trajectory: strictly increasing,
 contiguous frame indices, a frame rate and unit_scale in range, and finite
-coordinates that move no faster than MAX_STEP_SPEED, so that none overflows.
+coordinates no faster than MAX_STEP_SPEED; with noise in NOISE_RANGE, none overflows.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +32,7 @@ UNIT_SCALE_RANGE = (1e-6, 1e6)  # inclusive; smoothing runs on the unscaled coor
 #: fastest step between frames in scaled units/s: 100 m/s, pixels by the thresholds' ratio
 MAX_STEP_SPEED = {system: 100.0 * threshold / LANE_CHANGE_THRESHOLDS["metric"]
                   for system, threshold in LANE_CHANGE_THRESHOLDS.items()}
+NOISE_RANGE = (1e-12, 1e12)  # inclusive, both noise settings; far out, the gains overflow or divide by 0
 DEFAULT_PROCESS_NOISE = 1e-2  # Kalman smoothing defaults
 DEFAULT_MEASUREMENT_NOISE = 1.0
 
@@ -113,14 +113,16 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
         )
     seg = slice(first[best], last[best] + 1)
     st = t[seg]
+    bound = MAX_STEP_SPEED[traj.unit_system]
     with np.errstate(over="ignore", invalid="ignore"):  # finite coordinates can overflow here
-        speed = np.hypot(np.diff(x[seg] * traj.unit_scale), np.diff(y[seg] * traj.unit_scale))
-        speed *= traj.frame_rate / np.diff(st)  # a filled gap moves at its average speed
-    slow = speed <= MAX_STEP_SPEED[traj.unit_system]
-    if not slow.all():
-        i = int(np.argmin(slow))
-        raise ImplausibleTrackError(f"{traj.vehicle_id}: moves {speed[i]:g} scaled units/s into "
-                                    f"frame {st[i + 1]}, over {MAX_STEP_SPEED[traj.unit_system]:g}")
+        dx, dy = np.diff(x[seg] * traj.unit_scale), np.diff(y[seg] * traj.unit_scale)
+        reach = np.diff(st) * (bound / traj.frame_rate)  # a filled gap moves at its average speed
+        slow = dx * dx + dy * dy <= reach * reach  # squares: inf and NaN fail it like hypot's
+        if not slow.all():
+            i = int(np.argmin(slow))
+            speed = np.hypot(dx[i], dy[i]) * traj.frame_rate / (st[i + 1] - st[i])
+            raise ImplausibleTrackError(f"{traj.vehicle_id}: moves {speed:g} scaled units/s "
+                                        f"into frame {st[i + 1]}, over {bound:g}")
     frames = np.arange(st[0], st[-1] + 1)
     hole = np.ones(len(frames), dtype=bool)
     hole[st - st[0]] = False
@@ -173,8 +175,8 @@ def smooth_trajectories(
     order of operations, so a track's result does not depend on its batch.
     """
     q, r = process_noise, measurement_noise
-    if not (0 < q < math.inf and 0 < r < math.inf):
-        raise NonPositiveError("process_noise and measurement_noise must be positive and finite")
+    if not all(NOISE_RANGE[0] <= v <= NOISE_RANGE[1] for v in (q, r)):
+        raise NonPositiveError(f"noise settings must be from {NOISE_RANGE[0]:g} to {NOISE_RANGE[1]:g}")
     out = [replace(traj) for traj in trajs]
     groups: dict[float, list[int]] = {}
     for i, traj in enumerate(trajs):

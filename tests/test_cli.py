@@ -220,11 +220,17 @@ def write_tracks(path, lengths):
     (["--lc-window", "1"], None, "lc_window must be at least 2, got 1"),
     (["--lc-threshold", "0"], None, "lc_threshold must be positive, got 0.0"),
     (["--lc-threshold=-3"], None, "lc_threshold must be positive, got -3.0"),
-    (["--process-noise=-1"], None, "process_noise must be positive, got -1.0"),
-    ([], {"measurement_noise": 0}, "measurement_noise must be positive, got 0.0"),
+    (["--process-noise=-1"], None, "process_noise -1.0 is outside 1e-12-1e+12"),
+    ([], {"measurement_noise": 0}, "measurement_noise 0.0 is outside 1e-12-1e+12"),
+    # on a valid track each made the Kalman gains NaN (the second at 0.1 fps) or divide by 0
+    (["--measurement-noise", "1e308"], None, "measurement_noise 1e+308 is outside 1e-12-1e+12"),
+    (["--process-noise", "1e305"], None, "process_noise 1e+305 is outside 1e-12-1e+12"),
+    (["--process-noise", "5e-324", "--measurement-noise", "5e-324"], None,
+     "process_noise 5e-324 is outside 1e-12-1e+12"),
 ], ids=["flag_nan", "flag_inf", "measurement_nan", "threshold_neg_inf",
         "config_nan", "config_inf", "lc_window_1", "lc_threshold_0", "lc_threshold_neg",
-        "process_noise_neg", "measurement_noise_0"])
+        "process_noise_neg", "measurement_noise_0", "measurement_noise_huge",
+        "process_noise_huge", "noise_subnormal"])
 def test_features_rejects_non_finite_settings(tmp_path, capsys, flags, config, message):
     trajs = tmp_path / "t.jsonl"
     out = tmp_path / "f.jsonl"
@@ -305,6 +311,22 @@ def test_extreme_frame_rate_is_an_input_error(tmp_path, capsys, command, metadat
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("frame_rate", [0.1, 1000.0])
+@pytest.mark.parametrize("q,r", [(1e-12, 1e-12), (1e-12, 1e12), (1e12, 1e-12), (1e12, 1e12)])
+def test_noise_range_corners_give_finite_features(tmp_path, frame_rate, q, r):
+    # a zigzag at 99% of the step bound, at the extreme accepted rates and noise settings
+    step = 0.7 * 100.0 / frame_rate
+    points = [[t, step * t, step * (t % 2)] for t in range(300)]
+    trajs = tmp_path / "t.jsonl"
+    trajs.write_text(json.dumps({"vehicle_id": "v0", "frame_rate": frame_rate,
+                                 "points": points}) + "\n")
+    out = tmp_path / "f.jsonl"
+    assert cli.main(["features", "--input", str(trajs), "--output", str(out),
+                     "--process-noise", str(q), "--measurement-noise", str(r)]) == 0
+    (row,) = load_feature_rows(out)  # which refuses a non-finite feature
+    assert all(math.isfinite(v) for v in row["features"].values())
 
 
 def test_tiny_frame_rate_without_smoothing_writes_its_row(tmp_path):

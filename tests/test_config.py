@@ -113,9 +113,9 @@ def test_validation_errors():
     with pytest.raises(InputError, match="^stall_epsilon must be at least 0, got -0.5$"):
         RunConfig(stall_epsilon=-0.5)
     assert RunConfig(stall_epsilon=0.0).stall_epsilon == 0.0
-    with pytest.raises(InputError, match="^process_noise must be positive, got -1.0$"):
+    with pytest.raises(InputError, match="^process_noise -1.0 is outside 1e-12-1e\\+12$"):
         RunConfig(process_noise=-1.0)
-    with pytest.raises(InputError, match="^measurement_noise must be positive, got 0.0$"):
+    with pytest.raises(InputError, match="^measurement_noise 0.0 is outside 1e-12-1e\\+12$"):
         RunConfig(measurement_noise=0.0)
 
 

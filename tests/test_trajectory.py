@@ -269,8 +269,9 @@ def test_smoothing_keeps_metadata():
 def test_smoothing_rejects_bad_noise():
     traj = make_trajectory(np.arange(10.0), np.zeros(10))
     for q, r in [(0.0, 1.0), (1e-2, -1.0), (math.nan, 1.0), (1e-2, math.nan),
-                 (math.inf, 1.0), (1e-2, math.inf)]:
-        with pytest.raises(NonPositiveError, match="must be positive and finite"):
+                 (math.inf, 1.0), (1e-2, math.inf), (5e-324, 5e-324), (1e-2, 2e12),
+                 (1e305, 1.0)]:
+        with pytest.raises(NonPositiveError, match="must be from 1e-12 to 1e"):
             smooth_trajectories([traj], q, r)
 
 
